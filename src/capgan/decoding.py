@@ -1,7 +1,13 @@
 """Caption generation: greedy, multinomial sampling, and beam search.
 
 All strategies work on any model exposing ``encode(features, feat_lengths,
-z)`` and ``step_logits(features, feat_lengths, z, prefix, memory=...)``.
+z)`` and ``step_logits(features, feat_lengths, z, prefix, memory=...,
+cache=...)``. A decode encodes its clips once, records no autodiff graph,
+and feeds ``step_logits`` only the newest position of each prefix, along
+with one ``DecodeCache`` per decode that the model fills with what it
+keeps from earlier positions (beam search reorders it as hypotheses are
+kept, repeated or dropped).
+
 Sequences are token-id lists that start with <sos> and end with <eos>
 unless the length cap cut them off. Every caption carries at least one
 content word: <eos> is forbidden as the first emission so downstream
@@ -15,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .models import DecodeCache
+from .tensor import no_grad
 from .text import EOS, PAD, SOS
 
 
@@ -68,33 +76,35 @@ def rollout(
     if mode == "sample" and rng is None:
         raise ValueError("sampling requires an rng")
     batch = features.shape[0]
-    memory = model.encode(features, feat_lengths, z)
     prefix = np.full((batch, 1), SOS, dtype=np.int64)
     alive = np.ones(batch, dtype=bool)
     log_probs: list[list[float]] = [[] for _ in range(batch)]
 
-    for step in range(max_length + 1):  # content tokens plus a final eos slot
-        if not alive.any():
-            break
-        logits = _forbid_markers(
-            model.step_logits(features, feat_lengths, z, prefix, memory=memory)
-        )
-        if step == 0:
-            logits[..., EOS] = -1e9  # minimum caption length of one word
-        logp = _log_softmax(logits / temperature)
-        if mode == "greedy":
-            chosen = logp.argmax(axis=-1)
-        else:
-            cumulative = np.cumsum(np.exp(logp), axis=-1)
-            cumulative[:, -1] = 1.0
-            draws = rng.random((batch, 1))
-            chosen = (cumulative < draws).sum(axis=-1)
-        chosen = np.where(alive, chosen, PAD)
-        for b in range(batch):
-            if alive[b]:
-                log_probs[b].append(float(logp[b, chosen[b]]))
-        prefix = np.concatenate([prefix, chosen[:, None]], axis=1)
-        alive &= chosen != EOS
+    with no_grad():
+        memory = model.encode(features, feat_lengths, z)
+        cache = DecodeCache()
+        for step in range(max_length + 1):  # content tokens plus a final eos slot
+            if not alive.any():
+                break
+            logits = _forbid_markers(model.step_logits(
+                features, feat_lengths, z, prefix[:, -1:], memory=memory, cache=cache
+            ))
+            if step == 0:
+                logits[..., EOS] = -1e9  # minimum caption length of one word
+            logp = _log_softmax(logits / temperature)
+            if mode == "greedy":
+                chosen = logp.argmax(axis=-1)
+            else:
+                cumulative = np.cumsum(np.exp(logp), axis=-1)
+                cumulative[:, -1] = 1.0
+                draws = rng.random((batch, 1))
+                chosen = (cumulative < draws).sum(axis=-1)
+            chosen = np.where(alive, chosen, PAD)  # finished rows are fed pad
+            for b in range(batch):
+                if alive[b]:
+                    log_probs[b].append(float(logp[b, chosen[b]]))
+            prefix = np.concatenate([prefix, chosen[:, None]], axis=1)
+            alive &= chosen != EOS
 
     sequences = []
     for b in range(batch):
@@ -126,41 +136,38 @@ def beam_decode(model, features, feat_lengths, z, beam_size: int = 5,
     """
     if features.shape[0] != 1:
         raise ValueError("beam_decode works on a single clip")
-    memory = model.encode(features, feat_lengths, z)
-    live = [([SOS], 0.0)]  # (tokens, total log-prob)
+    live = np.full((1, 1), SOS, dtype=np.int64)  # one row per live hypothesis
     finished: list[tuple[list[int], float]] = []
 
-    for step in range(max_length + 1):
-        if not live:
-            break
-        prefix = np.array([tokens for tokens, _ in live], dtype=np.int64)
-        n_live = len(live)
-        feats_rep = np.repeat(features, n_live, axis=0)
-        lens_rep = np.repeat(feat_lengths, n_live, axis=0)
-        z_rep = np.repeat(z, n_live, axis=0)
-        mem_rep = None  # memory rows must match the hypothesis batch
-        logits = _forbid_markers(
-            model.step_logits(feats_rep, lens_rep, z_rep, prefix, memory=mem_rep)
-        )
-        if step == 0:
-            logits[..., EOS] = -1e9  # minimum caption length of one word
-        logp = _log_softmax(logits)
-        vocab = logp.shape[-1]
-
-        candidates = []
-        for i, (tokens, total) in enumerate(live):
-            for tok in range(vocab):
-                candidates.append((tokens + [tok], total + logp[i, tok]))
-        candidates.sort(key=lambda c: c[1] / (len(c[0]) - 1), reverse=True)
-
-        live = []
-        for tokens, total in candidates:
-            if len(live) >= beam_size:
+    with no_grad():
+        # the clip's memory and cross-attention keys/values have batch 1
+        # and broadcast across however many hypotheses are live
+        memory = model.encode(features, feat_lengths, z)
+        cache = DecodeCache()
+        for step in range(max_length + 1):
+            if not len(live):
                 break
-            if tokens[-1] == EOS:
-                finished.append((tokens, total))
-            else:
-                live.append((tokens, total))
+            logits = _forbid_markers(model.step_logits(
+                features, feat_lengths, z, live[:, -1:], memory=memory, cache=cache
+            ))
+            if step == 0:
+                logits[..., EOS] = -1e9  # minimum caption length of one word
+                totals = np.zeros(1, dtype=logits.dtype)  # log-prob per live row
+            candidates = totals[:, None] + _log_softmax(logits)
+            # best first by mean log-prob; stable, so ties keep (row, token) order
+            order = np.argsort(-(candidates / (step + 1)), axis=None, kind="stable")
+            rows, tokens = np.divmod(order, candidates.shape[1])
+            ended = tokens == EOS
+            # walk the ranking until beam_size hypotheses stay open; every
+            # ended one passed on the way is finished
+            taken = np.cumsum(~ended) - ~ended < beam_size
+            for i in np.flatnonzero(taken & ended):
+                finished.append((live[rows[i]].tolist() + [EOS], candidates.flat[order[i]]))
+            keep = taken & ~ended
+            cache.reorder(rows[keep])
+            live = np.concatenate([live[rows[keep]], tokens[keep, None]], axis=1)
+            totals = candidates.flat[order[keep]]
+        live = [(row.tolist(), total) for row, total in zip(live, totals)]
     finished.extend(live)  # length-capped hypotheses count as complete
     finished.sort(key=lambda c: c[1] / (len(c[0]) - 1), reverse=True)
     out = []

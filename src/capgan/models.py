@@ -15,6 +15,7 @@ import hashlib
 import json
 import struct
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -187,6 +188,38 @@ class GeneratorConfig:
             raise ValueError("d_model must be divisible by n_heads")
 
 
+class DecodeCache:
+    """Attention keys and values kept across the steps of one decode.
+
+    ``self_kv`` holds each decoder layer's self-attention keys/values for the
+    ``length`` positions seen so far, one row per hypothesis; ``cross``
+    holds each layer's cross-attention keys/values, projected from the
+    encoder memory once. Models that keep no state leave it empty.
+    """
+
+    def __init__(self):
+        self.length = 0
+        self.self_kv: list[tuple[Tensor, Tensor]] = []
+        self.cross: list[tuple[Tensor, Tensor]] = []
+
+    def extend(self, layer: int, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
+        """Append new positions' keys/values [B, H, t, d_head] to a layer's
+        cache and return everything cached for it."""
+        if layer == len(self.self_kv):
+            self.self_kv.append((keys, values))
+        else:
+            old_keys, old_values = self.self_kv[layer]
+            self.self_kv[layer] = (
+                concat([old_keys, keys], axis=2), concat([old_values, values], axis=2)
+            )
+        return self.self_kv[layer]
+
+    def reorder(self, rows: np.ndarray) -> None:
+        """Keep the self-attention rows of the given parents, in order;
+        a parent may repeat or be dropped."""
+        self.self_kv = [(keys[rows], values[rows]) for keys, values in self.self_kv]
+
+
 class Generator:
     """Encoder + noise-conditioned causal transformer decoder."""
 
@@ -245,27 +278,38 @@ class Generator:
         merged = concat([h, z_b], axis=2)
         return linear(merged, p["noise.w"], p["noise.b"])
 
-    def _attention(self, q, k, v, mask_np, layer, block, drop_rng):
+    def _heads(self, x: Tensor) -> Tensor:
+        """[B, T, d_model] -> [B, n_heads, T, d_head]."""
+        c = self.config
+        batch, t_len, _ = x.shape
+        return x.reshape(batch, t_len, c.n_heads, c.d_model // c.n_heads).transpose(0, 2, 1, 3)
+
+    def _keys_values(self, x: Tensor, layer: int, block: str) -> tuple[Tensor, Tensor]:
+        p = self.params
+        return (
+            self._heads(x @ p[f"dec.{layer}.{block}.k"]),
+            self._heads(x @ p[f"dec.{layer}.{block}.v"]),
+        )
+
+    def _attention(self, x, keys, values, mask_np, layer, block, drop_rng):
+        """Multi-head attention of queries from x over per-head keys/values.
+
+        keys/values may have batch 1 against a larger query batch (one
+        clip's memory shared by every beam hypothesis).
+        """
         p = self.params
         c = self.config
         d_head = c.d_model // c.n_heads
-        batch, t_q, _ = q.shape
-        t_k = k.shape[1]
-
-        def split_heads(t, t_len):
-            return t.reshape(batch, t_len, c.n_heads, d_head).transpose(0, 2, 1, 3)
-
-        qh = split_heads(q @ p[f"dec.{layer}.{block}.q"], t_q)
-        kh = split_heads(k @ p[f"dec.{layer}.{block}.k"], t_k)
-        vh = split_heads(v @ p[f"dec.{layer}.{block}.v"], t_k)
-        scores = (qh @ kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d_head))
-        if mask_np is not None:
-            scores = scores + _const(
-                np.broadcast_to(mask_np, (batch, c.n_heads, t_q, t_k)), self.dtype
-            )
+        batch, t_q, _ = x.shape
+        t_k = keys.shape[2]
+        qh = self._heads(x @ p[f"dec.{layer}.{block}.q"])
+        scores = (qh @ keys.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d_head))
+        scores = scores + _const(
+            np.broadcast_to(mask_np, (batch, c.n_heads, t_q, t_k)), self.dtype
+        )
         attn = scores.softmax(axis=-1)
         attn = dropout(attn, c.dropout, drop_rng)
-        out = (attn @ vh).transpose(0, 2, 1, 3).reshape(batch, t_q, c.d_model)
+        out = (attn @ values).transpose(0, 2, 1, 3).reshape(batch, t_q, c.d_model)
         return out @ p[f"dec.{layer}.{block}.o"]
 
     def forward(
@@ -276,25 +320,41 @@ class Generator:
         tokens: np.ndarray,
         drop_rng: np.random.Generator | None = None,
         memory: Tensor | None = None,
+        cache: DecodeCache | None = None,
     ) -> Tensor:
-        """Teacher-forced logits [B, T, vocab] for token prefixes [B, T]."""
+        """Logits [B, T, vocab] for token positions [B, T].
+
+        Without a cache, ``tokens`` are whole teacher-forced prefixes. With
+        one, they are only the positions after the ``cache.length`` already
+        seen: their self-attention keys/values are appended to the cache,
+        and the cross-attention keys/values are projected from ``memory``
+        on the first call and reused after it.
+        """
         c = self.config
         tokens = np.asarray(tokens, dtype=np.int64)
-        batch, t_steps = tokens.shape
+        batch, t_new = tokens.shape
+        start = cache.length if cache is not None else 0
+        t_steps = start + t_new
         if t_steps > c.t_max + 1:
             raise ValueError(f"prefix length {t_steps} exceeds t_max+1 = {c.t_max + 1}")
         p = self.params
-        if memory is None:
-            memory = self.encode(features, feat_lengths, z)
-        frames = memory.shape[1]
+        if cache is not None and cache.cross:
+            cross = cache.cross
+        else:
+            if memory is None:
+                memory = self.encode(features, feat_lengths, z)
+            cross = [self._keys_values(memory, layer, "cross") for layer in range(c.n_layers)]
+            if cache is not None:
+                cache.cross = cross
+        frames = cross[0][0].shape[2]
 
-        causal = np.triu(np.full((t_steps, t_steps), -1e9, dtype=self.dtype), k=1)
+        causal = np.triu(np.full((t_new, t_steps), -1e9, dtype=self.dtype), k=1 + start)
         frame_alive = np.arange(frames)[None, :] < np.asarray(feat_lengths)[:, None]
         mem_mask = np.where(frame_alive, 0.0, -1e9).astype(self.dtype)
         mem_mask = mem_mask[:, None, None, :]
 
         x = embedding(p["dec.embed"], tokens) + _const(
-            np.broadcast_to(self._positions[:t_steps], (batch, t_steps, c.d_model)),
+            np.broadcast_to(self._positions[start:t_steps], (batch, t_new, c.d_model)),
             self.dtype,
         )
         x = dropout(x, c.dropout, drop_rng)
@@ -303,18 +363,25 @@ class Generator:
                 t, p[f"dec.{layer}.{tag}.g"], p[f"dec.{layer}.{tag}.b"]
             )
             xn = n("n1", x)
-            x = x + self._attention(xn, xn, xn, causal, layer, "self", drop_rng)
-            x = x + self._attention(n("n2", x), memory, memory, mem_mask, layer, "cross", drop_rng)
+            keys, values = self._keys_values(xn, layer, "self")
+            if cache is not None:
+                keys, values = cache.extend(layer, keys, values)
+            x = x + self._attention(xn, keys, values, causal, layer, "self", drop_rng)
+            x = x + self._attention(n("n2", x), *cross[layer], mem_mask, layer, "cross", drop_rng)
             h = n("n3", x)
             h = linear(h, p[f"dec.{layer}.ff.w1"], p[f"dec.{layer}.ff.b1"]).relu()
             h = dropout(h, c.dropout, drop_rng)
             x = x + linear(h, p[f"dec.{layer}.ff.w2"], p[f"dec.{layer}.ff.b2"])
+        if cache is not None:
+            cache.length = t_steps
         x = layer_norm(x, p["dec.final_norm.g"], p["dec.final_norm.b"])
         return linear(x, p["dec.out.w"], p["dec.out.b"])
 
-    def step_logits(self, features, feat_lengths, z, prefix: np.ndarray, memory=None) -> np.ndarray:
-        """Next-token logits for each batch row given prefixes [B, T]."""
-        logits = self.forward(features, feat_lengths, z, prefix, memory=memory)
+    def step_logits(self, features, feat_lengths, z, prefix: np.ndarray, memory=None,
+                    cache: DecodeCache | None = None) -> np.ndarray:
+        """Next-token logits for each batch row: ``prefix`` [B, T] is the
+        whole prefix, or with a cache only its new positions."""
+        logits = self.forward(features, feat_lengths, z, prefix, memory=memory, cache=cache)
         return logits.data[:, -1, :]
 
 
@@ -471,7 +538,7 @@ def save_checkpoint(path, model, metadata: dict | None = None) -> None:
 
 def load_checkpoint(path, expected_kind: str | None = None) -> tuple[dict, dict]:
     """Returns (name -> float32 array, metadata)."""
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     view = memoryview(raw)
     if bytes(view[:8]) != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")

@@ -5,7 +5,8 @@ Each differentiable op records its inputs and a backward closure on the
 output node; ``backward()`` topologically sorts the recorded graph and
 visits every node exactly once, accumulating gradients into leaves that
 have ``requires_grad`` set. Gradients accumulate across calls until zeroed
-(the optimizer owns zeroing).
+(the optimizer owns zeroing). Inside ``no_grad()`` ops record nothing, so
+inference builds no graph.
 
 Broadcasting is deliberately restricted: binary elementwise ops accept
 equal shapes or a scalar paired with a tensor, nothing else. Row/column
@@ -13,10 +14,13 @@ broadcasts must go through an explicit ``broadcast_to``.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "DimensionError",
     "DomainError",
     "concat",
@@ -25,6 +29,21 @@ __all__ = [
     "layer_norm",
     "Adam",
 ]
+
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Ops inside the block record no parents and no backward closure."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class DimensionError(ValueError):
@@ -82,11 +101,9 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        out._prev = tuple(p for p in parents if p.requires_grad)
+        out._prev = tuple(p for p in parents if p.requires_grad) if _grad_enabled else ()
         out.requires_grad = bool(out._prev)
         out._backward = backward if out.requires_grad else None
-        if not out._prev:
-            out._prev = ()
         return out
 
     @property

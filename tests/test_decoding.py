@@ -6,6 +6,8 @@ import pytest
 
 from capgan.decoding import (
     DecodeConfig,
+    _forbid_markers,
+    _log_softmax,
     beam_decode,
     generate_diverse_set,
     greedy_decode,
@@ -14,9 +16,9 @@ from capgan.decoding import (
     sample_decode,
     write_captions,
 )
-from capgan.text import EOS, SOS
+from capgan.text import EOS, PAD, SOS
 
-from test_models import tiny_generator, tiny_inputs
+from test_models import default_generator, tiny_generator, tiny_inputs
 
 
 class ToyModel:
@@ -32,7 +34,7 @@ class ToyModel:
     def encode(self, features, feat_lengths, z):
         return None
 
-    def step_logits(self, features, feat_lengths, z, prefix, memory=None):
+    def step_logits(self, features, feat_lengths, z, prefix, memory=None, cache=None):
         fallback = np.zeros(self.vocab)
         out = np.zeros((prefix.shape[0], self.vocab))
         for b in range(prefix.shape[0]):
@@ -52,6 +54,73 @@ PEAKED = {
     4: [NEG, NEG, 2.0, 0.3, 0.1, 0.6],
     5: [NEG, NEG, 1.5, 0.1, 0.2, 0.3],
 }
+
+
+# exactly tied logits everywhere: ranking falls back to (row, token) order
+TIED = {
+    1: [NEG, NEG, NEG, 0.5, 0.5, 0.5],
+    3: [NEG, NEG, 1.0, 1.0, 1.0, 1.0],
+    4: [NEG, NEG, 1.0, 1.0, 1.0, 1.0],
+    5: [NEG, NEG, 1.0, 1.0, 1.0, 1.0],
+}
+
+
+def reference_greedy(model, features, feat_lengths, z, max_length):
+    """Greedy decode that recomputes every step from the whole prefix."""
+    prefix = np.full((features.shape[0], 1), SOS, dtype=np.int64)
+    alive = np.ones(features.shape[0], dtype=bool)
+    for step in range(max_length + 1):
+        if not alive.any():
+            break
+        logits = _forbid_markers(model.step_logits(features, feat_lengths, z, prefix))
+        if step == 0:
+            logits[..., EOS] = -1e9
+        chosen = np.where(alive, _log_softmax(logits).argmax(axis=-1), PAD)
+        prefix = np.concatenate([prefix, chosen[:, None]], axis=1)
+        alive &= chosen != EOS
+    return [[SOS] + [int(t) for t in row[1:] if t != PAD] for row in prefix]
+
+
+def reference_beam(model, features, feat_lengths, z, beam_size, max_length):
+    """Beam search that recomputes every step from the whole prefix and
+    ranks an explicit candidate list with Python's stable sort."""
+    live = [([SOS], 0.0)]  # (tokens, total log-prob)
+    finished = []
+    for step in range(max_length + 1):
+        if not live:
+            break
+        prefix = np.array([tokens for tokens, _ in live], dtype=np.int64)
+        n_live = len(live)
+        logits = _forbid_markers(model.step_logits(
+            np.repeat(features, n_live, axis=0), np.repeat(feat_lengths, n_live, axis=0),
+            np.repeat(z, n_live, axis=0), prefix,
+        ))
+        if step == 0:
+            logits[..., EOS] = -1e9
+        logp = _log_softmax(logits)
+        candidates = []
+        for i, (tokens, total) in enumerate(live):
+            for tok in range(logp.shape[-1]):
+                candidates.append((tokens + [tok], total + logp[i, tok]))
+        candidates.sort(key=lambda c: c[1] / (len(c[0]) - 1), reverse=True)
+        live = []
+        for tokens, total in candidates:
+            if len(live) >= beam_size:
+                break
+            if tokens[-1] == EOS:
+                finished.append((tokens, total))
+            else:
+                live.append((tokens, total))
+    finished.extend(live)
+    finished.sort(key=lambda c: c[1] / (len(c[0]) - 1), reverse=True)
+    out, seen = [], set()
+    for tokens, total in finished:
+        if tuple(tokens) not in seen:
+            seen.add(tuple(tokens))
+            out.append((tokens, total / (len(tokens) - 1)))
+        if len(out) == beam_size:
+            break
+    return out
 
 
 def enumerate_paths(model, max_steps):
@@ -195,6 +264,64 @@ class TestBeam:
         a = beam_decode(model, features, lens, z, beam_size=4, max_length=3)
         b = beam_decode(shifted, features, lens, z, beam_size=4, max_length=3)
         assert [t for t, _ in a] == [t for t, _ in b]
+
+
+class TestBeamOracle:
+    """The vectorised ranking against the candidate-list reference."""
+
+    @pytest.mark.parametrize("beam_size", [1, 4, 16])
+    @pytest.mark.parametrize("table", [PEAKED, TIED], ids=["peaked", "tied"])
+    def test_toy_tables(self, table, beam_size):
+        model = ToyModel(table)
+        features, lens, z = toy_inputs()
+        got = beam_decode(model, features, lens, z, beam_size=beam_size, max_length=3)
+        assert got == reference_beam(model, features, lens, z, beam_size, max_length=3)
+
+    @pytest.mark.parametrize("beam_size", [1, 4, 16])
+    def test_tiny_generator(self, beam_size):
+        gen = tiny_generator(n_layers=2)
+        features, feat_lengths, z, _ = tiny_inputs(np.random.default_rng(20), batch=1)
+        got = beam_decode(gen, features, feat_lengths, z, beam_size=beam_size, max_length=6)
+        want = reference_beam(gen, features, feat_lengths, z, beam_size, max_length=6)
+        assert [t for t, _ in got] == [t for t, _ in want]
+        np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-12)
+
+
+class TestFullRecomputeReference:
+    """Cached decodes of a seeded default-size generator give the same
+    captions as decoding from the whole prefix at every step."""
+
+    @staticmethod
+    def generator():
+        gen = default_generator(seed=3)
+        # raise <eos> so captions end at different steps instead of all
+        # running to the length cap
+        gen.params["dec.out.b"].data[EOS] += 1.5
+        return gen
+
+    def test_greedy_batch_with_dead_rows(self):
+        gen = self.generator()
+        c = gen.config
+        rng = np.random.default_rng(21)
+        features = rng.standard_normal((4, 9, c.feat_dim))
+        feat_lengths = np.array([9, 7, 9, 5])
+        z = rng.standard_normal((4, c.noise_dim))
+        got, _ = rollout(gen, features, feat_lengths, z, "greedy", max_length=c.t_max)
+        assert got == reference_greedy(gen, features, feat_lengths, z, c.t_max)
+        assert len({len(seq) for seq in got}) > 2  # rows die at different steps
+
+    @pytest.mark.parametrize("beam_size", [1, 5])
+    def test_beam(self, beam_size):
+        gen = self.generator()
+        c = gen.config
+        rng = np.random.default_rng(22)
+        features = rng.standard_normal((1, 9, c.feat_dim))
+        feat_lengths = np.array([8])
+        z = rng.standard_normal((1, c.noise_dim))
+        got = beam_decode(gen, features, feat_lengths, z, beam_size=beam_size, max_length=8)
+        want = reference_beam(gen, features, feat_lengths, z, beam_size, max_length=8)
+        assert [t for t, _ in got] == [t for t, _ in want]
+        np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-5)
 
 
 class TestDiverseSet:

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from capgan.models import (
     CheckpointError,
+    DecodeCache,
     Discriminator,
     DiscriminatorConfig,
     Generator,
@@ -17,7 +20,8 @@ from capgan.models import (
     restore_model,
     save_checkpoint,
 )
-from capgan.tensor import DomainError, Tensor, cross_entropy
+from capgan.tensor import DomainError, Tensor, cross_entropy, no_grad
+from capgan.text import EOS, PAD
 
 from conftest import assert_grads_close, finite_difference
 
@@ -38,6 +42,11 @@ def tiny_inputs(rng, batch=2, frames=4, feat_dim=5, noise_dim=4, t=4, vocab=11):
     tokens = rng.integers(1, vocab, size=(batch, t))
     tokens[:, 0] = 1  # sos
     return features, feat_lengths, z, tokens
+
+
+def default_generator(seed=0):
+    """Default model sizes, float32, with the synthetic corpus's vocabulary size."""
+    return Generator(GeneratorConfig(vocab_size=106), np.random.default_rng(seed))
 
 
 class TestGRUCell:
@@ -136,6 +145,96 @@ class TestGenerator:
         params = gen.store.tensors()
         fd = finite_difference(loss, params)
         assert_grads_close(params, fd, rtol=1e-3)
+
+
+class TestDecodeCache:
+    """Cached one-position steps against the full-prefix forward pass."""
+
+    @staticmethod
+    def assert_steps_match(gen, features, feat_lengths, z, tokens, atol):
+        with no_grad():
+            memory = gen.encode(features, feat_lengths, z)
+            cache = DecodeCache()
+            for t in range(tokens.shape[1]):
+                step = gen.step_logits(
+                    features, feat_lengths, z, tokens[:, t : t + 1], memory=memory, cache=cache
+                )
+                full = gen.forward(features, feat_lengths, z, tokens[:, : t + 1]).data[:, -1]
+                np.testing.assert_allclose(step, full, rtol=0, atol=atol)
+        assert cache.length == tokens.shape[1]
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_tiny_generator(self, n_layers):
+        gen = tiny_generator(n_layers=n_layers)
+        rng = np.random.default_rng(10)
+        features, feat_lengths, z, tokens = tiny_inputs(rng, batch=3, t=gen.config.t_max + 1)
+        self.assert_steps_match(gen, features, feat_lengths, z, tokens, atol=1e-12)
+
+    def test_default_size_generator(self):
+        gen = default_generator()
+        c = gen.config
+        rng = np.random.default_rng(11)
+        features, feat_lengths, z, tokens = tiny_inputs(
+            rng, batch=3, frames=9, feat_dim=c.feat_dim, noise_dim=c.noise_dim,
+            t=c.t_max + 1, vocab=c.vocab_size,
+        )
+        self.assert_steps_match(gen, features, feat_lengths, z, tokens, atol=1e-5)
+
+    def test_dead_rows_fed_pad(self):
+        gen = tiny_generator()
+        rng = np.random.default_rng(12)
+        features, feat_lengths, z, tokens = tiny_inputs(rng, batch=3, t=gen.config.t_max + 1)
+        tokens[0, 2], tokens[0, 3:] = EOS, PAD  # row 0 ended after two words
+        tokens[2, 1], tokens[2, 2:] = EOS, PAD  # row 2 ended after one
+        self.assert_steps_match(gen, features, feat_lengths, z, tokens, atol=1e-12)
+
+    def test_reorder_duplicates_and_drops_parents(self):
+        # one clip's memory shared by three hypotheses, as in beam search
+        gen = tiny_generator(n_layers=2)
+        rng = np.random.default_rng(13)
+        features, feat_lengths, z, _ = tiny_inputs(rng, batch=1)
+        before = rng.integers(3, 11, size=(3, 3))
+        before[:, 0] = 1
+        parents = np.array([2, 0, 0])  # row 0 twice, row 1 dropped
+        after = np.concatenate([before[parents], rng.integers(3, 11, size=(3, 2))], axis=1)
+        reps = [np.repeat(a, 3, axis=0) for a in (features, feat_lengths, z)]
+        with no_grad():
+            memory = gen.encode(features, feat_lengths, z)
+            cache = DecodeCache()
+            for t in range(after.shape[1]):
+                if t == before.shape[1]:
+                    cache.reorder(parents)
+                rows = before if t < before.shape[1] else after
+                step = gen.step_logits(
+                    features, feat_lengths, z, rows[:, t : t + 1], memory=memory, cache=cache
+                )
+                full = gen.forward(*reps, rows[:, : t + 1]).data[:, -1]
+                np.testing.assert_allclose(step, full, rtol=0, atol=1e-12)
+
+    def test_memory_projected_once(self, monkeypatch):
+        gen = tiny_generator()
+        rng = np.random.default_rng(14)
+        features, feat_lengths, z, tokens = tiny_inputs(rng)
+        cache = DecodeCache()
+        gen.step_logits(features, feat_lengths, z, tokens[:, :1], cache=cache)
+        cross = cache.cross
+
+        def no_encode(*args):
+            raise AssertionError("encoder re-run after the first step")
+
+        monkeypatch.setattr(gen, "encode", no_encode)
+        gen.step_logits(features, feat_lengths, z, tokens[:, 1:2], cache=cache)
+        assert cache.cross is cross
+
+    def test_cached_length_contract(self):
+        gen = tiny_generator()
+        rng = np.random.default_rng(15)
+        features, feat_lengths, z, _ = tiny_inputs(rng)
+        tokens = np.ones((2, gen.config.t_max + 1), dtype=np.int64)
+        cache = DecodeCache()
+        gen.forward(features, feat_lengths, z, tokens, cache=cache)
+        with pytest.raises(ValueError, match="exceeds"):
+            gen.forward(features, feat_lengths, z, tokens[:, :1], cache=cache)
 
 
 class TestDiscriminator:
@@ -261,6 +360,15 @@ class TestCheckpoints:
         restore_model(fresh, arrays)
         save_checkpoint(p2, fresh, meta)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_load_closes_file(self, tmp_path):
+        path = tmp_path / "gen.ckpt"
+        save_checkpoint(path, tiny_generator(dtype=np.float32))
+        # a file left open warns when it is collected, right after the call
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            load_checkpoint(path)
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_truncated_rejected(self, tmp_path):
         gen = tiny_generator(dtype=np.float32)

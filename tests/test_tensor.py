@@ -12,6 +12,7 @@ from capgan.tensor import (
     cross_entropy,
     embedding,
     layer_norm,
+    no_grad,
 )
 
 from conftest import assert_grads_close, finite_difference, param
@@ -193,6 +194,61 @@ class TestBackward:
         out1 = (Tensor(a) @ Tensor(a)).tanh().softmax().data
         out2 = (Tensor(a) @ Tensor(a)).tanh().softmax().data
         assert np.array_equal(out1, out2)
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph(self, rng):
+        x, w = param(rng, 2, 3), param(rng, 3, 4)
+        g, b = param(rng, 4), param(rng, 4)
+        with no_grad():
+            outs = [
+                x @ w,
+                (x * 2.0).exp().sum(axis=1),
+                concat([x, x], axis=0)[1:],
+                layer_norm(x @ w, g, b).softmax(),
+                embedding(w, np.array([0, 2])),
+                cross_entropy(x @ w, [0, 3]),
+            ]
+        for out in outs:
+            assert out.requires_grad is False
+            assert out._prev == ()
+            assert out._backward is None
+
+    def test_restored_after_exception(self, rng):
+        x = param(rng, 2)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside")
+        out = x * 3.0
+        assert out.requires_grad and out._prev == (x,)
+
+    def test_nested_restores_outer_mode(self, rng):
+        x = param(rng, 2)
+        with no_grad():
+            with no_grad():
+                pass
+            assert not (x * 2.0).requires_grad
+        assert (x * 2.0).requires_grad
+
+    def test_backward_after_decode_matches_finite_differences(self):
+        from capgan.decoding import beam_decode, rollout
+
+        from test_models import tiny_generator, tiny_inputs
+
+        gen = tiny_generator()
+        rng = np.random.default_rng(8)
+        features, feat_lengths, z, tokens = tiny_inputs(rng)
+        targets = rng.integers(0, 11, size=tokens.shape)
+        rollout(gen, features, feat_lengths, z, "greedy", max_length=4)
+        beam_decode(gen, features[:1], feat_lengths[:1], z[:1], beam_size=3, max_length=4)
+
+        def loss():
+            return cross_entropy(gen.forward(features, feat_lengths, z, tokens), targets)
+
+        loss().backward()
+        params = gen.store.tensors()
+        fd = finite_difference(lambda: loss().item(), params)
+        assert_grads_close(params, fd, rtol=1e-3)
 
 
 class TestShapeOps:
