@@ -120,24 +120,44 @@ def _tfidf_vector(tokens, df_table: DocFreqTable, n: int) -> dict:
     }
 
 
-def _cosine(u: dict, v: dict) -> float:
-    nu = math.sqrt(sum(x * x for x in u.values()))
-    nv = math.sqrt(sum(x * x for x in v.values()))
+def _norm(vec: dict) -> float:
+    return math.sqrt(sum(x * x for x in vec.values()))
+
+
+def _cosine(u: dict, nu: float, v: dict, nv: float) -> float:
     if nu == 0.0 or nv == 0.0:
         return 0.0
     dot = sum(x * v[g] for g, x in u.items() if g in v)
     return dot / (nu * nv)
 
 
+def reference_vectors(references, df_table: DocFreqTable) -> list:
+    """Each order's reference TF-IDF vectors with their norms,
+    ``[order - 1][ref] -> (vector, norm)``. They depend only on the
+    references and the table, so a caller that scores many candidates
+    against one clip computes them once."""
+    orders = []
+    for n in range(1, df_table.nmax + 1):
+        vecs = [_tfidf_vector(ref, df_table, n) for ref in references]
+        orders.append([(vec, _norm(vec)) for vec in vecs])
+    return orders
+
+
+def cider_against(candidate, ref_vectors: list, df_table: DocFreqTable) -> float:
+    """CIDEr of a candidate against precomputed ``reference_vectors``."""
+    per_order = []
+    for n, refs in enumerate(ref_vectors, start=1):
+        cand_vec = _tfidf_vector(candidate, df_table, n)
+        nu = _norm(cand_vec)
+        sims = [_cosine(cand_vec, nu, vec, nv) for vec, nv in refs]
+        per_order.append(sum(sims) / len(sims))
+    return 10.0 * sum(per_order) / len(per_order)
+
+
 def cider(candidate, references, df_table: DocFreqTable) -> float:
     """TF-IDF n-gram cosine consensus, averaged over orders and references,
     scaled to [0, 10]."""
-    per_order = []
-    for n in range(1, df_table.nmax + 1):
-        cand_vec = _tfidf_vector(candidate, df_table, n)
-        sims = [_cosine(cand_vec, _tfidf_vector(ref, df_table, n)) for ref in references]
-        per_order.append(sum(sims) / len(sims))
-    return 10.0 * sum(per_order) / len(per_order)
+    return cider_against(candidate, reference_vectors(references, df_table), df_table)
 
 
 # -- diversity ----------------------------------------------------------------

@@ -25,6 +25,7 @@ from .tensor import (
     concat,
     embedding,
     layer_norm,
+    no_grad,
 )
 
 CHECKPOINT_MAGIC = b"DCCKPT01"
@@ -73,6 +74,18 @@ class ParamStore:
 
 def _const(array, dtype) -> Tensor:
     return Tensor(np.asarray(array, dtype=dtype))
+
+
+def pad_sequences(seqs: list[list[int]], width: int | None = None):
+    """Token rows padded with 0 to one width: ([B, width] ids, [B] lengths)."""
+    width = width or max(len(s) for s in seqs)
+    tokens = np.zeros((len(seqs), width), dtype=np.int64)
+    lengths = np.zeros(len(seqs), dtype=np.int64)
+    for i, seq in enumerate(seqs):
+        seq = seq[:width]
+        tokens[i, : len(seq)] = seq
+        lengths[i] = len(seq)
+    return tokens, lengths
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -422,9 +435,10 @@ class Discriminator:
         logit = linear(h, self.params["head.w"], self.params["head.b"])
         return logit.sigmoid().reshape(len(lengths))
 
-    def score(self, token_seq: list[int]) -> float:
-        ids = np.asarray([token_seq], dtype=np.int64)
-        return float(self.forward(ids, np.array([len(token_seq)])).data[0])
+    def score(self, token_seqs: list[list[int]]) -> np.ndarray:
+        """Naturalness of each caption: one padded forward, no tape."""
+        with no_grad():
+            return self.forward(*pad_sequences(token_seqs)).data
 
 
 # -- semantic evaluator -------------------------------------------------------
@@ -491,15 +505,15 @@ class SemanticEvaluator:
         caption = self.embed_caption(tokens, token_lengths)
         return (audio * caption).sum(axis=-1)
 
-    def score(self, features: np.ndarray, token_seq: list[int]) -> float:
-        return float(
-            self.scores(
-                features[None, ...],
-                np.array([features.shape[0]]),
-                np.asarray([token_seq], dtype=np.int64),
-                np.array([len(token_seq)]),
-            ).data[0]
-        )
+    def score(self, audio: np.ndarray, token_seqs: list[list[int]]) -> np.ndarray:
+        """Cosine of each caption against its row of ``audio``, the
+        [B, out_dim] ``embed_audio`` embeddings: one padded caption forward,
+        no tape."""
+        if len(audio) != len(token_seqs):
+            raise ValueError(f"{len(audio)} audio rows for {len(token_seqs)} captions")
+        with no_grad():
+            caption = self.embed_caption(*pad_sequences(token_seqs))
+        return (audio * caption.data).sum(axis=-1)
 
 
 # -- checkpoints --------------------------------------------------------------

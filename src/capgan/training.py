@@ -20,10 +20,16 @@ import numpy as np
 
 from .corpus import DatasetSplit, epoch_batches
 from .decoding import rollout
-from .metrics import DocFreqTable, build_doc_freq, cider
-from .models import Discriminator, Generator, SemanticEvaluator, save_checkpoint
+from .metrics import DocFreqTable, build_doc_freq, cider, cider_against, reference_vectors
+from .models import (
+    Discriminator,
+    Generator,
+    SemanticEvaluator,
+    pad_sequences,
+    save_checkpoint,
+)
 from .seeding import substream
-from .tensor import Adam, Tensor, cross_entropy
+from .tensor import Adam, Tensor, cross_entropy, no_grad
 
 
 class TrainingDiverged(RuntimeError):
@@ -94,7 +100,13 @@ class TrainLog:
 
 class RewardOracles:
     """Scores complete captions; counts queries so degenerate modes can
-    prove they never touched a frozen judge."""
+    prove they never touched a frozen judge.
+
+    Each judge in use runs once per ``score`` call over all its captions,
+    without a tape. The evaluator's audio embedding and the CIDEr
+    reference vectors are computed once per clip, on its first use, so
+    the evaluator must stay frozen while the oracles are in use.
+    """
 
     def __init__(self, discriminator, evaluator, df_table: DocFreqTable, vocab):
         self.discriminator = discriminator
@@ -103,25 +115,44 @@ class RewardOracles:
         self.vocab = vocab
         self.d_queries = 0
         self.se_queries = 0
+        self._audio: dict[str, np.ndarray] = {}
+        self._refs: dict[str, list] = {}
 
-    def score(self, seq: list[int], record, config: TrainConfig) -> RewardBreakdown:
+    def _audio_embedding(self, record) -> np.ndarray:
+        # the clip alone, at its own length: a padded batch would see the
+        # conv's padding at the clip's last frame
+        if record.clip_id not in self._audio:
+            features = record.features
+            with no_grad():
+                audio = self.evaluator.embed_audio(features[None], np.array([len(features)]))
+            self._audio[record.clip_id] = audio.data[0]
+        return self._audio[record.clip_id]
+
+    def _reference_vectors(self, record) -> list:
+        if record.clip_id not in self._refs:
+            self._refs[record.clip_id] = reference_vectors(record.references, self.df_table)
+        return self._refs[record.clip_id]
+
+    def score(self, seqs: list[list[int]], records: list,
+              config: TrainConfig) -> list[RewardBreakdown]:
+        """One reward per caption; ``seqs[i]`` is scored for ``records[i]``'s clip."""
         lam = config.lam
-        use_d = lam > 0.0 and config.ablation != "se"
-        use_se = lam > 0.0 and config.ablation != "nd"
-        n = s = 0.0
-        if use_d:
-            self.d_queries += 1
-            n = self.discriminator.score(seq)
-        if use_se:
-            self.se_queries += 1
-            s = self.evaluator.score(record.features, seq)
-        c = 0.0
+        n = s = c = [0.0] * len(seqs)
+        if lam > 0.0 and config.ablation != "se":
+            self.d_queries += len(seqs)
+            n = self.discriminator.score(seqs).tolist()
+        if lam > 0.0 and config.ablation != "nd":
+            self.se_queries += len(seqs)
+            audio = np.stack([self._audio_embedding(r) for r in records])
+            s = self.evaluator.score(audio, seqs).tolist()
         if lam < 1.0:
-            words = self.vocab.decode(seq)
-            c = cider(words, record.references, self.df_table)
+            c = [
+                cider_against(self.vocab.decode(seq), self._reference_vectors(r), self.df_table)
+                for seq, r in zip(seqs, records)
+            ]
             if config.normalize_cider:
-                c /= 10.0
-        return RewardBreakdown(n=n, s=s, c=c, lam=lam)
+                c = [c_i / 10.0 for c_i in c]
+        return [RewardBreakdown(n=n_i, s=s_i, c=c_i, lam=lam) for n_i, s_i, c_i in zip(n, s, c)]
 
 
 def _check_finite(value: float, what: str) -> float:
@@ -210,17 +241,6 @@ def discriminator_loss(d: Discriminator, real_tokens, real_lengths,
     return loss_real + loss_fake
 
 
-def _pad_sequences(seqs: list[list[int]], width: int | None = None):
-    width = width or max(len(s) for s in seqs)
-    tokens = np.zeros((len(seqs), width), dtype=np.int64)
-    lengths = np.zeros(len(seqs), dtype=np.int64)
-    for i, seq in enumerate(seqs):
-        seq = seq[:width]
-        tokens[i, : len(seq)] = seq
-        lengths[i] = len(seq)
-    return tokens, lengths
-
-
 def _sample_fakes(gen: Generator, batch, rng, t_max: int) -> list[list[int]]:
     z = rng.standard_normal((len(batch.clip_ids), gen.config.noise_dim))
     seqs, _ = rollout(
@@ -260,7 +280,7 @@ def d_pretrain(
             real_tokens = batch.targets
             real_lengths = batch.target_lengths
             fakes = _sample_fakes(gen, batch, fake_rng, config.t_max)
-            fake_tokens, fake_lengths = _pad_sequences(fakes)
+            fake_tokens, fake_lengths = pad_sequences(fakes)
             losses.append(
                 discriminator_step(d, opt, real_tokens, real_lengths,
                                    fake_tokens, fake_lengths)
@@ -270,8 +290,8 @@ def d_pretrain(
 
 
 def discriminator_accuracy(d, real_seqs, fake_seqs) -> float:
-    real_tokens, real_lengths = _pad_sequences(real_seqs)
-    fake_tokens, fake_lengths = _pad_sequences(fake_seqs)
+    real_tokens, real_lengths = pad_sequences(real_seqs)
+    fake_tokens, fake_lengths = pad_sequences(fake_seqs)
     real = d.forward(real_tokens, real_lengths).data
     fake = d.forward(fake_tokens, fake_lengths).data
     correct = (real > 0.5).sum() + (fake <= 0.5).sum()
@@ -338,7 +358,7 @@ def semantic_gap(se: SemanticEvaluator, split: DatasetSplit, vocab,
     features = np.zeros((len(feats), f_max, feats[0].shape[1]), dtype=np.float32)
     for i, f in enumerate(feats):
         features[i, : f.shape[0]] = f
-    tokens, lengths = _pad_sequences(token_rows)
+    tokens, lengths = pad_sequences(token_rows)
     paired = se.scores(features, np.array(feat_lengths), tokens, lengths).data
     rolled = np.roll(np.arange(len(feats)), 1)
     unpaired = se.scores(
@@ -352,14 +372,14 @@ def semantic_gap(se: SemanticEvaluator, split: DatasetSplit, vocab,
 
 def compute_reward(seq, record, oracles: RewardOracles, config: TrainConfig) -> RewardBreakdown:
     """Reward of one complete caption (sequence includes sos/eos markers)."""
-    return oracles.score(seq, record, config)
+    return oracles.score([seq], [record], config)[0]
 
 
 def scst_surrogate_loss(gen: Generator, batch, z: np.ndarray,
                         sampled: list[list[int]], advantages: np.ndarray,
                         t_max: int) -> Tensor:
     """-(1/B) sum_b adv_b * sum_t log pi(w_t); advantages held constant."""
-    tokens, lengths = _pad_sequences(sampled, width=t_max + 2)
+    tokens, lengths = pad_sequences(sampled, width=t_max + 2)
     inputs = tokens[:, :-1]
     targets = tokens[:, 1:]
     mask = (np.arange(targets.shape[1])[None, :] < (lengths - 1)[:, None]).astype(float)
@@ -382,7 +402,8 @@ def scst_generator_step(
     z_rng: np.random.Generator,
     sample_rng: np.random.Generator,
 ):
-    """One policy-gradient update; returns (loss, reward breakdowns)."""
+    """One policy-gradient update; returns (loss, the sampled captions'
+    reward breakdowns, their advantages over the greedy baseline)."""
     z = z_rng.standard_normal((len(batch.clip_ids), gen.config.noise_dim))
     sampled, _ = rollout(
         gen, batch.features, batch.feature_lengths, z, "sample",
@@ -392,20 +413,16 @@ def scst_generator_step(
         gen, batch.features, batch.feature_lengths, z, "greedy",
         max_length=config.t_max,
     )
-    breakdowns = []
-    advantages = np.zeros(len(sampled))
-    for i, clip_id in enumerate(batch.clip_ids):
-        record = records_by_id[clip_id]
-        r_sampled = compute_reward(sampled[i], record, oracles, config)
-        r_greedy = compute_reward(greedy[i], record, oracles, config)
-        advantages[i] = r_sampled.total - r_greedy.total
-        breakdowns.append(r_sampled)
+    records = [records_by_id[clip_id] for clip_id in batch.clip_ids]
+    rewards = oracles.score(sampled + greedy, records + records, config)
+    breakdowns, baselines = rewards[: len(sampled)], rewards[len(sampled):]
+    advantages = np.array([r.total - b.total for r, b in zip(breakdowns, baselines)])
     loss = scst_surrogate_loss(gen, batch, z, sampled, advantages, config.t_max)
     _check_finite(loss.item(), "SCST loss")
     opt.zero_grad()
     loss.backward()
     opt.step()
-    return loss.item(), breakdowns
+    return loss.item(), breakdowns, advantages
 
 
 # -- adversarial loop ---------------------------------------------------------
@@ -442,22 +459,23 @@ def adversarial_train(
     train_d = config.lam > 0.0 and config.ablation != "se"
 
     for epoch in range(1, config.adversarial_epochs + 1):
-        d_losses, g_losses, rewards = [], [], []
+        d_losses, g_losses, rewards, advantages = [], [], [], []
         for batch in epoch_batches(train_split, vocab, config.batch_size, data_rng,
                                    t_max=config.t_max):
             if train_d:
                 fakes = _sample_fakes(gen, batch, fake_rng, config.t_max)
-                fake_tokens, fake_lengths = _pad_sequences(fakes)
+                fake_tokens, fake_lengths = pad_sequences(fakes)
                 d_losses.append(
                     discriminator_step(d, d_opt, batch.targets, batch.target_lengths,
                                        fake_tokens, fake_lengths)
                 )
-            g_loss, breakdowns = scst_generator_step(
+            g_loss, breakdowns, batch_advantages = scst_generator_step(
                 gen, gen_opt, batch, records_by_id, oracles, config,
                 z_rng, sample_rng,
             )
             g_losses.append(g_loss)
             rewards.extend(breakdowns)
+            advantages.extend(batch_advantages)
         record = {
             "epoch": epoch,
             "g_loss": float(np.mean(g_losses)),
@@ -466,6 +484,10 @@ def adversarial_train(
             "mean_s": float(np.mean([r.s for r in rewards])),
             "mean_c": float(np.mean([r.c for r in rewards])),
             "mean_reward": float(np.mean([r.total for r in rewards])),
+            # SCST health: sampled captions' reward over their greedy baselines
+            "adv_mean": float(np.mean(advantages)),
+            "adv_std": float(np.std(advantages)),
+            "adv_pos_frac": float(np.mean(np.array(advantages) > 0.0)),
             "d_queries": oracles.d_queries,
             "se_queries": oracles.se_queries,
         }

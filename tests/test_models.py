@@ -249,14 +249,14 @@ class TestDiscriminator:
         d = self._model()
         d.params["head.w"].data[...] = 0.0
         d.params["head.b"].data[...] = 0.0
-        assert d.score([1, 5, 2]) == 0.5
+        assert d.score([[1, 5, 2]])[0] == 0.5
 
     def test_output_in_open_interval(self):
         d = self._model()
         rng = np.random.default_rng(1)
         for _ in range(10):
             seq = list(rng.integers(1, 11, size=rng.integers(2, 8)))
-            n = d.score(seq)
+            (n,) = d.score([seq])
             assert 0.0 < n < 1.0
 
     def test_empty_caption_rejected(self):

@@ -1,10 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from capgan.corpus import build_vocabulary, epoch_batches, generate_synthetic_corpus
-from capgan.metrics import build_doc_freq
+from capgan.metrics import build_doc_freq, cider, ngram_counts
 from capgan.models import (
     Discriminator,
     DiscriminatorConfig,
@@ -12,6 +13,7 @@ from capgan.models import (
     SemanticEvaluatorConfig,
 )
 from capgan.tensor import Adam, Tensor
+from capgan.text import EOS, SOS
 from capgan.training import (
     RewardBreakdown,
     RewardOracles,
@@ -146,6 +148,147 @@ class TestRewardOracles:
         r = compute_reward([1, 5, 2], record, oracles, config)
         assert oracles.d_queries == 0 and oracles.se_queries == 0
         assert r.total == r.c
+
+
+def recount_cider(candidate, references, df_table):
+    """CIDEr recounting every reference's TF-IDF vector and norm on each
+    call, as the metric did before reference vectors were cached."""
+
+    def vector(tokens, n):
+        return {g: c * df_table.idf(g, n) for g, c in ngram_counts(tokens, n).items()}
+
+    def cosine(u, v):
+        nu = math.sqrt(sum(x * x for x in u.values()))
+        nv = math.sqrt(sum(x * x for x in v.values()))
+        if nu == 0.0 or nv == 0.0:
+            return 0.0
+        return sum(x * v[g] for g, x in u.items() if g in v) / (nu * nv)
+
+    per_order = []
+    for n in range(1, df_table.nmax + 1):
+        cand = vector(candidate, n)
+        sims = [cosine(cand, vector(ref, n)) for ref in references]
+        per_order.append(sum(sims) / len(sims))
+    return 10.0 * sum(per_order) / len(per_order)
+
+
+class TestBatchedRewards:
+    """One batched ``RewardOracles.score`` call against each caption scored
+    alone by taped batch-1 judge forwards."""
+
+    CONFIGS = [
+        dict(lam=0.0), dict(lam=0.5), dict(lam=1.0),
+        dict(ablation="nd"), dict(ablation="se"), dict(ablation="le"),
+    ]
+
+    def _setup(self):
+        """Six captions of mixed lengths over three clips, each clip twice
+        (as a sampled and a greedy caption of one SCST step)."""
+        train, _, vocab, _, d, se = tiny_setup()
+        df = build_doc_freq([r.references for r in train.records])
+        rng = np.random.default_rng(5)
+        for model in (d, se):  # nonzero biases, so padding is not a no-op
+            for name, p in model.params.items():
+                if name.endswith((".b", ".b_r", ".b_u", ".b_h")):
+                    p.data += rng.normal(0.0, 0.5, p.shape).astype(p.dtype)
+        clips = train.records[:3]
+        assert len({r.features.shape[0] for r in clips}) > 1  # mixed audio lengths too
+        seqs, records = [], []
+        for i, n_words in enumerate((1, 4, 9, 2, 6, 0)):
+            words = rng.integers(4, len(vocab), size=n_words).tolist()
+            seqs.append([SOS] + words + [EOS])
+            records.append(clips[i % 3])
+        return RewardOracles(d, se, df, vocab), seqs, records
+
+    @staticmethod
+    def _uses(config):
+        judged = config.lam > 0.0
+        return judged and config.ablation != "se", judged and config.ablation != "nd"
+
+    def _spy(self, monkeypatch, model, name, log):
+        real = getattr(model, name)
+
+        def spy(*args):
+            out = real(*args)
+            log.append((name, len(args[0]), out))
+            return out
+
+        monkeypatch.setattr(model, name, spy)
+
+    @pytest.mark.parametrize("overrides", CONFIGS)
+    def test_matches_per_caption_reference(self, overrides):
+        oracles, seqs, records = self._setup()
+        config = tiny_train_config(**overrides)
+        use_d, use_se = self._uses(config)
+        rewards = oracles.score(seqs, records, config)
+        assert len(rewards) == len(seqs)
+        for r, seq, record in zip(rewards, seqs, records):
+            tokens, length = np.array([seq]), np.array([len(seq)])
+            n = s = c = 0.0
+            if use_d:
+                n = float(oracles.discriminator.forward(tokens, length).data[0])
+            if use_se:
+                f = record.features
+                s = float(oracles.evaluator.scores(
+                    f[None], np.array([len(f)]), tokens, length).data[0])
+            if config.lam < 1.0:
+                c = recount_cider(oracles.vocab.decode(seq), record.references,
+                                  oracles.df_table)
+            assert r.n == pytest.approx(n, abs=1e-6)
+            assert r.s == pytest.approx(s, abs=1e-6)
+            assert r.c == c
+            assert r.total == pytest.approx(
+                RewardBreakdown(n=n, s=s, c=c, lam=config.lam).total, abs=1e-6)
+
+    @pytest.mark.parametrize("overrides", CONFIGS)
+    def test_one_forward_per_judge_and_audio_once_per_clip(self, overrides, monkeypatch):
+        oracles, seqs, records = self._setup()
+        config = tiny_train_config(**overrides)
+        use_d, use_se = self._uses(config)
+        calls = []
+        self._spy(monkeypatch, oracles.discriminator, "forward", calls)
+        for name in ("embed_audio", "embed_caption"):
+            self._spy(monkeypatch, oracles.evaluator, name, calls)
+        for step in (1, 2):
+            oracles.score(seqs, records, config)
+            assert oracles.d_queries == step * len(seqs) * use_d
+            assert oracles.se_queries == step * len(seqs) * use_se
+        rows = [(name, b) for name, b, _ in calls]
+        assert rows.count(("forward", len(seqs))) == 2 * use_d
+        assert rows.count(("embed_caption", len(seqs))) == 2 * use_se
+        assert rows.count(("embed_audio", 1)) == 3 * use_se  # three distinct clips
+        assert len(rows) == 2 * use_d + 5 * use_se
+
+    def test_scoring_records_no_tape(self, monkeypatch):
+        oracles, seqs, records = self._setup()
+        calls = []
+        self._spy(monkeypatch, oracles.discriminator, "forward", calls)
+        for name in ("embed_audio", "embed_caption"):
+            self._spy(monkeypatch, oracles.evaluator, name, calls)
+        oracles.score(seqs, records, tiny_train_config(lam=0.5))
+        assert len(calls) == 5
+        for _, _, out in calls:
+            out.sum().backward()
+        params = oracles.discriminator.store.tensors() + oracles.evaluator.store.tensors()
+        assert all(p.grad is None for p in params)
+
+    def test_cached_cider_equals_uncached(self):
+        oracles, _, _ = self._setup()
+        config = tiny_train_config(lam=0.0)
+        train, _ = tiny_corpus()
+        rng = np.random.default_rng(7)
+        seqs, records = [], []
+        for record in train.records:
+            ref = oracles.vocab.encode(record.references[0])
+            shuffled = rng.permutation(ref[1:-1]).tolist()
+            seqs += [ref, [SOS] + shuffled + [EOS], [SOS, EOS]]
+            records += [record] * 3
+        for _ in range(2):  # the second pass reads the cached vectors
+            rewards = oracles.score(seqs, records, config)
+            for r, seq, record in zip(rewards, seqs, records):
+                words = oracles.vocab.decode(seq)
+                assert r.c == recount_cider(words, record.references, oracles.df_table)
+                assert r.c == cider(words, record.references, oracles.df_table)
 
 
 class TestBandit:
@@ -423,6 +566,8 @@ class TestAdversarial:
             + (1 - config.lam) * record["mean_c"],
             abs=1e-12,
         )
+        assert np.isfinite(record["adv_mean"]) and record["adv_std"] >= 0.0
+        assert 0.0 <= record["adv_pos_frac"] <= 1.0
 
     def test_lambda_zero_is_pure_rl(self):
         train, _, vocab, gen, d, se = tiny_setup()
@@ -452,6 +597,36 @@ class TestAdversarial:
             np.testing.assert_array_equal(before, d.params[name].data)
         assert any(
             not np.array_equal(gen_before[k], gen.params[k].data) for k in gen_before
+        )
+
+    def test_generator_step_scores_every_caption_in_one_call(self, monkeypatch):
+        train, _, vocab, gen, d, se = tiny_setup()
+        config = tiny_train_config()
+        df = build_doc_freq([r.references for r in train.records])
+        oracles = RewardOracles(d, se, df, vocab)
+        batch = epoch_batches(train, vocab, 4, np.random.default_rng(0), t_max=12)[0]
+        records_by_id = {r.clip_id: r for r in train.records}
+        calls = []
+        real = oracles.score
+
+        def spy(seqs, records, config):
+            rewards = real(seqs, records, config)
+            calls.append((seqs, records, rewards))
+            return rewards
+
+        monkeypatch.setattr(oracles, "score", spy)
+        _, breakdowns, advantages = scst_generator_step(
+            gen, Adam(gen.store.tensors(), lr=1e-3), batch, records_by_id, oracles,
+            config, np.random.default_rng(1), np.random.default_rng(2),
+        )
+        assert len(calls) == 1
+        seqs, records, rewards = calls[0]
+        b = len(batch.clip_ids)
+        assert len(seqs) == 2 * b
+        assert [r.clip_id for r in records] == list(batch.clip_ids) * 2
+        assert breakdowns == rewards[:b]
+        np.testing.assert_array_equal(
+            advantages, [r.total - g.total for r, g in zip(rewards[:b], rewards[b:])]
         )
 
 
