@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import text
+from .models import pad_frames
 from .seeding import substream
 from .text import Vocabulary, normalize_and_tokenize
 
@@ -275,16 +276,11 @@ def epoch_batches(
     for start in range(0, len(order), batch_size):
         idx = order[start : start + batch_size]
         recs = [split.records[i] for i in idx]
-        feat_dim = recs[0].features.shape[1]
-        f_max = max(r.features.shape[0] for r in recs)
-        feats = np.zeros((len(recs), f_max, feat_dim), dtype=np.float32)
-        feat_lengths = np.zeros(len(recs), dtype=np.int64)
+        feats, feat_lengths = pad_frames([r.features for r in recs])
         targets = np.zeros((len(recs), t_max + 2), dtype=np.int64)  # pad = 0
         target_lengths = np.zeros(len(recs), dtype=np.int64)
         mask = np.zeros((len(recs), t_max + 1), dtype=np.float64)
         for b, (record, i) in enumerate(zip(recs, idx)):
-            feats[b, : record.features.shape[0]] = record.features
-            feat_lengths[b] = record.features.shape[0]
             tokens = record.references[ref_choice[i]][:t_max]
             ids = vocab.encode(tokens)  # sos ... eos
             targets[b, : len(ids)] = ids

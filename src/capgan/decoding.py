@@ -64,8 +64,13 @@ def rollout(
     rng: np.random.Generator | None = None,
     temperature: float = 1.0,
     max_length: int = 22,
+    memory=None,
 ):
     """Batched autoregressive decode.
+
+    ``memory``, if given, is the rows' encoder memory [B, F, d_model] and
+    is used instead of encoding ``features``; frames at or past a row's
+    ``feat_lengths`` entry are masked out, whatever they hold.
 
     Returns (sequences, step_log_probs): per row, the token ids including
     markers and the log-probability of each emitted token under the
@@ -81,7 +86,8 @@ def rollout(
     log_probs: list[list[float]] = [[] for _ in range(batch)]
 
     with no_grad():
-        memory = model.encode(features, feat_lengths, z)
+        if memory is None:
+            memory = model.encode(features, feat_lengths, z)
         cache = DecodeCache()
         for step in range(max_length + 1):  # content tokens plus a final eos slot
             if not alive.any():

@@ -2,30 +2,32 @@
 mBLEU, div-n) over tokenized captions.
 
 All functions take captions as plain lists of word tokens (markers already
-stripped). N-gram counting dispatches to the compiled kernel when it is
-available; set ``CAPGAN_NO_EXT=1`` to force the pure-Python fallback.
+stripped).
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
-if os.environ.get("CAPGAN_NO_EXT"):
-    from . import _ngram_py as _ngram
-else:
-    try:
-        from . import _ngram_cy as _ngram  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _ngram_py as _ngram
+# n-gram counting is plain Python; the benchmark's machine block reports
+# this name
+NGRAM_BACKEND = "python"
 
-NGRAM_BACKEND = _ngram.BACKEND
 
-ngram_counts = _ngram.ngram_counts
-ngram_counts_upto = _ngram.ngram_counts_upto
+def ngram_counts(seq, n):
+    """Count the n-grams of a token sequence. Returns tuple -> count."""
+    counts = {}
+    for i in range(len(seq) - n + 1):
+        key = tuple(seq[i : i + n])
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def ngram_counts_upto(seq, nmax):
+    """Counts for every order 1..nmax, as a list indexed by n-1."""
+    return [ngram_counts(seq, n) for n in range(1, nmax + 1)]
 
 
 # -- BLEU ---------------------------------------------------------------------
@@ -213,7 +215,6 @@ class MetricReport:
     div_1: float
     div_2: float
     n_clips: int
-    ngram_backend: str = NGRAM_BACKEND
     smoothing: str = "none (zero precision -> zero score)"
     per_clip: list = field(default_factory=list)
 
@@ -232,7 +233,6 @@ class MetricReport:
             "div_1": self.div_1,
             "div_2": self.div_2,
             "n_clips": self.n_clips,
-            "ngram_backend": self.ngram_backend,
             "smoothing": self.smoothing,
         }
 

@@ -88,6 +88,16 @@ def pad_sequences(seqs: list[list[int]], width: int | None = None):
     return tokens, lengths
 
 
+def pad_frames(arrays: list[np.ndarray]):
+    """Frame rows [F_i, d] padded with 0 to the longest:
+    ([N, F_max, d] in the rows' dtype, [N] lengths)."""
+    lengths = np.array([len(a) for a in arrays], dtype=np.int64)
+    padded = np.zeros((len(arrays), lengths.max(), arrays[0].shape[1]), dtype=arrays[0].dtype)
+    for i, a in enumerate(arrays):
+        padded[i, : len(a)] = a
+    return padded, lengths
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = x @ w
     return out + b.broadcast_to(out.shape)

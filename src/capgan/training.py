@@ -25,6 +25,7 @@ from .models import (
     Discriminator,
     Generator,
     SemanticEvaluator,
+    pad_frames,
     pad_sequences,
     save_checkpoint,
 )
@@ -165,14 +166,21 @@ def _check_finite(value: float, what: str) -> float:
 
 
 def _eval_greedy_cider(gen, split: DatasetSplit, vocab, df_table, t_max: int) -> float:
-    scores = []
-    for record in split.records:
-        z = np.zeros((1, gen.config.noise_dim))
-        seqs, _ = rollout(
-            gen, record.features[None], np.array([record.features.shape[0]]),
-            z, "greedy", max_length=t_max,
-        )
-        scores.append(cider(vocab.decode(seqs[0]), record.references, df_table))
+    """Mean CIDEr of the zero-noise greedy captions of a split, decoded in
+    one rollout. Each clip is encoded alone, at its own length: a padded
+    batch would see the conv's padding at the clip's last frame. The
+    decoder masks the zero frames padded onto the shorter memories."""
+    records = split.records
+    features, lengths = pad_frames([r.features for r in records])
+    z = np.zeros((len(records), gen.config.noise_dim))
+    with no_grad():
+        memory, _ = pad_frames([
+            gen.encode(r.features[None], lengths[i : i + 1], z[i : i + 1]).data[0]
+            for i, r in enumerate(records)
+        ])
+    seqs, _ = rollout(gen, features, lengths, z, "greedy", max_length=t_max,
+                      memory=Tensor(memory))
+    scores = [cider(vocab.decode(seq), r.references, df_table) for seq, r in zip(seqs, records)]
     return float(np.mean(scores))
 
 
@@ -347,23 +355,13 @@ def semantic_pretrain(
 def semantic_gap(se: SemanticEvaluator, split: DatasetSplit, vocab,
                  t_max: int = 22) -> float:
     """Mean paired-minus-unpaired cosine over a split (unpaired = shifted)."""
-    feats = []
-    feat_lengths = []
-    token_rows = []
-    for record in split.records:
-        feats.append(record.features)
-        feat_lengths.append(record.features.shape[0])
-        token_rows.append(vocab.encode(record.references[0][:t_max]))
-    f_max = max(feat_lengths)
-    features = np.zeros((len(feats), f_max, feats[0].shape[1]), dtype=np.float32)
-    for i, f in enumerate(feats):
-        features[i, : f.shape[0]] = f
-    tokens, lengths = pad_sequences(token_rows)
-    paired = se.scores(features, np.array(feat_lengths), tokens, lengths).data
-    rolled = np.roll(np.arange(len(feats)), 1)
-    unpaired = se.scores(
-        features, np.array(feat_lengths), tokens[rolled], lengths[rolled]
-    ).data
+    features, feat_lengths = pad_frames([r.features for r in split.records])
+    tokens, lengths = pad_sequences(
+        [vocab.encode(r.references[0][:t_max]) for r in split.records]
+    )
+    paired = se.scores(features, feat_lengths, tokens, lengths).data
+    rolled = np.roll(np.arange(len(split.records)), 1)
+    unpaired = se.scores(features, feat_lengths, tokens[rolled], lengths[rolled]).data
     return float(paired.mean() - unpaired.mean())
 
 
@@ -405,13 +403,15 @@ def scst_generator_step(
     """One policy-gradient update; returns (loss, the sampled captions'
     reward breakdowns, their advantages over the greedy baseline)."""
     z = z_rng.standard_normal((len(batch.clip_ids), gen.config.noise_dim))
+    with no_grad():
+        memory = gen.encode(batch.features, batch.feature_lengths, z)
     sampled, _ = rollout(
         gen, batch.features, batch.feature_lengths, z, "sample",
-        rng=sample_rng, max_length=config.t_max,
+        rng=sample_rng, max_length=config.t_max, memory=memory,
     )
     greedy, _ = rollout(
         gen, batch.features, batch.feature_lengths, z, "greedy",
-        max_length=config.t_max,
+        max_length=config.t_max, memory=memory,
     )
     records = [records_by_id[clip_id] for clip_id in batch.clip_ids]
     rewards = oracles.score(sampled + greedy, records + records, config)

@@ -324,6 +324,29 @@ class TestFullRecomputeReference:
         np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-5)
 
 
+class TestGivenMemory:
+    """``rollout(..., memory=m)`` decodes from ``m`` and never encodes."""
+
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    def test_skips_encode_and_matches_encoding_rollout(self, mode, monkeypatch):
+        gen = TestFullRecomputeReference.generator()
+        c = gen.config
+        rng = np.random.default_rng(23)
+        features = rng.standard_normal((4, 9, c.feat_dim))
+        feat_lengths = np.array([9, 6, 8, 4])
+        z = rng.standard_normal((4, c.noise_dim))
+        want = rollout(gen, features, feat_lengths, z, mode,
+                       rng=np.random.default_rng(5), max_length=c.t_max)
+        memory = gen.encode(features, feat_lengths, z)
+        encodes = []
+        real = gen.encode
+        monkeypatch.setattr(gen, "encode", lambda *a: encodes.append(a) or real(*a))
+        got = rollout(gen, features, feat_lengths, z, mode,
+                      rng=np.random.default_rng(5), max_length=c.t_max, memory=memory)
+        assert encodes == []
+        assert got == want  # bit-identical captions and log-probs
+
+
 class TestDiverseSet:
     def test_gan_mode_counts(self):
         gen = tiny_generator()

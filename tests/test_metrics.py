@@ -220,18 +220,3 @@ class TestReport:
         report.write_per_clip_csv(path)
         assert path.read_text().splitlines()[0].startswith("clip_id")
 
-
-class TestBackends:
-    def test_backends_agree(self):
-        from capgan import _ngram_py
-
-        try:
-            from capgan import _ngram_cy
-        except ImportError:
-            pytest.skip("compiled kernel not built")
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            seq = list(rng.integers(0, 5, size=rng.integers(0, 12)))
-            for n in range(1, 5):
-                assert _ngram_py.ngram_counts(seq, n) == _ngram_cy.ngram_counts(seq, n)
-            assert _ngram_py.ngram_counts_upto(seq, 4) == _ngram_cy.ngram_counts_upto(seq, 4)

@@ -4,13 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from capgan import training
 from capgan.corpus import build_vocabulary, epoch_batches, generate_synthetic_corpus
+from capgan.decoding import rollout
 from capgan.metrics import build_doc_freq, cider, ngram_counts
 from capgan.models import (
     Discriminator,
     DiscriminatorConfig,
+    Generator,
+    GeneratorConfig,
     SemanticEvaluator,
     SemanticEvaluatorConfig,
+    pad_frames,
 )
 from capgan.tensor import Adam, Tensor
 from capgan.text import EOS, SOS
@@ -20,6 +25,7 @@ from capgan.training import (
     TrainConfig,
     TrainLog,
     TrainingDiverged,
+    _eval_greedy_cider,
     adversarial_train,
     compute_reward,
     d_pretrain,
@@ -62,8 +68,6 @@ def tiny_setup(seed=0, dtype=np.float32):
 
 
 def tiny_generator_sized(vocab, dtype=np.float32, seed=0):
-    from capgan.models import Generator, GeneratorConfig
-
     config = GeneratorConfig(
         vocab_size=len(vocab), feat_dim=5, d_model=8, n_layers=1, n_heads=2,
         d_ff=12, noise_dim=4, t_max=12, dropout=0.0,
@@ -423,7 +427,7 @@ class TestDiscriminatorTraining:
         assert len(log.records) == 8
         real = [vocab.encode(r.references[0][:12]) for r in train.records]
         rng = np.random.default_rng(9)
-        fakes, _ = __import__("capgan.decoding", fromlist=["rollout"]).rollout(
+        fakes, _ = rollout(
             gen, *_stack_features(train), rng.standard_normal((len(train.records), 4)),
             "sample", rng=rng, max_length=12,
         )
@@ -432,14 +436,7 @@ class TestDiscriminatorTraining:
 
 
 def _stack_features(split):
-    f_max = max(r.features.shape[0] for r in split.records)
-    feat_dim = split.records[0].features.shape[1]
-    feats = np.zeros((len(split.records), f_max, feat_dim), dtype=np.float32)
-    lengths = np.zeros(len(split.records), dtype=np.int64)
-    for i, r in enumerate(split.records):
-        feats[i, : r.features.shape[0]] = r.features
-        lengths[i] = r.features.shape[0]
-    return feats, lengths
+    return pad_frames([r.features for r in split.records])
 
 
 class TestSemanticEvaluatorTraining:
@@ -546,6 +543,96 @@ class TestMLEPretrain:
             mle_pretrain(gen, train, None, vocab, config)
 
 
+def reference_eval_pass(gen, split, vocab, df_table, t_max):
+    """The eval pass as it was: one batch-1 greedy rollout per clip.
+    Returns (captions, per-token log-probs, mean CIDEr)."""
+    seqs, logps = [], []
+    for record in split.records:
+        z = np.zeros((1, gen.config.noise_dim))
+        row_seqs, row_logps = rollout(
+            gen, record.features[None], np.array([record.features.shape[0]]),
+            z, "greedy", max_length=t_max,
+        )
+        seqs.append(row_seqs[0])
+        logps.append(row_logps[0])
+    scores = [cider(vocab.decode(seq), r.references, df_table)
+              for seq, r in zip(seqs, split.records)]
+    return seqs, logps, float(np.mean(scores))
+
+
+def spy_rollout(monkeypatch, calls, pad_fill=None):
+    """Record every ``training.rollout`` call's keyword arguments and
+    output; with ``pad_fill``, first overwrite the given memory's frames
+    past each row's length with that value."""
+    real = training.rollout
+
+    def spy(gen, features, feat_lengths, z, mode, **kwargs):
+        if pad_fill is not None:
+            for row, length in zip(kwargs["memory"].data, feat_lengths):
+                row[length:] = pad_fill
+        out = real(gen, features, feat_lengths, z, mode, **kwargs)
+        calls.append((kwargs, out))
+        return out
+
+    monkeypatch.setattr(training, "rollout", spy)
+
+
+class TestEvalPass:
+    """The batched greedy eval pass against per-clip batch-1 rollouts."""
+
+    @staticmethod
+    def _setup():
+        train, evaluation = generate_synthetic_corpus(0, n_clips=60, n_classes=4)
+        vocab = build_vocabulary(train)
+        gen = Generator(GeneratorConfig(vocab_size=len(vocab)), np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        # a nonzero input bias makes a padded frame's encoding nonzero, so
+        # encoding the split as one padded batch would change the memory
+        b = gen.params["enc.in.b"]
+        b.data += rng.normal(0.0, 0.5, b.shape).astype(b.dtype)
+        # captions end at different steps instead of all at the length cap
+        gen.params["dec.out.b"].data[EOS] += 1.5
+        df_table = build_doc_freq([r.references for r in train.records])
+        assert len({len(r.features) for r in evaluation.records}) > 5
+        return gen, evaluation, vocab, df_table
+
+    def test_matches_per_clip_rollouts(self, monkeypatch):
+        gen, evaluation, vocab, df_table = self._setup()
+        want_seqs, want_logps, want_cider = reference_eval_pass(
+            gen, evaluation, vocab, df_table, gen.config.t_max)
+        calls = []
+        spy_rollout(monkeypatch, calls)
+        got_cider = _eval_greedy_cider(gen, evaluation, vocab, df_table, gen.config.t_max)
+        assert len(calls) == 1
+        got_seqs, got_logps = calls[0][1]
+        assert got_seqs == want_seqs
+        assert len({len(seq) for seq in got_seqs}) > 2
+        for got, want in zip(got_logps, want_logps):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+        assert got_cider == want_cider
+
+    def test_padded_memory_frames_are_masked(self, monkeypatch):
+        gen, evaluation, vocab, df_table = self._setup()
+        zero_calls, filled_calls = [], []
+        spy_rollout(monkeypatch, zero_calls)
+        zero = _eval_greedy_cider(gen, evaluation, vocab, df_table, gen.config.t_max)
+        spy_rollout(monkeypatch, filled_calls, pad_fill=1e3)
+        filled = _eval_greedy_cider(gen, evaluation, vocab, df_table, gen.config.t_max)
+        memory = filled_calls[0][0]["memory"].data
+        assert (memory == 1e3).any()
+        assert filled_calls[0][1] == zero_calls[0][1]
+        assert filled == zero
+
+    def test_one_rollout_per_epoch(self, monkeypatch):
+        train, evaluation, vocab, gen, _, _ = tiny_setup()
+        calls = []
+        spy_rollout(monkeypatch, calls)
+        mle_pretrain(gen, train, evaluation, vocab, tiny_train_config(mle_epochs=2))
+        assert len(calls) == 2
+        for _, (seqs, _) in calls:
+            assert len(seqs) == len(evaluation.records)
+
+
 class TestAdversarial:
     def test_one_epoch_runs_and_freezes_se(self, tmp_path):
         train, evaluation, vocab, gen, d, se = tiny_setup()
@@ -628,6 +715,37 @@ class TestAdversarial:
         np.testing.assert_array_equal(
             advantages, [r.total - g.total for r, g in zip(rewards[:b], rewards[b:])]
         )
+
+
+    def test_generator_step_encodes_once_for_both_rollouts(self, monkeypatch):
+        train, _, vocab, gen, d, se = tiny_setup()
+        config = tiny_train_config()
+        oracles = RewardOracles(d, se, build_doc_freq([r.references for r in train.records]),
+                                vocab)
+        batch = epoch_batches(train, vocab, 4, np.random.default_rng(0), t_max=12)[0]
+        events, memories = [], []
+        real_encode = gen.encode
+
+        def encode(*args):
+            events.append("encode")
+            memories.append(real_encode(*args))
+            return memories[-1]
+
+        real_rollout = training.rollout
+
+        def spy(*args, **kwargs):
+            events.append(("rollout", kwargs["memory"] is memories[0]))
+            return real_rollout(*args, **kwargs)
+
+        monkeypatch.setattr(gen, "encode", encode)
+        monkeypatch.setattr(training, "rollout", spy)
+        scst_generator_step(
+            gen, Adam(gen.store.tensors(), lr=1e-3), batch,
+            {r.clip_id: r for r in train.records}, oracles, config,
+            np.random.default_rng(1), np.random.default_rng(2),
+        )
+        # the second encode is the surrogate loss's taped forward
+        assert events == ["encode", ("rollout", True), ("rollout", True), "encode"]
 
 
 class TestTrainLog:
