@@ -120,6 +120,14 @@ def _write_merged_config(cfg: dict, run_dir: Path) -> None:
     )
 
 
+def _checked(make, **kwargs):
+    """``make(**kwargs)``, with a value it rejects reported as a usage error."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise CliError("usage", str(exc))
+
+
 def _train_config(cfg: dict, **overrides) -> TrainConfig:
     fields = (
         "lam", "mle_epochs", "d_pretrain_epochs", "se_pretrain_epochs",
@@ -127,7 +135,7 @@ def _train_config(cfg: dict, **overrides) -> TrainConfig:
     )
     kwargs = {f: cfg[f] for f in fields}
     kwargs.update(overrides)
-    return TrainConfig(**kwargs)
+    return _checked(TrainConfig, **kwargs)
 
 
 # -- shared loading -----------------------------------------------------------
@@ -198,6 +206,16 @@ def _restore_into(model, path, kind: str) -> dict:
     return meta
 
 
+def _start_epoch(model, path: Path, kind: str, resume: bool) -> int:
+    """1, or with ``--resume`` one past the epoch of the checkpoint at
+    ``path``, restored into ``model``."""
+    if not resume:
+        return 1
+    if not path.exists():
+        raise CliError("usage", f"--resume: no checkpoint at {path}")
+    return _restore_into(model, path, kind)["epoch"] + 1
+
+
 # -- subcommands --------------------------------------------------------------
 
 
@@ -212,7 +230,8 @@ def cmd_prepare_data(args) -> int:
         train = load_dataset(args.import_train, "train")
         evaluation = load_dataset(args.import_eval, "evaluation") if args.import_eval else None
     else:
-        train, evaluation = generate_synthetic_corpus(
+        train, evaluation = _checked(
+            generate_synthetic_corpus,
             seed=args.seed if args.seed is not None else DEFAULTS["seed"],
             n_clips=args.clips,
             n_classes=args.classes,
@@ -229,20 +248,14 @@ def cmd_prepare_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _resolve_config(args)
+    config = _train_config(cfg)
     run_dir = Path(args.run)
     train, evaluation = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
-    feat_dim = _data_feat_dim(train)
-    gen = _build_generator(vocab, cfg, feat_dim)
-    start_epoch = 1
-    final_ckpt = run_dir / "generator_mle_final.ckpt"
-    if args.resume:
-        if not final_ckpt.exists():
-            raise CliError("usage", f"--resume: no checkpoint at {final_ckpt}")
-        meta = _restore_into(gen, final_ckpt, "generator")
-        start_epoch = meta["epoch"] + 1
+    gen = _build_generator(vocab, cfg, _data_feat_dim(train))
+    start_epoch = _start_epoch(gen, run_dir / "generator_mle_final.ckpt", "generator",
+                               args.resume)
     _write_merged_config(cfg, run_dir)
-    config = _train_config(cfg)
     log = mle_pretrain(
         gen, train, evaluation, vocab, config, out_dir=run_dir,
         start_epoch=start_epoch,
@@ -258,6 +271,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_pretrain_d(args) -> int:
     cfg = _resolve_config(args)
+    config = _train_config(cfg)
     run_dir = Path(args.run)
     train, _ = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
@@ -265,14 +279,8 @@ def cmd_pretrain_d(args) -> int:
     gen, _ = _restore_generator(gen_ckpt)
     d = _build_discriminator(vocab, cfg)
     d_ckpt = run_dir / "discriminator_pretrained.ckpt"
-    start_epoch = 1
-    if args.resume:
-        if not d_ckpt.exists():
-            raise CliError("usage", f"--resume: no checkpoint at {d_ckpt}")
-        meta = _restore_into(d, d_ckpt, "discriminator")
-        start_epoch = meta["epoch"] + 1
+    start_epoch = _start_epoch(d, d_ckpt, "discriminator", args.resume)
     _write_merged_config(cfg, run_dir)
-    config = _train_config(cfg)
     log = d_pretrain(d, gen, train, vocab, config, start_epoch=start_epoch)
     save_checkpoint(d_ckpt, d, {"epoch": config.d_pretrain_epochs, "seed": cfg["seed"],
                                 "stage": "d-pretrain"})
@@ -284,20 +292,14 @@ def cmd_pretrain_d(args) -> int:
 
 def cmd_pretrain_se(args) -> int:
     cfg = _resolve_config(args)
+    config = _train_config(cfg)
     run_dir = Path(args.run)
     train, _ = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
-    feat_dim = _data_feat_dim(train)
-    se = _build_semantic(vocab, cfg, feat_dim)
+    se = _build_semantic(vocab, cfg, _data_feat_dim(train))
     se_ckpt = run_dir / "semantic_evaluator.ckpt"
-    start_epoch = 1
-    if args.resume:
-        if not se_ckpt.exists():
-            raise CliError("usage", f"--resume: no checkpoint at {se_ckpt}")
-        meta = _restore_into(se, se_ckpt, "semantic")
-        start_epoch = meta["epoch"] + 1
+    start_epoch = _start_epoch(se, se_ckpt, "semantic", args.resume)
     _write_merged_config(cfg, run_dir)
-    config = _train_config(cfg)
     log = semantic_pretrain(se, train, vocab, config, start_epoch=start_epoch)
     save_checkpoint(se_ckpt, se, {"epoch": config.se_pretrain_epochs, "seed": cfg["seed"],
                                   "stage": "se-pretrain"})
@@ -309,16 +311,21 @@ def cmd_pretrain_se(args) -> int:
 
 def cmd_train_gan(args) -> int:
     cfg = _resolve_config(args)
-    run_dir = Path(args.run)
-    train, evaluation = _load_splits(args.data)
-    vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
     if args.lambda_sweep:
         try:
             lambdas = [float(v) for v in args.lambda_sweep.split(",") if v.strip()]
         except ValueError:
+            lambdas = []
+        if not lambdas:
             raise CliError("usage", f"bad --lambda-sweep value {args.lambda_sweep!r}")
     else:
         lambdas = [cfg["lam"]]
+    # every lambda is checked before the first one trains
+    configs = [_train_config(cfg, lam=lam, ablation=args.ablation) for lam in lambdas]
+    run_dir = Path(args.run)
+    train, evaluation = _load_splits(args.data)
+    vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
+    feat_dim = _data_feat_dim(train)
     gen_ckpt = Path(args.generator) if args.generator else run_dir / "generator_mle_final.ckpt"
     d_ckpt = Path(args.discriminator) if args.discriminator else run_dir / "discriminator_pretrained.ckpt"
     se_ckpt = Path(args.semantic) if args.semantic else run_dir / "semantic_evaluator.ckpt"
@@ -326,17 +333,15 @@ def cmd_train_gan(args) -> int:
         if not path.exists():
             raise CliError("checkpoint", f"missing pretrained checkpoint {path}")
 
-    for lam in lambdas:
+    for lam, config in zip(lambdas, configs):
         tag = f"ablation_{args.ablation}" if args.ablation else f"lambda_{lam:g}"
         out_dir = run_dir / "gan" / tag
         # fresh copies per lambda so sweep runs are independent
         gen, _ = _restore_generator(gen_ckpt)
         d = _build_discriminator(vocab, cfg)
         _restore_into(d, d_ckpt, "discriminator")
-        feat_dim = _data_feat_dim(train)
         se = _build_semantic(vocab, cfg, feat_dim)
         _restore_into(se, se_ckpt, "semantic")
-        config = _train_config(cfg, lam=lam, ablation=args.ablation)
         run_cfg = dict(cfg, lam=config.lam)
         _write_merged_config(run_cfg, out_dir)
         log, oracles = adversarial_train(
@@ -367,11 +372,10 @@ def cmd_generate(args) -> int:
     split = train if args.split == "train" else evaluation
     if split is None:
         raise CliError("corpus", f"no {args.split} split in {args.data}")
-    decode = DecodeConfig(
-        beam_size=args.beam_size, max_length=gen.config.t_max,
-        n_captions=args.n, seed=args.seed if args.seed is not None else 0,
+    decode = _checked(
+        DecodeConfig, beam_size=args.beam_size, max_length=gen.config.t_max, n_captions=args.n,
     )
-    rng = substream(decode.seed, "generate-noise")
+    rng = substream(args.seed if args.seed is not None else 0, "generate-noise")
     rows = []
     underfilled = 0
     for record in split.records:

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import text
 from .models import pad_frames
 from .seeding import substream
 from .text import Vocabulary, normalize_and_tokenize
@@ -56,9 +55,6 @@ class DatasetSplit:
             raise CorpusError(f"duplicate clip_ids in split {self.name!r}")
         for record in self.records:
             record.validate()
-
-    def all_reference_tokens(self) -> list[list[str]]:
-        return [tokens for r in self.records for tokens in r.references]
 
 
 @dataclass
@@ -260,7 +256,6 @@ def epoch_batches(
     vocab: Vocabulary,
     batch_size: int,
     rng: np.random.Generator,
-    shuffle: bool = True,
     t_max: int = 22,
 ) -> list[Batch]:
     """One epoch of batches; each clip appears once with one reference
@@ -268,8 +263,7 @@ def epoch_batches(
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     order = np.arange(len(split.records))
-    if shuffle:
-        rng.shuffle(order)
+    rng.shuffle(order)
     ref_choice = rng.integers(0, N_REFERENCES, size=len(split.records))
 
     batches = []
@@ -300,4 +294,5 @@ def epoch_batches(
 
 
 def build_vocabulary(train: DatasetSplit, min_count: int = 1) -> Vocabulary:
-    return text.Vocabulary.build(train.all_reference_tokens(), min_count=min_count)
+    references = [tokens for r in train.records for tokens in r.references]
+    return Vocabulary.build(references, min_count=min_count)

@@ -1,8 +1,11 @@
-"""Caption generation: greedy, multinomial sampling, and beam search.
+"""Caption generation: ``rollout`` decodes a batch greedily or by
+multinomial sampling, ``beam_decode`` runs beam search over one clip, and
+``generate_diverse_set`` builds a clip's n captions from beam search.
 
-All strategies work on any model exposing ``encode(features, feat_lengths,
+Both decoders work on any model exposing ``encode(features, feat_lengths,
 z)`` and ``step_logits(features, feat_lengths, z, prefix, memory=...,
-cache=...)``. A decode encodes its clips once, records no autodiff graph,
+cache=...)``. A decode encodes its clips once (``rollout`` skips even that
+when the caller passes the encoder memory), records no autodiff graph,
 and feeds ``step_logits`` only the newest position of each prefix, along
 with one ``DecodeCache`` per decode that the model fills with what it
 keeps from earlier positions (beam search reorders it as hypotheses are
@@ -28,18 +31,15 @@ from .text import EOS, PAD, SOS
 
 @dataclass
 class DecodeConfig:
-    mode: str = "beam"  # greedy | sample | beam
     beam_size: int = 5
     max_length: int = 22
-    temperature: float = 1.0
-    seed: int = 0
     n_captions: int = 5
 
     def __post_init__(self):
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        if self.n_captions < 1:
+            raise ValueError("n_captions must be >= 1")
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -62,7 +62,6 @@ def rollout(
     z: np.ndarray,
     mode: str = "greedy",
     rng: np.random.Generator | None = None,
-    temperature: float = 1.0,
     max_length: int = 22,
     memory=None,
 ):
@@ -74,7 +73,7 @@ def rollout(
 
     Returns (sequences, step_log_probs): per row, the token ids including
     markers and the log-probability of each emitted token under the
-    (temperature-scaled) sampling distribution.
+    model's distribution.
     """
     if mode not in ("greedy", "sample"):
         raise ValueError(f"unknown rollout mode {mode!r}")
@@ -97,7 +96,7 @@ def rollout(
             ))
             if step == 0:
                 logits[..., EOS] = -1e9  # minimum caption length of one word
-            logp = _log_softmax(logits / temperature)
+            logp = _log_softmax(logits)
             if mode == "greedy":
                 chosen = logp.argmax(axis=-1)
             else:
@@ -117,20 +116,6 @@ def rollout(
         row = [SOS] + [int(t) for t in prefix[b, 1:] if t != PAD]
         sequences.append(row)
     return sequences, log_probs
-
-
-def greedy_decode(model, features, feat_lengths, z, max_length: int = 22) -> list[int]:
-    seqs, _ = rollout(model, features, feat_lengths, z, "greedy", max_length=max_length)
-    return seqs[0]
-
-
-def sample_decode(model, features, feat_lengths, z, rng, temperature: float = 1.0,
-                  max_length: int = 22):
-    seqs, logps = rollout(
-        model, features, feat_lengths, z, "sample", rng=rng,
-        temperature=temperature, max_length=max_length,
-    )
-    return seqs[0], logps[0]
 
 
 def beam_decode(model, features, feat_lengths, z, beam_size: int = 5,

@@ -25,11 +25,6 @@ def ngram_counts(seq, n):
     return counts
 
 
-def ngram_counts_upto(seq, nmax):
-    """Counts for every order 1..nmax, as a list indexed by n-1."""
-    return [ngram_counts(seq, n) for n in range(1, nmax + 1)]
-
-
 # -- BLEU ---------------------------------------------------------------------
 
 
@@ -107,8 +102,8 @@ def build_doc_freq(references_list, nmax: int = 4) -> DocFreqTable:
     for references in references_list:
         seen = [set() for _ in range(nmax)]
         for ref in references:
-            for i, counts in enumerate(ngram_counts_upto(ref, nmax)):
-                seen[i].update(counts)
+            for i in range(nmax):
+                seen[i].update(ngram_counts(ref, i + 1))
         for i in range(nmax):
             for gram in seen[i]:
                 df[i][gram] = df[i].get(gram, 0) + 1
@@ -275,6 +270,9 @@ def evaluate_captions(generated: dict, references: dict) -> MetricReport:
         raise ValueError(f"captions for unknown clip ids: {missing}")
     if not generated:
         raise ValueError("no generated captions to evaluate")
+    empty = sorted(c for c, captions in generated.items() if not captions)
+    if empty:
+        raise ValueError(f"no captions for clip ids: {empty}")
     clip_ids = sorted(generated)
 
     df_table = build_doc_freq([references[c] for c in clip_ids])
@@ -289,14 +287,12 @@ def evaluate_captions(generated: dict, references: dict) -> MetricReport:
             all_refs.append(references[c])
     bleu_4_all = corpus_bleu(all_cands, all_refs, n=4)
 
-    cider_top1 = sum(
-        cider(generated[c][0], references[c], df_table) for c in clip_ids
-    ) / len(clip_ids)
-    cider_all = sum(
-        cider(caption, references[c], df_table)
+    ciders = {
+        c: [cider(caption, references[c], df_table) for caption in generated[c]]
         for c in clip_ids
-        for caption in generated[c]
-    ) / len(all_cands)
+    }
+    cider_top1 = sum(ciders[c][0] for c in clip_ids) / len(clip_ids)
+    cider_all = sum(score for c in clip_ids for score in ciders[c]) / len(all_cands)
 
     per_clip = []
     mbleus, div1s, div2s = [], [], []
@@ -309,7 +305,7 @@ def evaluate_captions(generated: dict, references: dict) -> MetricReport:
         div1s.append(clip_div1)
         div2s.append(clip_div2)
         per_clip.append(
-            (c, cider(captions[0], references[c], df_table), clip_mbleu, clip_div1, clip_div2)
+            (c, ciders[c][0], clip_mbleu, clip_div1, clip_div2)
         )
 
     return MetricReport(

@@ -47,21 +47,17 @@ class ParamStore:
         self.dtype = dtype
         self._params: dict[str, Tensor] = {}
 
-    def add(self, name: str, shape, scale: float | None = None) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter {name!r}")
-        if scale is None:
-            fan_in = shape[0] if len(shape) > 1 else shape[0]
-            scale = 1.0 / np.sqrt(fan_in)
-        data = (self.rng.standard_normal(shape) * scale).astype(self.dtype)
-        p = Tensor(data, requires_grad=True)
-        self._params[name] = p
-        return p
+    def add(self, name: str, shape) -> Tensor:
+        """Normal init scaled by 1/sqrt(fan-in), the first dimension."""
+        return self._register(name, self.rng.standard_normal(shape) * (1.0 / np.sqrt(shape[0])))
 
     def zeros(self, name: str, shape) -> Tensor:
+        return self._register(name, np.zeros(shape))
+
+    def _register(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter {name!r}")
-        p = Tensor(np.zeros(shape, dtype=self.dtype), requires_grad=True)
+        p = Tensor(data.astype(self.dtype), requires_grad=True)
         self._params[name] = p
         return p
 
@@ -347,28 +343,28 @@ class Generator:
     ) -> Tensor:
         """Logits [B, T, vocab] for token positions [B, T].
 
-        Without a cache, ``tokens`` are whole teacher-forced prefixes. With
-        one, they are only the positions after the ``cache.length`` already
+        ``tokens`` are the positions after the ``cache.length`` already
         seen: their self-attention keys/values are appended to the cache,
         and the cross-attention keys/values are projected from ``memory``
-        on the first call and reused after it.
+        (encoded from the features if not given) on the first call and
+        reused after it. Without a cache, a fresh one makes ``tokens``
+        whole teacher-forced prefixes.
         """
         c = self.config
         tokens = np.asarray(tokens, dtype=np.int64)
         batch, t_new = tokens.shape
-        start = cache.length if cache is not None else 0
+        if cache is None:
+            cache = DecodeCache()
+        start = cache.length
         t_steps = start + t_new
         if t_steps > c.t_max + 1:
             raise ValueError(f"prefix length {t_steps} exceeds t_max+1 = {c.t_max + 1}")
         p = self.params
-        if cache is not None and cache.cross:
-            cross = cache.cross
-        else:
+        if not cache.cross:
             if memory is None:
                 memory = self.encode(features, feat_lengths, z)
-            cross = [self._keys_values(memory, layer, "cross") for layer in range(c.n_layers)]
-            if cache is not None:
-                cache.cross = cross
+            cache.cross = [self._keys_values(memory, layer, "cross") for layer in range(c.n_layers)]
+        cross = cache.cross
         frames = cross[0][0].shape[2]
 
         causal = np.triu(np.full((t_new, t_steps), -1e9, dtype=self.dtype), k=1 + start)
@@ -386,17 +382,14 @@ class Generator:
                 t, p[f"dec.{layer}.{tag}.g"], p[f"dec.{layer}.{tag}.b"]
             )
             xn = n("n1", x)
-            keys, values = self._keys_values(xn, layer, "self")
-            if cache is not None:
-                keys, values = cache.extend(layer, keys, values)
+            keys, values = cache.extend(layer, *self._keys_values(xn, layer, "self"))
             x = x + self._attention(xn, keys, values, causal, layer, "self", drop_rng)
             x = x + self._attention(n("n2", x), *cross[layer], mem_mask, layer, "cross", drop_rng)
             h = n("n3", x)
             h = linear(h, p[f"dec.{layer}.ff.w1"], p[f"dec.{layer}.ff.b1"]).relu()
             h = dropout(h, c.dropout, drop_rng)
             x = x + linear(h, p[f"dec.{layer}.ff.w2"], p[f"dec.{layer}.ff.b2"])
-        if cache is not None:
-            cache.length = t_steps
+        cache.length = t_steps
         x = layer_norm(x, p["dec.final_norm.g"], p["dec.final_norm.b"])
         return linear(x, p["dec.out.w"], p["dec.out.b"])
 

@@ -117,9 +117,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)

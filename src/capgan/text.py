@@ -57,16 +57,9 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    @property
-    def size(self) -> int:
-        return len(self.id_to_token)
-
-    def encode(self, tokens: list[str], add_markers: bool = True) -> list[int]:
-        """Map tokens to ids; unknown words map to <unk>."""
-        ids = [self.token_to_id.get(tok, UNK) for tok in tokens]
-        if add_markers:
-            return [SOS] + ids + [EOS]
-        return ids
+    def encode(self, tokens: list[str]) -> list[int]:
+        """Map tokens to ids between <sos> and <eos>; unknown words map to <unk>."""
+        return [SOS] + [self.token_to_id.get(tok, UNK) for tok in tokens] + [EOS]
 
     def decode(self, ids) -> list[str]:
         """Map ids back to words, stripping pad/sos/eos markers."""

@@ -49,12 +49,13 @@ class TrainConfig:
     seed: int = 0
     t_max: int = 22
     se_margin: float = 0.2
-    normalize_cider: bool = False  # divide c by 10 before mixing; off per the stated reward
     ablation: str | None = None  # nd | se | le
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must be in [0, 1]")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.ablation not in (None, "nd", "se", "le"):
             raise ValueError(f"unknown ablation {self.ablation!r}")
         # single-judge ablations pin lam so the reward is exactly one term
@@ -151,14 +152,18 @@ class RewardOracles:
                 cider_against(self.vocab.decode(seq), self._reference_vectors(r), self.df_table)
                 for seq, r in zip(seqs, records)
             ]
-            if config.normalize_cider:
-                c = [c_i / 10.0 for c_i in c]
         return [RewardBreakdown(n=n_i, s=s_i, c=c_i, lam=lam) for n_i, s_i, c_i in zip(n, s, c)]
 
 
-def _check_finite(value: float, what: str) -> float:
+def _optimize(opt: Adam, loss: Tensor, what: str) -> float:
+    """One update down a loss, refused if the loss is non-finite;
+    returns the loss value."""
+    value = loss.item()
     if not np.isfinite(value):
         raise TrainingDiverged(f"{what} became non-finite ({value})")
+    opt.zero_grad()
+    loss.backward()
+    opt.step()
     return value
 
 
@@ -214,11 +219,7 @@ def mle_pretrain(
                 batch.targets[:, :-1], drop_rng=drop_rng,
             )
             loss = cross_entropy(logits, batch.targets[:, 1:], batch.mask)
-            _check_finite(loss.item(), "MLE loss")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(loss.item())
+            losses.append(_optimize(opt, loss, "MLE loss"))
         record = {"epoch": epoch, "mle_loss": float(np.mean(losses))}
         if eval_split is not None and eval_split.records:
             record["eval_cider"] = _eval_greedy_cider(
@@ -261,11 +262,7 @@ def _sample_fakes(gen: Generator, batch, rng, t_max: int) -> list[list[int]]:
 def discriminator_step(d, opt: Adam, real_tokens, real_lengths,
                        fake_tokens, fake_lengths) -> float:
     loss = discriminator_loss(d, real_tokens, real_lengths, fake_tokens, fake_lengths)
-    _check_finite(loss.item(), "discriminator loss")
-    opt.zero_grad()
-    loss.backward()
-    opt.step()
-    return loss.item()
+    return _optimize(opt, loss, "discriminator loss")
 
 
 def d_pretrain(
@@ -298,10 +295,8 @@ def d_pretrain(
 
 
 def discriminator_accuracy(d, real_seqs, fake_seqs) -> float:
-    real_tokens, real_lengths = pad_sequences(real_seqs)
-    fake_tokens, fake_lengths = pad_sequences(fake_seqs)
-    real = d.forward(real_tokens, real_lengths).data
-    fake = d.forward(fake_tokens, fake_lengths).data
+    real = d.score(real_seqs)
+    fake = d.score(fake_seqs)
     correct = (real > 0.5).sum() + (fake <= 0.5).sum()
     return float(correct / (len(real_seqs) + len(fake_seqs)))
 
@@ -343,11 +338,7 @@ def semantic_pretrain(
             if len(batch.clip_ids) < 2:
                 continue  # hinge loss needs in-batch negatives
             loss = semantic_hinge_loss(se, batch, config.se_margin)
-            _check_finite(loss.item(), "semantic loss")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(loss.item())
+            losses.append(_optimize(opt, loss, "semantic loss"))
         log.append(epoch=epoch, se_loss=float(np.mean(losses)) if losses else 0.0)
     return log
 
@@ -366,11 +357,6 @@ def semantic_gap(se: SemanticEvaluator, split: DatasetSplit, vocab,
 
 
 # -- SCST ---------------------------------------------------------------------
-
-
-def compute_reward(seq, record, oracles: RewardOracles, config: TrainConfig) -> RewardBreakdown:
-    """Reward of one complete caption (sequence includes sos/eos markers)."""
-    return oracles.score([seq], [record], config)[0]
 
 
 def scst_surrogate_loss(gen: Generator, batch, z: np.ndarray,
@@ -418,11 +404,7 @@ def scst_generator_step(
     breakdowns, baselines = rewards[: len(sampled)], rewards[len(sampled):]
     advantages = np.array([r.total - b.total for r, b in zip(breakdowns, baselines)])
     loss = scst_surrogate_loss(gen, batch, z, sampled, advantages, config.t_max)
-    _check_finite(loss.item(), "SCST loss")
-    opt.zero_grad()
-    loss.backward()
-    opt.step()
-    return loss.item(), breakdowns, advantages
+    return _optimize(opt, loss, "SCST loss"), breakdowns, advantages
 
 
 # -- adversarial loop ---------------------------------------------------------

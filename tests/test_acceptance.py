@@ -59,7 +59,6 @@ from capgan.training import (
     RewardOracles,
     TrainConfig,
     adversarial_train,
-    compute_reward,
     d_pretrain,
     discriminator_accuracy,
     mle_pretrain,
@@ -121,8 +120,7 @@ def _smoke_semantic(vocab, seed):
 
 def _decode_sets(gen, split, vocab, mode, seed, n=5, beam=5):
     rng = substream(seed, f"{mode}-decode")
-    config = DecodeConfig(beam_size=beam, max_length=gen.config.t_max,
-                          n_captions=n, seed=seed)
+    config = DecodeConfig(beam_size=beam, max_length=gen.config.t_max, n_captions=n)
     out = {}
     for record in split.records:
         seqs, _, _ = generate_diverse_set(
@@ -347,7 +345,7 @@ def test_ac04_reward_identity(capsys):
                           rng=sample_rng, max_length=T_MAX)
         by_id = {r.clip_id: r for r in train.records}
         for clip_id, seq in zip(batch.clip_ids, seqs):
-            r = compute_reward(seq, by_id[clip_id], oracles, config)
+            [r] = oracles.score([seq], [by_id[clip_id]], config)
             assert r.total == config.lam * (r.n + r.s) + (1 - config.lam) * r.c
             checked += 1
     assert oracles.d_queries == checked and oracles.se_queries == checked

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import capgan
 from capgan.cli import main
 from capgan.decoding import read_captions
 from capgan.models import load_checkpoint
@@ -332,3 +337,55 @@ class TestGenerateEvaluate:
         assert code != 0
         assert "category=evaluation" in err
         assert "clip_9999" in err
+
+
+def run_process(argv):
+    """The CLI in a process of its own, so an uncaught exception would
+    show as a traceback: (exit code, stderr)."""
+    path = [str(Path(capgan.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "capgan.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stderr
+
+
+TRAIN_GAN = ["train-gan", "--data", "{data}", "--run", "{run}", "--config", "{config}",
+             "--epochs", "1"]
+GENERATE = ["generate", "--data", "{data}", "--run", "{run}"]
+# argv, then a path the command must not have written
+REJECTED_VALUES = {
+    "prepare-data --clips 3": (
+        ["prepare-data", "--out", "{tmp}/fresh", "--synthetic", "--clips", "3"], "{tmp}/fresh"),
+    "pretrain --batch-size 0": (
+        ["pretrain", "--data", "{data}", "--run", "{tmp}/fresh", "--config", "{config}",
+         "--batch-size", "0"], "{tmp}/fresh"),
+    "train-gan --lambda 2": (TRAIN_GAN + ["--lambda", "2"], "{run}/gan"),
+    "train-gan --lambda-sweep 0.5,2": (
+        TRAIN_GAN + ["--lambda-sweep", "0.5,2"], "{run}/gan/lambda_0.5"),
+    "train-gan --lambda-sweep ,": (TRAIN_GAN + ["--lambda-sweep", ","], "{run}/gan"),
+    "generate --beam-size 0": (GENERATE + ["--beam-size", "0"], "{run}/captions_gan.jsonl"),
+    "generate -n 0": (GENERATE + ["-n", "0"], "{run}/captions_gan.jsonl"),
+    "generate -n -1": (GENERATE + ["-n", "-1"], "{run}/captions_gan.jsonl"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_VALUES))
+def test_rejected_value_is_a_usage_error(case, full_run, data_dir, config_file, tmp_path):
+    argv, unwritten = REJECTED_VALUES[case]
+    paths = {"tmp": tmp_path, "data": data_dir, "run": full_run, "config": config_file}
+    code, err = run_process([arg.format(**paths) for arg in argv])
+    assert code == 2, err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: category=usage: "), err
+    assert not Path(unwritten.format(**paths)).exists()
+
+
+def test_evaluate_rejects_a_clip_without_captions(data_dir, tmp_path, capsys):
+    clip_id = json.loads((data_dir / "evaluation.json").read_text())[0]["clip_id"]
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text(json.dumps({"clip_id": clip_id, "captions": [], "scores": []}) + "\n")
+    code, _, err = run(["evaluate", "--captions", str(empty), "--data", str(data_dir)], capsys)
+    assert code == 2
+    assert err.startswith("error: category=evaluation: ") and clip_id in err

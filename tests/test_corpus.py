@@ -148,13 +148,6 @@ class TestBatches:
         seen = [cid for b in batches for cid in b.clip_ids]
         assert sorted(seen) == sorted(r.clip_id for r in train.records)
 
-    def test_no_shuffle_stable(self):
-        train, _ = small_corpus()
-        vocab = build_vocabulary(train)
-        b1 = epoch_batches(train, vocab, 4, substream(0, "x"), shuffle=False)
-        b2 = epoch_batches(train, vocab, 4, substream(1, "y"), shuffle=False)
-        assert [b.clip_ids for b in b1] == [b.clip_ids for b in b2]
-
     def test_mask_complements_padding(self):
         train, _ = small_corpus()
         vocab = build_vocabulary(train)

@@ -10,10 +10,8 @@ from capgan.decoding import (
     _log_softmax,
     beam_decode,
     generate_diverse_set,
-    greedy_decode,
     read_captions,
     rollout,
-    sample_decode,
     write_captions,
 )
 from capgan.text import EOS, PAD, SOS
@@ -156,14 +154,14 @@ class TestGreedy:
         gen = tiny_generator()
         rng = np.random.default_rng(0)
         features, feat_lengths, z, _ = tiny_inputs(rng, batch=1)
-        a = greedy_decode(gen, features, feat_lengths, z, max_length=gen.config.t_max)
-        b = greedy_decode(gen, features, feat_lengths, z, max_length=gen.config.t_max)
+        [a], _ = rollout(gen, features, feat_lengths, z, "greedy", max_length=gen.config.t_max)
+        [b], _ = rollout(gen, features, feat_lengths, z, "greedy", max_length=gen.config.t_max)
         assert a == b
 
     def test_minimum_one_content_word(self):
         model = ToyModel({1: [NEG, NEG, 5.0, 0.0, 0.0, 0.0]})
         features, lens, z = toy_inputs()
-        seq = greedy_decode(model, features, lens, z, max_length=5)
+        [seq], _ = rollout(model, features, lens, z, "greedy", max_length=5)
         # eos is forbidden at step 0, so the best content token (3) comes
         # first; the fallback table then makes eos the argmax
         assert seq == [SOS, 3, EOS]
@@ -171,29 +169,18 @@ class TestGreedy:
     def test_matches_exhaustive_argmax(self):
         model = ToyModel(PEAKED)
         features, lens, z = toy_inputs()
-        seq = greedy_decode(model, features, lens, z, max_length=3)
+        [seq], _ = rollout(model, features, lens, z, "greedy", max_length=3)
         # argmax chain by hand: sos->a(3), a->b(4), b->eos(2)
         assert seq == [SOS, 3, 4, EOS]
 
     def test_respects_max_length(self):
         model = ToyModel({k: [NEG, NEG, NEG, 1.0, 0.0, 0.0] for k in (1, 3)})
         features, lens, z = toy_inputs()
-        seq = greedy_decode(model, features, lens, z, max_length=4)
+        [seq], _ = rollout(model, features, lens, z, "greedy", max_length=4)
         assert seq == [SOS, 3, 3, 3, 3, 3]  # cap hit, no eos
 
 
 class TestSample:
-    def test_zero_temperature_limit_equals_greedy(self):
-        gen = tiny_generator()
-        rng = np.random.default_rng(1)
-        features, feat_lengths, z, _ = tiny_inputs(rng, batch=1)
-        greedy = greedy_decode(gen, features, feat_lengths, z, max_length=6)
-        sampled, _ = sample_decode(
-            gen, features, feat_lengths, z, np.random.default_rng(0),
-            temperature=1e-6, max_length=6,
-        )
-        assert sampled == greedy
-
     def test_monte_carlo_frequencies(self):
         probs = [0.7, 0.2, 0.1]
         table = {1: [NEG, NEG, NEG] + [math.log(p) for p in probs]}
@@ -212,8 +199,8 @@ class TestSample:
     def test_logprob_bookkeeping(self):
         model = ToyModel(PEAKED)
         features, lens, z = toy_inputs()
-        seq, logps = sample_decode(
-            model, features, lens, z, np.random.default_rng(3), max_length=4
+        [seq], [logps] = rollout(
+            model, features, lens, z, "sample", rng=np.random.default_rng(3), max_length=4
         )
         prev = SOS
         for tok, lp in zip(seq[1:], logps):
@@ -229,14 +216,14 @@ class TestBeam:
         gen = tiny_generator()
         rng = np.random.default_rng(4)
         features, feat_lengths, z, _ = tiny_inputs(rng, batch=1)
-        greedy = greedy_decode(gen, features, feat_lengths, z, max_length=6)
+        [greedy], _ = rollout(gen, features, feat_lengths, z, "greedy", max_length=6)
         ranked = beam_decode(gen, features, feat_lengths, z, beam_size=1, max_length=6)
         assert ranked[0][0] == greedy
 
     def test_beam_one_equals_greedy_toy(self):
         model = ToyModel(PEAKED)
         features, lens, z = toy_inputs()
-        greedy = greedy_decode(model, features, lens, z, max_length=3)
+        [greedy], _ = rollout(model, features, lens, z, "greedy", max_length=3)
         ranked = beam_decode(model, features, lens, z, beam_size=1, max_length=3)
         assert ranked[0][0] == greedy
 

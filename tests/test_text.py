@@ -33,11 +33,11 @@ class TestTokenize:
 class TestVocabulary:
     def test_build_counts(self):
         vocab = Vocabulary.build([["a", "b"], ["a"]], min_count=1)
-        assert vocab.size == 6
+        assert len(vocab) == 6
 
     def test_min_count_filter(self):
         vocab = Vocabulary.build([["a", "b"], ["a"]], min_count=2)
-        assert vocab.size == 5
+        assert len(vocab) == 5
         assert "b" not in vocab.token_to_id
 
     def test_empty_corpus(self):
@@ -50,7 +50,7 @@ class TestVocabulary:
 
     def test_unknown_word(self):
         vocab = Vocabulary.build([["a"]])
-        assert vocab.encode(["zzz"], add_markers=False) == [UNK]
+        assert vocab.encode(["zzz"]) == [SOS, UNK, EOS]
 
     def test_markers(self):
         vocab = Vocabulary.build([["a"]])

@@ -27,7 +27,6 @@ from capgan.training import (
     TrainingDiverged,
     _eval_greedy_cider,
     adversarial_train,
-    compute_reward,
     d_pretrain,
     discriminator_accuracy,
     discriminator_loss,
@@ -108,7 +107,7 @@ class TestRewardOracles:
         oracles, record = self._oracles()
         config = tiny_train_config(lam=0.0)
         seq = [1] + [5, 6, 7] + [2]
-        r = compute_reward(seq, record, oracles, config)
+        r = oracles.score([seq], [record], config)[0]
         assert oracles.d_queries == 0 and oracles.se_queries == 0
         assert r.n == 0.0 and r.s == 0.0
         assert r.total == r.c
@@ -116,7 +115,7 @@ class TestRewardOracles:
     def test_lambda_one_skips_cider(self):
         oracles, record = self._oracles()
         config = tiny_train_config(lam=1.0)
-        r = compute_reward([1, 5, 6, 2], record, oracles, config)
+        r = oracles.score([[1, 5, 6, 2]], [record], config)[0]
         assert oracles.d_queries == 1 and oracles.se_queries == 1
         assert r.c == 0.0
         assert r.total == r.n + r.s
@@ -125,7 +124,7 @@ class TestRewardOracles:
         oracles, record = self._oracles()
         config = tiny_train_config(lam=0.5)
         seq = [1] + [vocab_id for vocab_id in (4, 5, 6)] + [2]
-        r = compute_reward(seq, record, oracles, config)
+        r = oracles.score([seq], [record], config)[0]
         assert oracles.d_queries == 1 and oracles.se_queries == 1
         assert 0.0 < r.n < 1.0
         assert -1.0 <= r.s <= 1.0
@@ -134,14 +133,14 @@ class TestRewardOracles:
         oracles, record = self._oracles()
         config = tiny_train_config(ablation="nd")
         assert config.lam == 1.0
-        r = compute_reward([1, 5, 2], record, oracles, config)
+        r = oracles.score([[1, 5, 2]], [record], config)[0]
         assert oracles.se_queries == 0 and oracles.d_queries == 1
         assert r.s == 0.0 and r.total == r.n
 
     def test_se_ablation_drops_discriminator(self):
         oracles, record = self._oracles()
         config = tiny_train_config(ablation="se")
-        r = compute_reward([1, 5, 2], record, oracles, config)
+        r = oracles.score([[1, 5, 2]], [record], config)[0]
         assert oracles.d_queries == 0 and oracles.se_queries == 1
         assert r.n == 0.0 and r.total == r.s
 
@@ -149,7 +148,7 @@ class TestRewardOracles:
         oracles, record = self._oracles()
         config = tiny_train_config(ablation="le")
         assert config.lam == 0.0
-        r = compute_reward([1, 5, 2], record, oracles, config)
+        r = oracles.score([[1, 5, 2]], [record], config)[0]
         assert oracles.d_queries == 0 and oracles.se_queries == 0
         assert r.total == r.c
 
