@@ -89,6 +89,16 @@ class CliError(Exception):
 # -- config plumbing ----------------------------------------------------------
 
 
+def _has_default_type(value, default) -> bool:
+    """An int field takes only ints; a float field takes floats and ints;
+    bools are neither."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def _resolve_config(args) -> dict:
     """flags > YAML config file > defaults."""
     cfg = dict(DEFAULTS)
@@ -105,6 +115,13 @@ def _resolve_config(args) -> dict:
         unknown = sorted(set(loaded) - set(DEFAULTS))
         if unknown:
             raise CliError("config", f"{config_path}: unknown keys {unknown}")
+        for key, value in sorted(loaded.items()):
+            if not _has_default_type(value, DEFAULTS[key]):
+                raise CliError(
+                    "config",
+                    f"{config_path}: {key} must be {type(DEFAULTS[key]).__name__}, "
+                    f"got {value!r}",
+                )
         cfg.update(loaded)
     for key in DEFAULTS:
         value = getattr(args, key, None)

@@ -22,9 +22,12 @@ import numpy as np
 from .tensor import (
     DomainError,
     Tensor,
+    attention,
     concat,
     embedding,
+    gru_cell,
     layer_norm,
+    linear,
     no_grad,
 )
 
@@ -94,11 +97,6 @@ def pad_frames(arrays: list[np.ndarray]):
     return padded, lengths
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    out = x @ w
-    return out + b.broadcast_to(out.shape)
-
-
 def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
     norm_sq = (x * x).sum(axis=-1, keepdims=True)
     if np.any(norm_sq.data < eps):
@@ -107,12 +105,17 @@ def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
     return x / norm.broadcast_to(x.shape)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+def dropout_mask(shape, rate: float, rng: np.random.Generator | None, dtype):
+    """Inverted-dropout multiplier (0 or 1/keep), or None when off."""
     if rng is None or rate <= 0.0:
-        return x
+        return None
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep).astype(x.dtype.type) / keep
-    return x * Tensor(mask)
+    return (rng.random(shape) < keep).astype(dtype) / keep
+
+
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    mask = dropout_mask(x.shape, rate, rng, x.dtype.type)
+    return x if mask is None else x * Tensor(mask)
 
 
 # -- GRU ----------------------------------------------------------------------
@@ -145,24 +148,23 @@ class GRUParams:
         )
 
 
-def gru_cell(x: Tensor, h_prev: Tensor, p: GRUParams) -> Tensor:
-    """One GRU step: reset gate r, update gate u, candidate state."""
-    r = (linear(x, p.w_r, p.b_r) + h_prev @ p.u_r).sigmoid()
-    u = (linear(x, p.w_u, p.b_u) + h_prev @ p.u_u).sigmoid()
-    h_tilde = (linear(x, p.w_h, p.b_h) + (r * h_prev) @ p.u_h).tanh()
-    return (1.0 - u) * h_prev + u * h_tilde
+def gru_inputs(xs: Tensor, p: GRUParams) -> Tensor:
+    """The reset, update and candidate input projections of every step,
+    [..., d_in] -> [..., 3 * d_hidden], as one GEMM."""
+    w = concat([p.w_r, p.w_u, p.w_h], axis=1)
+    b = concat([p.b_r, p.b_u, p.b_h], axis=0)
+    return linear(xs, w, b)
 
 
 def gru_final_hidden(xs: Tensor, lengths: np.ndarray, p: GRUParams, d_hidden: int) -> Tensor:
     """Run a batched GRU over [B, T, d_in]; return each sequence's last
     real hidden state (updates are frozen past a sequence's length)."""
     batch, t_steps, _ = xs.shape
+    x_proj = gru_inputs(xs, p)
+    alive = np.arange(t_steps)[None, :] < np.asarray(lengths)[:, None]
     h = _const(np.zeros((batch, d_hidden)), xs.dtype)
     for t in range(t_steps):
-        h_new = gru_cell(xs[:, t, :], h, p)
-        alive = _const((t < lengths).astype(float)[:, None], xs.dtype)
-        alive_b = alive.broadcast_to((batch, d_hidden))
-        h = h_new * alive_b + h * (1.0 - alive_b)
+        h = gru_cell(x_proj[:, t, :], h, p.u_r, p.u_u, p.u_h, alive[:, t, None])
     return h
 
 
@@ -175,8 +177,7 @@ def conv1d_k3(x: Tensor, w_left: Tensor, w_center: Tensor, w_right: Tensor, b: T
     zero = _const(np.zeros((batch, 1, d_in)), x.dtype)
     left = concat([zero, x[:, :-1, :]], axis=1) if t_steps > 1 else zero
     right = concat([x[:, 1:, :], zero], axis=1) if t_steps > 1 else zero
-    out = left @ w_left + x @ w_center + right @ w_right
-    return out + b.broadcast_to(out.shape)
+    return linear(x, w_center, b) + left @ w_left + right @ w_right
 
 
 def sinusoidal_positions(t_steps: int, d_model: int, dtype) -> np.ndarray:
@@ -318,17 +319,13 @@ class Generator:
         """
         p = self.params
         c = self.config
-        d_head = c.d_model // c.n_heads
         batch, t_q, _ = x.shape
-        t_k = keys.shape[2]
         qh = self._heads(x @ p[f"dec.{layer}.{block}.q"])
-        scores = (qh @ keys.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d_head))
-        scores = scores + _const(
-            np.broadcast_to(mask_np, (batch, c.n_heads, t_q, t_k)), self.dtype
+        drop = dropout_mask(
+            (batch, c.n_heads, t_q, keys.shape[2]), c.dropout, drop_rng, self.dtype.type
         )
-        attn = scores.softmax(axis=-1)
-        attn = dropout(attn, c.dropout, drop_rng)
-        out = (attn @ values).transpose(0, 2, 1, 3).reshape(batch, t_q, c.d_model)
+        out = attention(qh, keys, values, mask_np, drop)
+        out = out.transpose(0, 2, 1, 3).reshape(batch, t_q, c.d_model)
         return out @ p[f"dec.{layer}.{block}.o"]
 
     def forward(

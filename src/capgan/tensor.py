@@ -8,6 +8,12 @@ have ``requires_grad`` set. Gradients accumulate across calls until zeroed
 (the optimizer owns zeroing). Inside ``no_grad()`` ops record nothing, so
 inference builds no graph.
 
+The models' hot paths are single nodes with closed-form backwards:
+``x @ w`` with a 2-D ``w`` and ``linear`` fold the leading axes into one
+GEMM per product, ``attention`` keeps its softmax for the backward, and
+``gru_cell`` is one recurrent step. Scales stay Python floats, so float32
+data is never upcast.
+
 Broadcasting is deliberately restricted: binary elementwise ops accept
 equal shapes or a scalar paired with a tensor, nothing else. Row/column
 broadcasts must go through an explicit ``broadcast_to``.
@@ -25,6 +31,9 @@ __all__ = [
     "DomainError",
     "concat",
     "embedding",
+    "linear",
+    "attention",
+    "gru_cell",
     "cross_entropy",
     "layer_norm",
     "Adam",
@@ -62,6 +71,18 @@ def _sum_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
+
+
+def _is_basic_index(index) -> bool:
+    """Only slices, ints, None and Ellipsis: numpy's basic indexing."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        item is None
+        or item is Ellipsis
+        or isinstance(item, slice)
+        or (isinstance(item, (int, np.integer)) and not isinstance(item, bool))
+        for item in items
+    )
 
 
 def _check_elementwise(a: "Tensor", b: "Tensor") -> None:
@@ -119,8 +140,12 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            grad = np.array(grad, dtype=self.data.dtype)
+            if grad.shape != self.data.shape:
+                grad = np.broadcast_to(grad, self.data.shape).copy()
+            self.grad = grad
+        else:
+            self.grad += grad
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -295,10 +320,18 @@ class Tensor:
         if not isinstance(out_data, np.ndarray):
             out_data = np.asarray(out_data)
 
+        basic = _is_basic_index(index)
+
         def backward(grad):
-            full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
-            self._accumulate(full)
+            if basic:
+                # slices and ints select each element at most once
+                if self.grad is None:
+                    self.grad = np.zeros_like(self.data)
+                self.grad[index] += grad
+            else:
+                full = np.zeros_like(self.data)
+                np.add.at(full, index, grad)
+                self._accumulate(full)
 
         return Tensor._from_op(out_data, (self,), backward)
 
@@ -329,6 +362,8 @@ class Tensor:
             raise DimensionError(
                 f"matmul inner dimensions disagree: {self.shape} @ {other.shape}"
             )
+        if other.data.ndim == 2:
+            return _folded_matmul(self, other, None)
         out_data = np.matmul(self.data, other.data)
 
         def backward(grad):
@@ -419,6 +454,122 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 t._accumulate(grad[tuple(index)])
 
     return Tensor._from_op(out_data, tensors, backward)
+
+
+def _folded_matmul(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
+    """``x[..., d] @ w[d, e] (+ b[e])`` with the leading axes folded into
+    rows: one GEMM forward and one per gradient."""
+    lead, d_in = x.shape[:-1], x.shape[-1]
+    x2 = x.data.reshape(-1, d_in)
+    out2 = x2 @ w.data
+    if b is not None:
+        out2 += b.data
+
+    def backward(grad):
+        g2 = grad.reshape(-1, w.shape[1])
+        if x.requires_grad:
+            x._accumulate((g2 @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            w._accumulate(x2.T @ g2)
+        if b is not None and b.requires_grad:
+            b._accumulate(g2.sum(axis=0))
+
+    parents = (x, w) if b is None else (x, w, b)
+    return Tensor._from_op(out2.reshape(*lead, w.shape[1]), parents, backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x[..., d] @ w[d, e] + b[e]`` as one node."""
+    if w.data.ndim != 2 or b.shape != (w.shape[1],) or x.shape[-1] != w.shape[0]:
+        raise DimensionError(
+            f"linear needs x[..., d], w[d, e], b[e], got {x.shape}, {w.shape}, {b.shape}"
+        )
+    return _folded_matmul(x, w, b)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
+              drop: np.ndarray | None = None) -> Tensor:
+    """``dropout(softmax(q k^T / sqrt(d) + mask)) v`` over the last two axes,
+    as one node whose backward reuses the saved softmax.
+
+    q is [B, H, Tq, d]; k and v are [B, H, Tk, d], or [1, H, Tk, d] shared
+    by every query row. ``mask`` is additive and broadcasts to the scores
+    [B, H, Tq, Tk]; ``drop`` is a multiplier of that shape (0, or 1/keep).
+    """
+    if k.shape != v.shape or k.shape[1:] != (q.shape[1], k.shape[2], q.shape[3]):
+        raise DimensionError(
+            f"attention needs matching heads and widths, got {q.shape}, {k.shape}, {v.shape}"
+        )
+    if k.shape[0] not in (1, q.shape[0]):
+        raise DimensionError(f"attention key batch {k.shape[0]} for query batch {q.shape[0]}")
+    scale = 1.0 / float(np.sqrt(q.shape[-1]))
+    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    scores *= scale
+    scores += mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    probs = np.exp(scores)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    weights = probs if drop is None else probs * drop
+    out_data = np.matmul(weights, v.data)
+
+    def backward(grad):
+        if v.requires_grad:
+            v._accumulate(_sum_to_shape(np.matmul(np.swapaxes(weights, -1, -2), grad), v.shape))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        d_probs = np.matmul(grad, np.swapaxes(v.data, -1, -2))
+        if drop is not None:
+            d_probs *= drop
+        d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
+        d_scores *= scale
+        if q.requires_grad:
+            q._accumulate(np.matmul(d_scores, k.data))
+        if k.requires_grad:
+            k._accumulate(
+                _sum_to_shape(np.matmul(np.swapaxes(d_scores, -1, -2), q.data), k.shape)
+            )
+
+    return Tensor._from_op(out_data, (q, k, v), backward)
+
+
+def gru_cell(x_proj: Tensor, h_prev: Tensor, u_r: Tensor, u_u: Tensor, u_h: Tensor,
+             alive: np.ndarray) -> Tensor:
+    """One GRU step as one node.
+
+    ``x_proj`` [B, 3H] holds the step's reset, update and candidate input
+    projections (biases included); ``u_*`` [H, H] are the recurrent
+    weights. Rows where ``alive`` [B, 1] is False keep ``h_prev``.
+    """
+    h = h_prev.data
+    hid = h.shape[-1]
+    if x_proj.shape != (h.shape[0], 3 * hid):
+        raise DimensionError(
+            f"gru_cell needs x_proj [B, 3H] for h_prev [B, H], got {x_proj.shape}, {h.shape}"
+        )
+    xp = x_proj.data
+    r = 1.0 / (1.0 + np.exp(-(xp[:, :hid] + h @ u_r.data)))
+    u = 1.0 / (1.0 + np.exp(-(xp[:, hid : 2 * hid] + h @ u_u.data)))
+    rh = r * h
+    c = np.tanh(xp[:, 2 * hid :] + rh @ u_h.data)
+    out_data = np.where(alive, (1.0 - u) * h + u * c, h)
+
+    def backward(grad):
+        g = np.where(alive, grad, 0.0)
+        d_c = g * u * (1.0 - c * c)
+        d_u = g * (c - h) * u * (1.0 - u)
+        d_rh = d_c @ u_h.data.T
+        d_r = d_rh * h * r * (1.0 - r)
+        if x_proj.requires_grad:
+            x_proj._accumulate(np.concatenate([d_r, d_u, d_c], axis=1))
+        if h_prev.requires_grad:
+            dh = g * (1.0 - u) + d_rh * r + d_r @ u_r.data.T + d_u @ u_u.data.T
+            dh += np.where(alive, 0.0, grad)
+            h_prev._accumulate(dh)
+        for w, d_gate, inp in ((u_r, d_r, h), (u_u, d_u, h), (u_h, d_c, rh)):
+            if w.requires_grad:
+                w._accumulate(inp.T @ d_gate)
+
+    return Tensor._from_op(out_data, (x_proj, h_prev, u_r, u_u, u_h), backward)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

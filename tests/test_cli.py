@@ -382,6 +382,46 @@ def test_rejected_value_is_a_usage_error(case, full_run, data_dir, config_file, 
     assert not Path(unwritten.format(**paths)).exists()
 
 
+# a config value of the wrong type: YAML text, then the field it names
+WRONG_TYPES = {
+    "int field, quoted number": ('batch_size: "8"\n', "batch_size"),
+    "int field, bool": ("batch_size: true\n", "batch_size"),
+    "int field, float": ("mle_epochs: 2.0\n", "mle_epochs"),
+    "float field, str": ("learning_rate: 1e-4\n", "learning_rate"),  # YAML reads a string
+    "float field, bool": ("dropout: false\n", "dropout"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_config_value_of_wrong_type_is_a_config_error(case, data_dir, tmp_path):
+    text, key = WRONG_TYPES[case]
+    config = tmp_path / "typed.yaml"
+    config.write_text(text)
+    run_dir = tmp_path / "fresh"
+    code, err = run_process(
+        ["pretrain", "--data", str(data_dir), "--run", str(run_dir), "--config", str(config)]
+    )
+    assert code == 2, err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: category=config: "), err
+    assert key in lines[0]
+    assert not run_dir.exists()
+
+
+def test_config_float_field_accepts_an_int(data_dir, tmp_path, capsys):
+    config = tmp_path / "int_rate.yaml"
+    config.write_text(yaml.safe_dump(dict(SMALL_MODEL, learning_rate=1, dropout=0)))
+    run_dir = tmp_path / "run"
+    code, _, err = run(
+        ["pretrain", "--data", str(data_dir), "--run", str(run_dir), "--config", str(config),
+         "--epochs", "1"],
+        capsys,
+    )
+    assert code == 0, err
+    assert yaml.safe_load((run_dir / "config.yaml").read_text())["learning_rate"] == 1
+
+
 def test_evaluate_rejects_a_clip_without_captions(data_dir, tmp_path, capsys):
     clip_id = json.loads((data_dir / "evaluation.json").read_text())[0]["clip_id"]
     empty = tmp_path / "empty.jsonl"

@@ -14,13 +14,14 @@ from capgan.models import (
     ParamStore,
     SemanticEvaluator,
     SemanticEvaluatorConfig,
-    gru_cell,
+    gru_final_hidden,
+    gru_inputs,
     l2_normalize,
     load_checkpoint,
     restore_model,
     save_checkpoint,
 )
-from capgan.tensor import DomainError, Tensor, cross_entropy, no_grad
+from capgan.tensor import DomainError, Tensor, cross_entropy, gru_cell, linear, no_grad
 from capgan.text import EOS, PAD
 
 from conftest import assert_grads_close, finite_difference
@@ -49,6 +50,12 @@ def default_generator(seed=0):
     return Generator(GeneratorConfig(vocab_size=106), np.random.default_rng(seed))
 
 
+def gru_step(x, h_prev, p):
+    """One GRU step from the raw input x [B, d_in], every row alive."""
+    alive = np.ones((x.shape[0], 1), dtype=bool)
+    return gru_cell(gru_inputs(x, p), h_prev, p.u_r, p.u_u, p.u_h, alive)
+
+
 class TestGRUCell:
     def _zero_params(self, d_in=3, d_hidden=4, dtype=np.float64):
         store = ParamStore(np.random.default_rng(0), dtype)
@@ -61,12 +68,12 @@ class TestGRUCell:
         p = self._zero_params()
         h_prev = Tensor(np.array([[1.0, -2.0, 0.5, 4.0]]))
         x = Tensor(np.ones((1, 3)))
-        h = gru_cell(x, h_prev, p)
+        h = gru_step(x, h_prev, p)
         np.testing.assert_allclose(h.data, 0.5 * h_prev.data)
 
     def test_zero_everything_fixed_point(self):
         p = self._zero_params()
-        h = gru_cell(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))), p)
+        h = gru_step(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))), p)
         np.testing.assert_array_equal(h.data, np.zeros((1, 4)))
 
     def test_gradients_vs_finite_differences(self):
@@ -77,13 +84,87 @@ class TestGRUCell:
         h_np = rng.standard_normal((2, 4))
 
         def loss():
-            h = gru_cell(Tensor(x_np), Tensor(h_np), p)
+            h = gru_step(Tensor(x_np), Tensor(h_np), p)
             return float((h.data**2).sum())
 
-        out = gru_cell(Tensor(x_np), Tensor(h_np), p)
+        out = gru_step(Tensor(x_np), Tensor(h_np), p)
         (out * out).sum().backward()
         fd = finite_difference(loss, store.tensors())
         assert_grads_close(store.tensors(), fd)
+
+
+def reference_gru_final_hidden(xs: Tensor, lengths, p: GRUParams, d_hidden: int) -> Tensor:
+    """The composed GRU the hoisted one replaced: per step, three input
+    projections and a cell built from elementwise ops, then a blend that
+    freezes finished rows."""
+    batch, t_steps, _ = xs.shape
+    h = Tensor(np.zeros((batch, d_hidden), dtype=xs.dtype))
+    for t in range(t_steps):
+        x = xs[:, t, :]
+        r = (linear(x, p.w_r, p.b_r) + h @ p.u_r).sigmoid()
+        u = (linear(x, p.w_u, p.b_u) + h @ p.u_u).sigmoid()
+        h_tilde = (linear(x, p.w_h, p.b_h) + (r * h) @ p.u_h).tanh()
+        h_new = (1.0 - u) * h + u * h_tilde
+        alive = Tensor(np.broadcast_to((t < lengths)[:, None], h.shape).astype(xs.dtype))
+        h = h_new * alive + h * (1.0 - alive)
+    return h
+
+
+def _gru_setup(dtype, d_in, d_hidden, lengths, seed=4):
+    rng = np.random.default_rng(seed)
+    store = ParamStore(rng, dtype)
+    p = GRUParams.create(store, "g", d_in, d_hidden)
+    for name, t in store.named().items():
+        if ".b_" in name:  # non-zero biases, so their gradients are exercised
+            t.data[...] = rng.standard_normal(t.shape) * 0.5
+    xs = Tensor(rng.standard_normal((len(lengths), max(lengths), d_in)).astype(dtype),
+                requires_grad=True)
+    return store, p, xs, np.array(lengths)
+
+
+class TestHoistedGRU:
+    def test_gradients_vs_finite_differences(self):
+        store, p, xs, lengths = _gru_setup(np.float64, 3, 4, [4, 2, 1])
+        w = np.random.default_rng(5).standard_normal((3, 4))
+
+        def loss():
+            return (gru_final_hidden(xs, lengths, p, 4) * Tensor(w)).sum()
+
+        loss().backward()
+        params = [xs, *store.tensors()]
+        fd = finite_difference(lambda: loss().item(), params)
+        assert_grads_close(params, fd)
+
+    def test_matches_composed_gru(self):
+        store, p, xs, lengths = _gru_setup(np.float32, 64, 128, [12, 9, 5, 1, 12, 3, 7, 10])
+        w = np.random.default_rng(6).standard_normal((8, 128)).astype(np.float32)
+        params = [xs, *store.tensors()]
+        results = []
+        for run in (gru_final_hidden, reference_gru_final_hidden):
+            out = run(xs, lengths, p, 128)
+            (out * Tensor(w)).sum().backward()
+            results.append([out.data] + [t.grad for t in params])
+            for t in params:
+                t.zero_grad()
+        for got, want in zip(*results):
+            assert got.dtype == np.float32 and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    def test_finished_rows_keep_their_state(self):
+        _, p, xs, _ = _gru_setup(np.float64, 3, 4, [2, 2])
+        x_proj = gru_inputs(xs, p)[:, 0, :]
+        h_prev = Tensor(np.arange(8.0).reshape(2, 4), requires_grad=True)
+        out = gru_cell(x_proj, h_prev, p.u_r, p.u_u, p.u_h, np.array([[True], [False]]))
+        np.testing.assert_array_equal(out.data[1], h_prev.data[1])
+        out.sum().backward()
+        np.testing.assert_array_equal(h_prev.grad[1], np.ones(4))
+        # the finished row adds nothing to the weights' gradients
+        with_dead_row = [t.grad.copy() for t in (p.u_r, p.u_u, p.u_h)]
+        for t in (p.u_r, p.u_u, p.u_h):
+            t.zero_grad()
+        gru_cell(x_proj[:1], h_prev[:1], p.u_r, p.u_u, p.u_h, np.array([[True]])).sum().backward()
+        for got, alone in zip(with_dead_row, (p.u_r.grad, p.u_u.grad, p.u_h.grad)):
+            np.testing.assert_allclose(got, alone, rtol=1e-12, atol=1e-15)
 
 
 class TestGenerator:

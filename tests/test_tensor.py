@@ -8,10 +8,13 @@ from capgan.tensor import (
     DimensionError,
     DomainError,
     Tensor,
+    _is_basic_index,
+    attention,
     concat,
     cross_entropy,
     embedding,
     layer_norm,
+    linear,
     no_grad,
 )
 
@@ -45,6 +48,154 @@ class TestMatmul:
         ((a @ b) * (a @ b)).sum().backward()
         fd = finite_difference(lambda: float(((a.data @ b.data) ** 2).sum()), [a, b])
         assert_grads_close([a, b], fd)
+
+
+def reference_matmul(a: np.ndarray, w: np.ndarray, grad: np.ndarray):
+    """``a[..., T, d] @ w[d, e]`` the batched way the folded GEMM replaced:
+    (out, da, dw), dw as one [d, T] @ [T, e] product per leading index,
+    then summed."""
+    dw = np.matmul(np.swapaxes(a, -1, -2), grad)
+    while dw.ndim > 2:
+        dw = dw.sum(axis=0)
+    return np.matmul(a, w), np.matmul(grad, w.T), dw
+
+
+def reference_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The composed linear the one-node op replaced."""
+    out = x @ w
+    return out + b.broadcast_to(out.shape)
+
+
+def reference_attention(q: Tensor, k: Tensor, v: Tensor, mask, drop) -> Tensor:
+    """The composed scores / mask / softmax / dropout / ``@ v`` chain the
+    attention node replaced."""
+    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(q.shape[-1]))
+    scores = scores + Tensor(np.broadcast_to(mask, scores.shape).astype(q.dtype))
+    weights = scores.softmax(axis=-1)
+    if drop is not None:
+        weights = weights * Tensor(drop)
+    return weights @ v
+
+
+def _grads_of(make_out, inputs, weight):
+    """Forward value and the gradient of (out * weight).sum() for each input."""
+    for t in inputs:
+        t.zero_grad()
+    out = make_out()
+    (out * Tensor(weight)).sum().backward()
+    grads = [t.grad.copy() for t in inputs]
+    for t in inputs:
+        t.zero_grad()
+    return out.data, grads
+
+
+class TestFoldedMatmul:
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=["3-D", "4-D"])
+    def test_gradient(self, lead, rng):
+        a, w = param(rng, *lead, 4, 3), param(rng, 3, 5)
+        c = rng.standard_normal((*lead, 4, 5))
+        ((a @ w) * Tensor(c)).sum().backward()
+        fd = finite_difference(lambda: float(((a.data @ w.data) * c).sum()), [a, w])
+        assert_grads_close([a, w], fd)
+
+    @pytest.mark.parametrize("lead", [(8,), (4, 3)], ids=["3-D", "4-D"])
+    def test_matches_batched_products(self, lead, rng):
+        a = Tensor(rng.standard_normal((*lead, 23, 16)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((16, 12)).astype(np.float32), requires_grad=True)
+        c = rng.standard_normal((*lead, 23, 12)).astype(np.float32)
+        out, (da, dw) = _grads_of(lambda: a @ w, [a, w], c)
+        ref_out, ref_da, ref_dw = reference_matmul(a.data, w.data, c)
+        for got, want in ((out, ref_out), (da, ref_da), (dw, ref_dw)):
+            assert got.dtype == np.float32 and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+
+class TestLinear:
+    @pytest.mark.parametrize("shape", [(5,), (4, 5), (2, 3, 5)], ids=["1-D", "2-D", "3-D"])
+    def test_gradient(self, shape, rng):
+        x, w, b = param(rng, *shape), param(rng, 5, 3), param(rng, 3)
+        c = rng.standard_normal((*shape[:-1], 3))
+        (linear(x, w, b) * Tensor(c)).sum().backward()
+        fd = finite_difference(lambda: float(((x.data @ w.data + b.data) * c).sum()), [x, w, b])
+        assert_grads_close([x, w, b], fd)
+
+    def test_matches_composed(self, rng):
+        x = Tensor(rng.standard_normal((8, 23, 16)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((16, 12)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(12).astype(np.float32), requires_grad=True)
+        c = rng.standard_normal((8, 23, 12)).astype(np.float32)
+        out, grads = _grads_of(lambda: linear(x, w, b), [x, w, b], c)
+        ref_out, ref_grads = _grads_of(lambda: reference_linear(x, w, b), [x, w, b], c)
+        for got, want in zip([out, *grads], [ref_out, *ref_grads]):
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    def test_shape_contract(self, rng):
+        with pytest.raises(DimensionError):
+            linear(param(rng, 2, 5), param(rng, 5, 3), param(rng, 4))
+
+
+def _attention_case(name, rng, dtype):
+    """(q, k, v, mask, drop) for one masking case: batch 3, 2 heads,
+    3 query and 5 key positions, head width 4."""
+    batch, heads, t_q, t_k, width = 3, 2, 3, 5, 4
+
+    def t(*shape):
+        return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+
+    kv_batch = 1 if name == "shared k/v" else batch
+    q = t(batch, heads, t_q, width)
+    k, v = t(kv_batch, heads, t_k, width), t(kv_batch, heads, t_k, width)
+    if name == "causal":
+        mask = np.triu(np.full((t_q, t_k), -1e9, dtype=dtype), k=1 + t_k - t_q)
+    else:
+        alive = np.arange(t_k)[None, :] < np.array([5, 3, 1])[:, None]
+        mask = np.where(alive, 0.0, -1e9).astype(dtype)[:, None, None, :]
+    drop = None
+    if name == "dropout":
+        drop = ((rng.random((batch, heads, t_q, t_k)) < 0.7) / 0.7).astype(dtype)
+    return q, k, v, mask, drop
+
+
+ATTENTION_CASES = ["causal", "frame mask", "dropout", "shared k/v"]
+
+
+class TestAttention:
+    @pytest.mark.parametrize("case", ATTENTION_CASES)
+    def test_gradient(self, case, rng):
+        q, k, v, mask, drop = _attention_case(case, rng, np.float64)
+        c = rng.standard_normal(q.shape)
+        (attention(q, k, v, mask, drop) * Tensor(c)).sum().backward()
+        fd = finite_difference(
+            lambda: float((reference_attention(q, k, v, mask, drop).data * c).sum()), [q, k, v]
+        )
+        assert_grads_close([q, k, v], fd)
+
+    @pytest.mark.parametrize("case", ATTENTION_CASES)
+    def test_matches_composed(self, case, rng):
+        q, k, v, mask, drop = _attention_case(case, rng, np.float32)
+        c = rng.standard_normal(q.shape).astype(np.float32)
+        out, grads = _grads_of(lambda: attention(q, k, v, mask, drop), [q, k, v], c)
+        ref_out, ref_grads = _grads_of(
+            lambda: reference_attention(q, k, v, mask, drop), [q, k, v], c
+        )
+        for got, want in zip([out, *grads], [ref_out, *ref_grads]):
+            assert got.dtype == np.float32 and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    def test_masked_keys_get_no_weight(self, rng):
+        q, k, v, mask, _ = _attention_case("frame mask", rng, np.float64)
+        out = attention(q, k, v, mask).data
+        v_changed = v.data.copy()
+        v_changed[2, :, 1:] += 100.0  # row 2 sees only its first key
+        out_changed = attention(q, k, Tensor(v_changed), mask).data
+        np.testing.assert_array_equal(out[2], out_changed[2])
+
+    def test_key_batch_must_match_or_be_one(self, rng):
+        q = param(rng, 3, 2, 1, 4)
+        kv = param(rng, 2, 2, 5, 4)
+        with pytest.raises(DimensionError):
+            attention(q, kv, kv, np.zeros((1, 5)))
 
 
 class TestElementwise:
@@ -291,6 +442,67 @@ class TestShapeOps:
     def test_embedding_range_check(self):
         with pytest.raises(IndexError):
             embedding(Tensor(np.ones((3, 2)), requires_grad=True), np.array([3]))
+
+
+def add_at_gradient(shape, index, grad) -> np.ndarray:
+    """The gradient of ``x[index]`` through ``np.add.at``, the general path."""
+    full = np.zeros(shape)
+    np.add.at(full, index, grad)
+    return full
+
+
+BASIC_INDICES = {
+    "slice": np.s_[1:4],
+    "int": np.s_[2],
+    "int and slice": np.s_[:, 1],
+    "strided": np.s_[..., ::2],
+    "new axis": np.s_[None, 1:3, -1],
+    "negative int": np.s_[-1, 1:],
+}
+
+
+class TestGetitemBackward:
+    @pytest.mark.parametrize("name", sorted(BASIC_INDICES))
+    def test_basic_index_bit_identical_to_add_at(self, name, rng):
+        index = BASIC_INDICES[name]
+        assert _is_basic_index(index)
+        x = param(rng, 5, 3)
+        g = rng.standard_normal(x.data[index].shape)
+        (x[index] * Tensor(g)).sum().backward()
+        assert x.grad.tobytes() == add_at_gradient(x.shape, index, g).tobytes()
+
+    def test_overlapping_slices_bit_identical_to_add_at(self, rng):
+        x = param(rng, 5, 3)
+        g1, g2 = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+        ((x[1:4] * Tensor(g1)).sum() + (x[0:3] * Tensor(g2)).sum()).backward()
+        expected = add_at_gradient(x.shape, np.s_[1:4], g1)
+        expected += add_at_gradient(x.shape, np.s_[0:3], g2)
+        assert x.grad.tobytes() == expected.tobytes()
+
+    def test_interior_node_slices(self, rng):
+        # the slices' gradients land in an op output's transient gradient
+        x = param(rng, 4, 6)
+        y = x * 2.0
+        (y[:, :3] * y[:, 3:]).sum().backward()
+        fd = finite_difference(lambda: float(4.0 * (x.data[:, :3] * x.data[:, 3:]).sum()), [x])
+        assert_grads_close([x], fd)
+
+    @pytest.mark.parametrize(
+        "index",
+        [(np.arange(3), np.arange(3)), np.array([0, 0, 2]), [1, 1], np.array([True, False, True])],
+        ids=["diagonal", "repeated rows", "list", "bool mask"],
+    )
+    def test_advanced_index_accumulates_through_add_at(self, index, rng):
+        assert not _is_basic_index(index)
+        x = param(rng, 3, 3)
+        g = rng.standard_normal(x.data[index].shape)
+        (x[index] * Tensor(g)).sum().backward()
+        assert x.grad.tobytes() == add_at_gradient(x.shape, index, g).tobytes()
+
+    def test_repeated_rows_sum(self):
+        x = Tensor(np.zeros((3, 2)), requires_grad=True)
+        x[np.array([0, 0, 2])].sum().backward()
+        np.testing.assert_array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
 
 class TestLayerNorm:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -745,6 +746,55 @@ class TestAdversarial:
         )
         # the second encode is the surrogate loss's taped forward
         assert events == ["encode", ("rollout", True), ("rollout", True), "encode"]
+
+
+class TestFloat32:
+    """Under NEP 50 a float64 scale or array anywhere in a step upcasts the
+    float32 data it touches; one step of each kind must stay float32."""
+
+    SPIED = {"generator": ("encode", "forward"), "discriminator": ("forward",),
+             "semantic": ("embed_audio", "embed_caption")}
+
+    def _spy_outputs(self, monkeypatch, models, outputs):
+        for model in models:
+            for name in self.SPIED[model.kind]:
+                def spy(*args, _real=getattr(model, name), _name=f"{model.kind}.{name}",
+                        **kwargs):
+                    out = _real(*args, **kwargs)
+                    outputs.append((_name, out.dtype))
+                    return out
+
+                monkeypatch.setattr(model, name, spy)
+
+    def test_mle_d_se_and_scst_steps_stay_float32(self, monkeypatch):
+        train, _, vocab, gen, d, se = tiny_setup()
+        # dropout on, so its masks are in the steps too
+        gen = Generator(dataclasses.replace(gen.config, dropout=0.1), np.random.default_rng(0))
+        config = tiny_train_config(mle_epochs=1, d_pretrain_epochs=1, se_pretrain_epochs=1)
+        oracles = RewardOracles(d, se, build_doc_freq([r.references for r in train.records]),
+                                vocab)
+        batch = epoch_batches(train, vocab, 4, np.random.default_rng(0), t_max=12)[0]
+        outputs = []
+        self._spy_outputs(monkeypatch, (gen, d, se), outputs)
+        steps = {
+            "MLE": (gen, lambda: mle_pretrain(gen, train, None, vocab, config)),
+            "D": (d, lambda: d_pretrain(d, gen, train, vocab, config)),
+            "SE": (se, lambda: semantic_pretrain(se, train, vocab, config)),
+            "SCST": (gen, lambda: scst_generator_step(
+                gen, Adam(gen.store.tensors(), lr=1e-3), batch,
+                {r.clip_id: r for r in train.records}, oracles, config,
+                np.random.default_rng(1), np.random.default_rng(2),
+            )),
+        }
+        for what, (model, step) in steps.items():
+            outputs.clear()
+            step()
+            trained = {name[: name.index(".")] for name, _ in outputs}
+            assert model.kind in trained, what
+            assert all(dtype == np.float32 for _, dtype in outputs), (what, outputs)
+            grads = [p.grad for p in model.store.tensors() if p.grad is not None]
+            assert grads and all(g.dtype == np.float32 for g in grads), what
+            assert all(p.data.dtype == np.float32 for p in model.store.tensors()), what
 
 
 class TestTrainLog:
