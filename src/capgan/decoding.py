@@ -1,6 +1,7 @@
 """Caption generation: ``rollout`` decodes a batch greedily or by
-multinomial sampling, ``beam_decode`` runs beam search over one clip, and
-``generate_diverse_set`` builds a clip's n captions from beam search.
+multinomial sampling, ``beam_decode`` runs beam search of G noise groups
+over one clip, and ``generate_diverse_set`` builds a clip's n captions
+from one beam search.
 
 Both decoders work on any model exposing ``encode(features, feat_lengths,
 z)`` and ``step_logits(features, feat_lengths, z, prefix, memory=...,
@@ -120,50 +121,73 @@ def rollout(
 
 def beam_decode(model, features, feat_lengths, z, beam_size: int = 5,
                 max_length: int = 22):
-    """Length-normalized beam search over a single clip.
+    """Length-normalized beam search of G noise groups over one clip.
 
-    Returns up to beam_size distinct (sequence, score) pairs, best first;
-    score is mean log-probability per emitted token.
+    ``features`` [1, F, feat_dim] is the clip and ``z`` [G, noise_dim] holds
+    one noise vector per group. Each group runs its own beam, and the G
+    beams advance together: one ``step_logits`` call per step over every
+    group's live rows, group-major.
+
+    Returns one list per group of up to beam_size distinct (sequence,
+    score) pairs, best first; score is mean log-probability per emitted
+    token.
     """
     if features.shape[0] != 1:
         raise ValueError("beam_decode works on a single clip")
-    live = np.full((1, 1), SOS, dtype=np.int64)  # one row per live hypothesis
-    finished: list[tuple[list[int], float]] = []
+    groups = len(z)
+    live = np.full((groups, 1), SOS, dtype=np.int64)  # `width` rows per group
+    width = 1
+    finished: list[list[tuple[list[int], float]]] = [[] for _ in range(groups)]
 
     with no_grad():
-        # the clip's memory and cross-attention keys/values have batch 1
-        # and broadcast across however many hypotheses are live
+        # one memory per group; each group's rows share its cross-attention
+        # keys/values, which the model projects once and never reorders
         memory = model.encode(features, feat_lengths, z)
         cache = DecodeCache()
         for step in range(max_length + 1):
-            if not len(live):
-                break
             logits = _forbid_markers(model.step_logits(
                 features, feat_lengths, z, live[:, -1:], memory=memory, cache=cache
             ))
             if step == 0:
                 logits[..., EOS] = -1e9  # minimum caption length of one word
-                totals = np.zeros(1, dtype=logits.dtype)  # log-prob per live row
-            candidates = totals[:, None] + _log_softmax(logits)
-            # best first by mean log-prob; stable, so ties keep (row, token) order
-            order = np.argsort(-(candidates / (step + 1)), axis=None, kind="stable")
-            rows, tokens = np.divmod(order, candidates.shape[1])
+                totals = np.zeros(groups, dtype=logits.dtype)  # log-prob per live row
+            vocab = logits.shape[1]
+            candidates = (totals[:, None] + _log_softmax(logits)).reshape(groups, width * vocab)
+            # best first by mean log-prob, per group; stable, so ties keep
+            # (row, token) order
+            order = np.argsort(-(candidates / (step + 1)), axis=1, kind="stable")
+            rows, tokens = np.divmod(order, vocab)
             ended = tokens == EOS
-            # walk the ranking until beam_size hypotheses stay open; every
-            # ended one passed on the way is finished
-            taken = np.cumsum(~ended) - ~ended < beam_size
-            for i in np.flatnonzero(taken & ended):
-                finished.append((live[rows[i]].tolist() + [EOS], candidates.flat[order[i]]))
+            # walk each group's ranking until beam_size hypotheses stay
+            # open; every ended one passed on the way is finished
+            taken = np.cumsum(~ended, axis=1) - ~ended < beam_size
+            for g, i in zip(*np.nonzero(taken & ended)):
+                finished[g].append(
+                    (live[g * width + rows[g, i]].tolist() + [EOS], candidates[g, order[g, i]])
+                )
             keep = taken & ~ended
-            cache.reorder(rows[keep])
-            live = np.concatenate([live[rows[keep]], tokens[keep, None]], axis=1)
-            totals = candidates.flat[order[keep]]
-        live = [(row.tolist(), total) for row, total in zip(live, totals)]
-    finished.extend(live)  # length-capped hypotheses count as complete
-    finished.sort(key=lambda c: c[1] / (len(c[0]) - 1), reverse=True)
+            parents = (np.arange(groups)[:, None] * width + rows)[keep]
+            # each row has exactly one <eos> candidate, so every group keeps
+            # the same number of open hypotheses
+            width = min(beam_size, width * (vocab - 1))
+            assert (keep.sum(axis=1) == width).all()
+            cache.reorder(parents)
+            live = np.concatenate([live[parents], tokens[keep, None]], axis=1)
+            totals = np.take_along_axis(candidates, order, axis=1)[keep]
+    # length-capped hypotheses count as complete
+    live = [(row.tolist(), total) for row, total in zip(live, totals)]
+    return [
+        _best_distinct(finished[g] + live[g * width : (g + 1) * width], beam_size)
+        for g in range(groups)
+    ]
+
+
+def _best_distinct(hypotheses, beam_size: int):
+    """Up to beam_size distinct (sequence, mean log-prob) pairs, best first."""
+    hypotheses = sorted(hypotheses, key=lambda c: c[1] / (len(c[0]) - 1), reverse=True)
     out = []
     seen = set()
-    for tokens, total in finished:
+    for tokens, total in hypotheses:
         key = tuple(tokens)
         if key in seen:
             continue
@@ -178,25 +202,24 @@ def generate_diverse_set(model, features, feat_lengths, config: DecodeConfig,
                          rng: np.random.Generator, mode: str = "gan"):
     """n captions for one clip.
 
-    gan: fresh noise vector per caption, beam top-1 each (duplicates kept).
+    gan: one noise vector per caption, all n decoded as the groups of one
+    beam search, each group's top-1 kept (duplicates kept).
     mle: zero noise, the beam's top-n distinct hypotheses.
     Returns (sequences, scores, underfilled_flag).
     """
     noise_dim = model.config.noise_dim
     if mode == "gan":
-        sequences, scores = [], []
-        for _ in range(config.n_captions):
-            z = rng.standard_normal((1, noise_dim))
-            ranked = beam_decode(
-                model, features, feat_lengths, z,
-                beam_size=config.beam_size, max_length=config.max_length,
-            )
-            sequences.append(ranked[0][0])
-            scores.append(ranked[0][1])
+        z = rng.standard_normal((config.n_captions, noise_dim))
+        ranked = beam_decode(
+            model, features, feat_lengths, z,
+            beam_size=config.beam_size, max_length=config.max_length,
+        )
+        sequences = [group[0][0] for group in ranked]
+        scores = [group[0][1] for group in ranked]
         return sequences, scores, False
     if mode == "mle":
         z = np.zeros((1, noise_dim))
-        ranked = beam_decode(
+        [ranked] = beam_decode(
             model, features, feat_lengths, z,
             beam_size=max(config.beam_size, config.n_captions),
             max_length=config.max_length,

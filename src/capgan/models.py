@@ -236,7 +236,8 @@ class DecodeCache:
 
     def reorder(self, rows: np.ndarray) -> None:
         """Keep the self-attention rows of the given parents, in order;
-        a parent may repeat or be dropped."""
+        a parent may repeat or be dropped. The cross-attention keys/values
+        are per clip or per noise group, not per row, and stay as they are."""
         self.self_kv = [(keys[rows], values[rows]) for keys, values in self.self_kv]
 
 
@@ -285,14 +286,21 @@ class Generator:
     # encoder + conditioning path
 
     def encode(self, features: np.ndarray, feat_lengths: np.ndarray, z: np.ndarray) -> Tensor:
-        """[B, F, feat_dim] + noise [B, noise_dim] -> memory [B, F, d_model]."""
+        """[B, F, feat_dim] + noise [B, noise_dim] -> memory [B, F, d_model].
+
+        One clip [1, F, feat_dim] with noise [G, noise_dim] gives G memories:
+        the z-free trunk (input projection and conv) runs once, and its
+        output is repeated for each noise row before the noise merge.
+        """
         p = self.params
         x = _const(features, self.dtype)
         h = linear(x, p["enc.in.w"], p["enc.in.b"]).relu()
         h = conv1d_k3(
             h, p["enc.conv.w_l"], p["enc.conv.w_c"], p["enc.conv.w_r"], p["enc.conv.b"]
         ).relu()
-        batch, frames, _ = h.shape
+        batch, frames = len(z), h.shape[1]
+        if h.shape[0] != batch:
+            h = h.broadcast_to((batch, frames, self.config.d_model))
         z_t = _const(np.asarray(z, dtype=self.dtype)[:, None, :], self.dtype)
         z_b = z_t.broadcast_to((batch, frames, self.config.noise_dim))
         merged = concat([h, z_b], axis=2)
@@ -314,12 +322,18 @@ class Generator:
     def _attention(self, x, keys, values, mask_np, layer, block, drop_rng):
         """Multi-head attention of queries from x over per-head keys/values.
 
-        keys/values may have batch 1 against a larger query batch (one
-        clip's memory shared by every beam hypothesis).
+        keys/values may have batch G against a query batch of G·n rows, as
+        in beam search, where each noise group's n hypotheses share that
+        group's memory: the rows are folded into the query axis, so each
+        group attends as one [n, d] query block.
         """
         p = self.params
         c = self.config
         batch, t_q, _ = x.shape
+        if keys.shape[0] != batch:
+            shared = x.reshape(keys.shape[0], -1, c.d_model)
+            out = self._attention(shared, keys, values, mask_np, layer, block, drop_rng)
+            return out.reshape(batch, t_q, c.d_model)
         qh = self._heads(x @ p[f"dec.{layer}.{block}.q"])
         drop = dropout_mask(
             (batch, c.n_heads, t_q, keys.shape[2]), c.dropout, drop_rng, self.dtype.type

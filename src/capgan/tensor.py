@@ -492,16 +492,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
     """``dropout(softmax(q k^T / sqrt(d) + mask)) v`` over the last two axes,
     as one node whose backward reuses the saved softmax.
 
-    q is [B, H, Tq, d]; k and v are [B, H, Tk, d], or [1, H, Tk, d] shared
-    by every query row. ``mask`` is additive and broadcasts to the scores
-    [B, H, Tq, Tk]; ``drop`` is a multiplier of that shape (0, or 1/keep).
+    q is [B, H, Tq, d]; k and v are [B, H, Tk, d]. ``mask`` is additive and
+    broadcasts to the scores [B, H, Tq, Tk]; ``drop`` is a multiplier of
+    that shape (0, or 1/keep).
     """
-    if k.shape != v.shape or k.shape[1:] != (q.shape[1], k.shape[2], q.shape[3]):
+    if k.shape != v.shape or k.shape != (*q.shape[:2], k.shape[2], q.shape[3]):
         raise DimensionError(
-            f"attention needs matching heads and widths, got {q.shape}, {k.shape}, {v.shape}"
+            f"attention needs matching batch, heads and widths, got {q.shape}, {k.shape}, "
+            f"{v.shape}"
         )
-    if k.shape[0] not in (1, q.shape[0]):
-        raise DimensionError(f"attention key batch {k.shape[0]} for query batch {q.shape[0]}")
     scale = 1.0 / float(np.sqrt(q.shape[-1]))
     scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
     scores *= scale
@@ -514,7 +513,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
 
     def backward(grad):
         if v.requires_grad:
-            v._accumulate(_sum_to_shape(np.matmul(np.swapaxes(weights, -1, -2), grad), v.shape))
+            v._accumulate(np.matmul(np.swapaxes(weights, -1, -2), grad))
         if not (q.requires_grad or k.requires_grad):
             return
         d_probs = np.matmul(grad, np.swapaxes(v.data, -1, -2))
@@ -525,9 +524,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
         if q.requires_grad:
             q._accumulate(np.matmul(d_scores, k.data))
         if k.requires_grad:
-            k._accumulate(
-                _sum_to_shape(np.matmul(np.swapaxes(d_scores, -1, -2), q.data), k.shape)
-            )
+            k._accumulate(np.matmul(np.swapaxes(d_scores, -1, -2), q.data))
 
     return Tensor._from_op(out_data, (q, k, v), backward)
 

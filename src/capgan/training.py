@@ -372,7 +372,9 @@ def scst_surrogate_loss(gen: Generator, batch, z: np.ndarray,
     onehot = np.zeros(log_probs.shape, dtype=log_probs.dtype)
     np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
     picked = (log_probs * Tensor(onehot)).sum(axis=-1)  # [B, T]
-    weighted = picked * Tensor(mask * advantages[:, None])
+    # in the log-probs' dtype, so the [B, T, V] backward stays float32
+    weights = (mask * advantages[:, None]).astype(log_probs.dtype)
+    weighted = picked * Tensor(weights)
     return -weighted.sum() * (1.0 / len(sampled))
 
 

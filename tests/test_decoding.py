@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from capgan import decoding
 from capgan.decoding import (
     DecodeConfig,
     _forbid_markers,
@@ -14,6 +15,8 @@ from capgan.decoding import (
     rollout,
     write_captions,
 )
+from capgan.models import DecodeCache
+from capgan.tensor import no_grad
 from capgan.text import EOS, PAD, SOS
 
 from test_models import default_generator, tiny_generator, tiny_inputs
@@ -38,6 +41,22 @@ class ToyModel:
         for b in range(prefix.shape[0]):
             out[b] = self.tables.get(int(prefix[b, -1]), fallback)
         return out
+
+
+class NoisyToyModel(ToyModel):
+    """ToyModel whose logits are scaled by exp(z[0]) of the row's noise
+    vector, so noise groups rank differently while exact ties stay tied.
+    The noise is its own memory; with a given memory of G rows, the prefix
+    rows are G equal, consecutive groups."""
+
+    def encode(self, features, feat_lengths, z):
+        return np.asarray(z, dtype=float)
+
+    def step_logits(self, features, feat_lengths, z, prefix, memory=None, cache=None):
+        if memory is None:
+            memory = self.encode(features, feat_lengths, z)
+        scale = np.repeat(np.exp(memory[:, :1]), prefix.shape[0] // len(memory), axis=0)
+        return super().step_logits(features, feat_lengths, z, prefix) * scale
 
 
 def toy_inputs(batch=1):
@@ -110,6 +129,44 @@ def reference_beam(model, features, feat_lengths, z, beam_size, max_length):
             else:
                 live.append((tokens, total))
     finished.extend(live)
+    finished.sort(key=lambda c: c[1] / (len(c[0]) - 1), reverse=True)
+    out, seen = [], set()
+    for tokens, total in finished:
+        if tuple(tokens) not in seen:
+            seen.add(tuple(tokens))
+            out.append((tokens, total / (len(tokens) - 1)))
+        if len(out) == beam_size:
+            break
+    return out
+
+
+def single_group_beam(model, features, feat_lengths, z, beam_size, max_length):
+    """The one-noise-vector beam search that ran once per noise vector
+    before groups were batched: cached steps, one flat stable argsort."""
+    live = np.full((1, 1), SOS, dtype=np.int64)
+    finished = []
+    with no_grad():
+        memory = model.encode(features, feat_lengths, z)
+        cache = DecodeCache()
+        for step in range(max_length + 1):
+            logits = _forbid_markers(model.step_logits(
+                features, feat_lengths, z, live[:, -1:], memory=memory, cache=cache
+            ))
+            if step == 0:
+                logits[..., EOS] = -1e9
+                totals = np.zeros(1, dtype=logits.dtype)
+            candidates = totals[:, None] + _log_softmax(logits)
+            order = np.argsort(-(candidates / (step + 1)), axis=None, kind="stable")
+            rows, tokens = np.divmod(order, candidates.shape[1])
+            ended = tokens == EOS
+            taken = np.cumsum(~ended) - ~ended < beam_size
+            for i in np.flatnonzero(taken & ended):
+                finished.append((live[rows[i]].tolist() + [EOS], candidates.flat[order[i]]))
+            keep = taken & ~ended
+            cache.reorder(rows[keep])
+            live = np.concatenate([live[rows[keep]], tokens[keep, None]], axis=1)
+            totals = candidates.flat[order[keep]]
+    finished.extend((row.tolist(), total) for row, total in zip(live, totals))
     finished.sort(key=lambda c: c[1] / (len(c[0]) - 1), reverse=True)
     out, seen = [], set()
     for tokens, total in finished:
@@ -217,20 +274,20 @@ class TestBeam:
         rng = np.random.default_rng(4)
         features, feat_lengths, z, _ = tiny_inputs(rng, batch=1)
         [greedy], _ = rollout(gen, features, feat_lengths, z, "greedy", max_length=6)
-        ranked = beam_decode(gen, features, feat_lengths, z, beam_size=1, max_length=6)
+        [ranked] = beam_decode(gen, features, feat_lengths, z, beam_size=1, max_length=6)
         assert ranked[0][0] == greedy
 
     def test_beam_one_equals_greedy_toy(self):
         model = ToyModel(PEAKED)
         features, lens, z = toy_inputs()
         [greedy], _ = rollout(model, features, lens, z, "greedy", max_length=3)
-        ranked = beam_decode(model, features, lens, z, beam_size=1, max_length=3)
+        [ranked] = beam_decode(model, features, lens, z, beam_size=1, max_length=3)
         assert ranked[0][0] == greedy
 
     def test_top_hypothesis_matches_brute_force(self):
         model = ToyModel(PEAKED)
         features, lens, z = toy_inputs()
-        ranked = beam_decode(model, features, lens, z, beam_size=16, max_length=3)
+        [ranked] = beam_decode(model, features, lens, z, beam_size=16, max_length=3)
         paths = enumerate_paths(model, max_steps=3)
         best = max(paths, key=lambda p: p[1] / (len(p[0]) - 1))
         assert ranked[0][0] == best[0]
@@ -239,7 +296,7 @@ class TestBeam:
     def test_sorted_and_distinct(self):
         model = ToyModel(PEAKED)
         features, lens, z = toy_inputs()
-        ranked = beam_decode(model, features, lens, z, beam_size=5, max_length=3)
+        [ranked] = beam_decode(model, features, lens, z, beam_size=5, max_length=3)
         scores = [s for _, s in ranked]
         assert scores == sorted(scores, reverse=True)
         assert len({tuple(t) for t, _ in ranked}) == len(ranked)
@@ -248,8 +305,8 @@ class TestBeam:
         model = ToyModel(PEAKED)
         shifted = ToyModel({k: np.asarray(v) + 7.5 for k, v in PEAKED.items()})
         features, lens, z = toy_inputs()
-        a = beam_decode(model, features, lens, z, beam_size=4, max_length=3)
-        b = beam_decode(shifted, features, lens, z, beam_size=4, max_length=3)
+        [a] = beam_decode(model, features, lens, z, beam_size=4, max_length=3)
+        [b] = beam_decode(shifted, features, lens, z, beam_size=4, max_length=3)
         assert [t for t, _ in a] == [t for t, _ in b]
 
 
@@ -261,14 +318,14 @@ class TestBeamOracle:
     def test_toy_tables(self, table, beam_size):
         model = ToyModel(table)
         features, lens, z = toy_inputs()
-        got = beam_decode(model, features, lens, z, beam_size=beam_size, max_length=3)
+        [got] = beam_decode(model, features, lens, z, beam_size=beam_size, max_length=3)
         assert got == reference_beam(model, features, lens, z, beam_size, max_length=3)
 
     @pytest.mark.parametrize("beam_size", [1, 4, 16])
     def test_tiny_generator(self, beam_size):
         gen = tiny_generator(n_layers=2)
         features, feat_lengths, z, _ = tiny_inputs(np.random.default_rng(20), batch=1)
-        got = beam_decode(gen, features, feat_lengths, z, beam_size=beam_size, max_length=6)
+        [got] = beam_decode(gen, features, feat_lengths, z, beam_size=beam_size, max_length=6)
         want = reference_beam(gen, features, feat_lengths, z, beam_size, max_length=6)
         assert [t for t, _ in got] == [t for t, _ in want]
         np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-12)
@@ -305,10 +362,66 @@ class TestFullRecomputeReference:
         features = rng.standard_normal((1, 9, c.feat_dim))
         feat_lengths = np.array([8])
         z = rng.standard_normal((1, c.noise_dim))
-        got = beam_decode(gen, features, feat_lengths, z, beam_size=beam_size, max_length=8)
+        [got] = beam_decode(gen, features, feat_lengths, z, beam_size=beam_size, max_length=8)
         want = reference_beam(gen, features, feat_lengths, z, beam_size, max_length=8)
         assert [t for t, _ in got] == [t for t, _ in want]
         np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-5)
+
+
+class TestGroupedBeam:
+    """G noise groups in one search against each group searched alone."""
+
+    GROUP_Z = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+
+    @pytest.mark.parametrize("beam_size", [1, 4, 16])
+    @pytest.mark.parametrize("table", [PEAKED, TIED], ids=["peaked", "tied"])
+    def test_toy_tables(self, table, beam_size):
+        # beam 16 grows the width 1 -> 5 -> 16 over the first steps
+        model = NoisyToyModel(table)
+        features, lens, _ = toy_inputs()
+        got = beam_decode(model, features, lens, self.GROUP_Z, beam_size=beam_size, max_length=3)
+        assert len(got) == len(self.GROUP_Z)
+        for g, ranked in enumerate(got):
+            want = reference_beam(
+                model, features, lens, self.GROUP_Z[g : g + 1], beam_size, max_length=3
+            )
+            assert ranked == want, g
+        if table is PEAKED:
+            # the scale moves PEAKED's scores, so the groups are not copies;
+            # TIED's log-probs are uniform at any scale
+            assert got[0] != got[1] != got[2]
+
+    @pytest.mark.parametrize("beam_size", [1, 5])
+    def test_generator(self, beam_size):
+        gen = TestFullRecomputeReference.generator()
+        c = gen.config
+        rng = np.random.default_rng(22)
+        features = rng.standard_normal((1, 9, c.feat_dim))
+        feat_lengths = np.array([8])
+        z = rng.standard_normal((3, c.noise_dim))
+        got = beam_decode(gen, features, feat_lengths, z, beam_size=beam_size, max_length=8)
+        assert len(got) == 3
+        for g, ranked in enumerate(got):
+            want = reference_beam(gen, features, feat_lengths, z[g : g + 1], beam_size,
+                                  max_length=8)
+            assert [t for t, _ in ranked] == [t for t, _ in want], g
+            np.testing.assert_allclose([s for _, s in ranked], [s for _, s in want],
+                                       rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("beam_size", [1, 5])
+    def test_one_group_equals_single_search(self, beam_size):
+        # mle mode's zero-noise search
+        gen = TestFullRecomputeReference.generator()
+        c = gen.config
+        rng = np.random.default_rng(24)
+        features = rng.standard_normal((1, 9, c.feat_dim))
+        feat_lengths = np.array([9])
+        z = np.zeros((1, c.noise_dim))
+        [got] = beam_decode(gen, features, feat_lengths, z, beam_size=beam_size,
+                            max_length=c.t_max)
+        want = single_group_beam(gen, features, feat_lengths, z, beam_size, c.t_max)
+        assert got == want  # bit-identical captions and scores
+        assert all(type(s) is type(w) for (_, s), (_, w) in zip(got, want))
 
 
 class TestGivenMemory:
@@ -345,6 +458,37 @@ class TestDiverseSet:
         )
         assert len(seqs) == 5 and len(scores) == 5
         assert not flagged
+
+    def test_gan_mode_is_one_grouped_search(self, monkeypatch):
+        gen = TestFullRecomputeReference.generator()
+        c = gen.config
+        rng = np.random.default_rng(25)
+        features = rng.standard_normal((1, 9, c.feat_dim))
+        feat_lengths = np.array([7])
+        config = DecodeConfig(beam_size=5, max_length=c.t_max, n_captions=5)
+        # reference: one single-noise beam search per caption, noise drawn
+        # as n (1, noise_dim) rows from the same seeded stream
+        ref_rng = np.random.default_rng(42)
+        want = []
+        for _ in range(config.n_captions):
+            z = ref_rng.standard_normal((1, c.noise_dim))
+            [ranked] = beam_decode(gen, features, feat_lengths, z, beam_size=config.beam_size,
+                                   max_length=config.max_length)
+            want.append(ranked[0])
+
+        beams, encodes = [], []
+        real_beam, real_encode = decoding.beam_decode, gen.encode
+        monkeypatch.setattr(decoding, "beam_decode",
+                            lambda *a, **k: beams.append(a[3].shape) or real_beam(*a, **k))
+        monkeypatch.setattr(gen, "encode", lambda *a: encodes.append(a) or real_encode(*a))
+        seqs, scores, flagged = generate_diverse_set(
+            gen, features, feat_lengths, config, np.random.default_rng(42), mode="gan"
+        )
+        assert beams == [(config.n_captions, c.noise_dim)]
+        assert len(encodes) == 1
+        assert not flagged
+        assert seqs == [t for t, _ in want]
+        np.testing.assert_allclose(scores, [s for _, s in want], rtol=0, atol=1e-5)
 
     def test_mle_mode_distinct_and_deterministic(self):
         gen = tiny_generator()

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from capgan import models
 from capgan.models import (
     CheckpointError,
     DecodeCache,
@@ -14,6 +15,7 @@ from capgan.models import (
     ParamStore,
     SemanticEvaluator,
     SemanticEvaluatorConfig,
+    conv1d_k3,
     gru_final_hidden,
     gru_inputs,
     l2_normalize,
@@ -21,7 +23,15 @@ from capgan.models import (
     restore_model,
     save_checkpoint,
 )
-from capgan.tensor import DomainError, Tensor, cross_entropy, gru_cell, linear, no_grad
+from capgan.tensor import (
+    DomainError,
+    Tensor,
+    concat,
+    cross_entropy,
+    gru_cell,
+    linear,
+    no_grad,
+)
 from capgan.text import EOS, PAD
 
 from conftest import assert_grads_close, finite_difference
@@ -228,6 +238,53 @@ class TestGenerator:
         assert_grads_close(params, fd, rtol=1e-3)
 
 
+def reference_encode(gen, features, z):
+    """The encoder with one noise row per clip row: the trunk runs on every
+    row, then each row's noise is concatenated to its frames."""
+    p = gen.params
+    h = linear(Tensor(features.astype(gen.dtype)), p["enc.in.w"], p["enc.in.b"]).relu()
+    h = conv1d_k3(
+        h, p["enc.conv.w_l"], p["enc.conv.w_c"], p["enc.conv.w_r"], p["enc.conv.b"]
+    ).relu()
+    batch, frames, _ = h.shape
+    z_b = np.broadcast_to(np.asarray(z, dtype=gen.dtype)[:, None, :],
+                          (batch, frames, gen.config.noise_dim))
+    return linear(concat([h, Tensor(z_b)], axis=2), p["noise.w"], p["noise.b"])
+
+
+class TestGroupedEncode:
+    """One clip with G noise rows: the z-free trunk runs once."""
+
+    def test_batch_matched_encode_unchanged(self):
+        gen = default_generator(seed=1)
+        c = gen.config
+        rng = np.random.default_rng(15)
+        features = rng.standard_normal((3, 9, c.feat_dim))
+        z = rng.standard_normal((3, c.noise_dim))
+        got = gen.encode(features, np.array([9, 7, 9]), z).data
+        np.testing.assert_array_equal(got, reference_encode(gen, features, z).data)
+
+    @pytest.mark.parametrize("make", [default_generator, tiny_generator], ids=["default", "tiny"])
+    def test_one_clip_many_noise_rows_equals_per_row_encodes(self, make, monkeypatch):
+        gen = make()
+        c = gen.config
+        rng = np.random.default_rng(16)
+        features = rng.standard_normal((1, 7, c.feat_dim))
+        z = rng.standard_normal((4, c.noise_dim))
+        per_row = np.concatenate(
+            [gen.encode(features, np.array([7]), z[g : g + 1]).data for g in range(4)]
+        )
+        conv_batches = []
+        real_conv = models.conv1d_k3
+        monkeypatch.setattr(
+            models, "conv1d_k3", lambda x, *w: conv_batches.append(x.shape[0]) or real_conv(x, *w)
+        )
+        grouped = gen.encode(features, np.array([7]), z).data
+        assert conv_batches == [1]  # the trunk ran on the clip's own row
+        assert grouped.shape == (4, 7, c.d_model)
+        np.testing.assert_array_equal(grouped, per_row)
+
+
 class TestDecodeCache:
     """Cached one-position steps against the full-prefix forward pass."""
 
@@ -290,6 +347,31 @@ class TestDecodeCache:
                     features, feat_lengths, z, rows[:, t : t + 1], memory=memory, cache=cache
                 )
                 full = gen.forward(*reps, rows[:, : t + 1]).data[:, -1]
+                np.testing.assert_allclose(step, full, rtol=0, atol=1e-12)
+
+    def test_noise_groups_share_their_memory(self):
+        # one clip, two noise groups; after the first position each group
+        # grows to three hypotheses, which attend to their group's memory
+        gen = tiny_generator(n_layers=2)
+        rng = np.random.default_rng(18)
+        features, feat_lengths, _, _ = tiny_inputs(rng, batch=1)
+        z = rng.standard_normal((2, gen.config.noise_dim))
+        parents = np.array([0, 0, 0, 1, 1, 1])
+        rows = rng.integers(3, 11, size=(6, 4))
+        rows[:, 0] = 1
+        row_z = z[parents]
+        reps = [np.repeat(a, 6, axis=0) for a in (features, feat_lengths)]
+        with no_grad():
+            memory = gen.encode(features, feat_lengths, z)
+            cache = DecodeCache()
+            gen.step_logits(features, feat_lengths, z, rows[[0, 3], :1], memory=memory,
+                            cache=cache)
+            cache.reorder(parents)
+            for t in range(1, rows.shape[1]):
+                step = gen.step_logits(
+                    features, feat_lengths, z, rows[:, t : t + 1], memory=memory, cache=cache
+                )
+                full = gen.forward(*reps, row_z, rows[:, : t + 1]).data[:, -1]
                 np.testing.assert_allclose(step, full, rtol=0, atol=1e-12)
 
     def test_memory_projected_once(self, monkeypatch):

@@ -143,9 +143,8 @@ def _attention_case(name, rng, dtype):
     def t(*shape):
         return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
 
-    kv_batch = 1 if name == "shared k/v" else batch
     q = t(batch, heads, t_q, width)
-    k, v = t(kv_batch, heads, t_k, width), t(kv_batch, heads, t_k, width)
+    k, v = t(batch, heads, t_k, width), t(batch, heads, t_k, width)
     if name == "causal":
         mask = np.triu(np.full((t_q, t_k), -1e9, dtype=dtype), k=1 + t_k - t_q)
     else:
@@ -157,7 +156,7 @@ def _attention_case(name, rng, dtype):
     return q, k, v, mask, drop
 
 
-ATTENTION_CASES = ["causal", "frame mask", "dropout", "shared k/v"]
+ATTENTION_CASES = ["causal", "frame mask", "dropout"]
 
 
 class TestAttention:
@@ -191,9 +190,10 @@ class TestAttention:
         out_changed = attention(q, k, Tensor(v_changed), mask).data
         np.testing.assert_array_equal(out[2], out_changed[2])
 
-    def test_key_batch_must_match_or_be_one(self, rng):
+    @pytest.mark.parametrize("kv_batch", [1, 2])
+    def test_key_batch_must_match(self, kv_batch, rng):
         q = param(rng, 3, 2, 1, 4)
-        kv = param(rng, 2, 2, 5, 4)
+        kv = param(rng, kv_batch, 2, 5, 4)
         with pytest.raises(DimensionError):
             attention(q, kv, kv, np.zeros((1, 5)))
 

@@ -17,6 +17,7 @@ from capgan.models import (
     SemanticEvaluator,
     SemanticEvaluatorConfig,
     pad_frames,
+    restore_model,
 )
 from capgan.tensor import Adam, Tensor
 from capgan.text import EOS, SOS
@@ -363,6 +364,30 @@ class TestSurrogate:
         params = gen.store.tensors()
         fd = finite_difference(loss, params)
         assert_grads_close(params, fd, rtol=1e-3)
+
+    def test_float32_loss_and_gradients(self):
+        # float64 advantages are cast to the log-probs' dtype: the loss is
+        # float32, and its gradients match finite differences taken in
+        # float64 on the same weights
+        _, _, vocab, _, _, _ = tiny_setup()
+        gen = tiny_generator_sized(vocab, dtype=np.float32)
+        gen64 = tiny_generator_sized(vocab, dtype=np.float64)
+        restore_model(gen64, {name: p.data for name, p in gen.params.items()})
+        config = tiny_train_config()
+        rng = np.random.default_rng(3)
+        batch = _MiniBatch(rng)
+        z = rng.standard_normal((len(batch.clip_ids), gen.config.noise_dim))
+        sampled = [[1, 5, 6, 2], [1, 7, 2], [1, 4, 4, 8, 2], [1, 9, 2]]
+        advantages = np.array([0.8, -0.3, 0.1, -1.2])
+
+        loss = scst_surrogate_loss(gen, batch, z, sampled, advantages, config.t_max)
+        assert loss.dtype == np.float32
+        loss.backward()
+        fd = finite_difference(
+            lambda: scst_surrogate_loss(gen64, batch, z, sampled, advantages, config.t_max).item(),
+            gen64.store.tensors(),
+        )
+        assert_grads_close(gen.store.tensors(), fd, rtol=1e-3)
 
     def test_zero_advantages_zero_gradient(self):
         _, _, vocab, _, _, _ = tiny_setup()
