@@ -237,6 +237,8 @@ def _start_epoch(model, path: Path, kind: str, resume: bool) -> int:
 
 
 def cmd_prepare_data(args) -> int:
+    if args.import_eval and not args.import_train:
+        raise CliError("usage", "--import-eval needs --import-train")
     out_dir = Path(args.out)
     train_manifest = out_dir / "train.json"
     if train_manifest.exists() and not args.force:
@@ -329,6 +331,10 @@ def cmd_pretrain_se(args) -> int:
 def cmd_train_gan(args) -> int:
     cfg = _resolve_config(args)
     if args.lambda_sweep:
+        if args.ablation:
+            # the ablation pins lambda, so every sweep run would be the same
+            raise CliError("usage", f"--ablation {args.ablation} fixes lambda; "
+                                    "it cannot run with --lambda-sweep")
         try:
             lambdas = [float(v) for v in args.lambda_sweep.split(",") if v.strip()]
         except ValueError:

@@ -12,6 +12,19 @@ with one ``DecodeCache`` per decode that the model fills with what it
 keeps from earlier positions (beam search reorders it as hypotheses are
 kept, repeated or dropped).
 
+Beam search stops as soon as no group's answer can change (the rule of
+Huang et al., "When to Finish? Optimal Beam Search for Neural Text
+Generation", arXiv:1708.04282). A group is settled once it holds
+``n_best`` finished hypotheses and the ``n_best``-th best finished mean
+log-prob is strictly greater than its best live total divided by
+``max_length + 1``. That quotient bounds the mean of every hypothesis
+the group can still produce: log-softmax values are <= 0 and float
+rounding is monotone, so a descendant's total never rises above its
+ancestor's; a total <= 0 has its best mean over the most tokens, and no
+hypothesis emits more than ``max_length + 1``. Such a hypothesis can
+neither enter a settled group's top ``n_best`` nor tie with it, so the
+stop returns exactly what the full-length search returns.
+
 Sequences are token-id lists that start with <sos> and end with <eos>
 unless the length cap cut them off. Every caption carries at least one
 content word: <eos> is forbidden as the first emission so downstream
@@ -19,6 +32,7 @@ consumers never see an empty caption.
 """
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -120,7 +134,7 @@ def rollout(
 
 
 def beam_decode(model, features, feat_lengths, z, beam_size: int = 5,
-                max_length: int = 22):
+                max_length: int = 22, *, n_best: int):
     """Length-normalized beam search of G noise groups over one clip.
 
     ``features`` [1, F, feat_dim] is the clip and ``z`` [G, noise_dim] holds
@@ -128,9 +142,16 @@ def beam_decode(model, features, feat_lengths, z, beam_size: int = 5,
     beams advance together: one ``step_logits`` call per step over every
     group's live rows, group-major.
 
-    Returns one list per group of up to beam_size distinct (sequence,
-    score) pairs, best first; score is mean log-probability per emitted
-    token.
+    The search ends once every group is settled: it has ``n_best``
+    finished hypotheses and the ``n_best``-th best finished mean beats,
+    strictly, the best live total over ``max_length + 1``, which no open
+    hypothesis can exceed (see the module docstring). Settled groups stay
+    in the batch, so the others see the same arithmetic as without the
+    stop. A search that runs to the length cap ranks its length-capped
+    hypotheses with the finished ones.
+
+    Returns one list per group of up to n_best distinct (sequence, score)
+    pairs, best first; score is mean log-probability per emitted token.
     """
     if features.shape[0] != 1:
         raise ValueError("beam_decode works on a single clip")
@@ -138,6 +159,10 @@ def beam_decode(model, features, feat_lengths, z, beam_size: int = 5,
     live = np.full((groups, 1), SOS, dtype=np.int64)  # `width` rows per group
     width = 1
     finished: list[list[tuple[list[int], float]]] = [[] for _ in range(groups)]
+    # per group, a min-heap of its n_best best finished means, and the
+    # n_best-th best of them once there are n_best
+    best_means: list[list[float]] = [[] for _ in range(groups)]
+    bar = np.full(groups, -np.inf)
 
     with no_grad():
         # one memory per group; each group's rows share its cross-attention
@@ -162,9 +187,16 @@ def beam_decode(model, features, feat_lengths, z, beam_size: int = 5,
             # open; every ended one passed on the way is finished
             taken = np.cumsum(~ended, axis=1) - ~ended < beam_size
             for g, i in zip(*np.nonzero(taken & ended)):
-                finished[g].append(
-                    (live[g * width + rows[g, i]].tolist() + [EOS], candidates[g, order[g, i]])
-                )
+                total = candidates[g, order[g, i]]
+                finished[g].append((live[g * width + rows[g, i]].tolist() + [EOS], total))
+                mean = total / (step + 1)  # as _best_distinct computes it
+                heap = best_means[g]
+                if len(heap) < n_best:
+                    heapq.heappush(heap, mean)
+                else:
+                    heapq.heappushpop(heap, mean)
+                if len(heap) == n_best:
+                    bar[g] = heap[0]
             keep = taken & ~ended
             parents = (np.arange(groups)[:, None] * width + rows)[keep]
             # each row has exactly one <eos> candidate, so every group keeps
@@ -174,10 +206,12 @@ def beam_decode(model, features, feat_lengths, z, beam_size: int = 5,
             cache.reorder(parents)
             live = np.concatenate([live[parents], tokens[keep, None]], axis=1)
             totals = np.take_along_axis(candidates, order, axis=1)[keep]
+            if (bar > totals.reshape(groups, width).max(axis=1) / (max_length + 1)).all():
+                return [_best_distinct(finished[g], n_best) for g in range(groups)]
     # length-capped hypotheses count as complete
     live = [(row.tolist(), total) for row, total in zip(live, totals)]
     return [
-        _best_distinct(finished[g] + live[g * width : (g + 1) * width], beam_size)
+        _best_distinct(finished[g] + live[g * width : (g + 1) * width], n_best)
         for g in range(groups)
     ]
 
@@ -212,7 +246,7 @@ def generate_diverse_set(model, features, feat_lengths, config: DecodeConfig,
         z = rng.standard_normal((config.n_captions, noise_dim))
         ranked = beam_decode(
             model, features, feat_lengths, z,
-            beam_size=config.beam_size, max_length=config.max_length,
+            beam_size=config.beam_size, max_length=config.max_length, n_best=1,
         )
         sequences = [group[0][0] for group in ranked]
         scores = [group[0][1] for group in ranked]
@@ -222,9 +256,8 @@ def generate_diverse_set(model, features, feat_lengths, config: DecodeConfig,
         [ranked] = beam_decode(
             model, features, feat_lengths, z,
             beam_size=max(config.beam_size, config.n_captions),
-            max_length=config.max_length,
+            max_length=config.max_length, n_best=config.n_captions,
         )
-        ranked = ranked[: config.n_captions]
         sequences = [tokens for tokens, _ in ranked]
         scores = [score for _, score in ranked]
         return sequences, scores, len(sequences) < config.n_captions

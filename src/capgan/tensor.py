@@ -297,11 +297,10 @@ class Tensor:
             axes = tuple(reversed(range(self.data.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        inverse = np.argsort(axes)
         out_data = self.data.transpose(axes)
 
         def backward(grad):
-            self._accumulate(grad.transpose(inverse))
+            self._accumulate(grad.transpose(np.argsort(axes)))
 
         return Tensor._from_op(out_data, (self,), backward)
 
@@ -625,14 +624,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
         raise DimensionError("layer_norm gain/bias must match the last axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    # the reductions np.mean and np.var run, with the mean taken once
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = np.square(centered).sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
+    xhat = np.multiply(centered, inv_std, out=centered)  # no second [..., d] array
     out_data = xhat * gain.data + bias.data
 
     def backward(grad):
-        d = x.shape[-1]
         if gain.requires_grad:
             gain._accumulate((grad * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:

@@ -357,6 +357,9 @@ GENERATE = ["generate", "--data", "{data}", "--run", "{run}"]
 REJECTED_VALUES = {
     "prepare-data --clips 3": (
         ["prepare-data", "--out", "{tmp}/fresh", "--synthetic", "--clips", "3"], "{tmp}/fresh"),
+    "prepare-data --import-eval without --import-train": (
+        ["prepare-data", "--out", "{tmp}/fresh", "--import-eval", "{data}/evaluation.json"],
+        "{tmp}/fresh"),
     "pretrain --batch-size 0": (
         ["pretrain", "--data", "{data}", "--run", "{tmp}/fresh", "--config", "{config}",
          "--batch-size", "0"], "{tmp}/fresh"),
@@ -364,6 +367,8 @@ REJECTED_VALUES = {
     "train-gan --lambda-sweep 0.5,2": (
         TRAIN_GAN + ["--lambda-sweep", "0.5,2"], "{run}/gan/lambda_0.5"),
     "train-gan --lambda-sweep ,": (TRAIN_GAN + ["--lambda-sweep", ","], "{run}/gan"),
+    "train-gan --lambda-sweep --ablation nd": (
+        TRAIN_GAN + ["--lambda-sweep", "--ablation", "nd"], "{run}/gan"),
     "generate --beam-size 0": (GENERATE + ["--beam-size", "0"], "{run}/captions_gan.jsonl"),
     "generate -n 0": (GENERATE + ["-n", "0"], "{run}/captions_gan.jsonl"),
     "generate -n -1": (GENERATE + ["-n", "-1"], "{run}/captions_gan.jsonl"),

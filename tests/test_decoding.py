@@ -128,16 +128,7 @@ def reference_beam(model, features, feat_lengths, z, beam_size, max_length):
                 finished.append((tokens, total))
             else:
                 live.append((tokens, total))
-    finished.extend(live)
-    finished.sort(key=lambda c: c[1] / (len(c[0]) - 1), reverse=True)
-    out, seen = [], set()
-    for tokens, total in finished:
-        if tuple(tokens) not in seen:
-            seen.add(tuple(tokens))
-            out.append((tokens, total / (len(tokens) - 1)))
-        if len(out) == beam_size:
-            break
-    return out
+    return best_distinct(finished + live, beam_size)
 
 
 def single_group_beam(model, features, feat_lengths, z, beam_size, max_length):
@@ -167,13 +158,59 @@ def single_group_beam(model, features, feat_lengths, z, beam_size, max_length):
             live = np.concatenate([live[rows[keep]], tokens[keep, None]], axis=1)
             totals = candidates.flat[order[keep]]
     finished.extend((row.tolist(), total) for row, total in zip(live, totals))
-    finished.sort(key=lambda c: c[1] / (len(c[0]) - 1), reverse=True)
+    return best_distinct(finished, beam_size)
+
+
+def full_length_beam(model, features, feat_lengths, z, beam_size, max_length, n_best):
+    """The grouped beam search as it ran before it could stop early: every
+    search takes all max_length + 1 steps."""
+    groups = len(z)
+    live = np.full((groups, 1), SOS, dtype=np.int64)
+    width = 1
+    finished = [[] for _ in range(groups)]
+    with no_grad():
+        memory = model.encode(features, feat_lengths, z)
+        cache = DecodeCache()
+        for step in range(max_length + 1):
+            logits = _forbid_markers(model.step_logits(
+                features, feat_lengths, z, live[:, -1:], memory=memory, cache=cache
+            ))
+            if step == 0:
+                logits[..., EOS] = -1e9
+                totals = np.zeros(groups, dtype=logits.dtype)
+            vocab = logits.shape[1]
+            candidates = (totals[:, None] + _log_softmax(logits)).reshape(groups, width * vocab)
+            order = np.argsort(-(candidates / (step + 1)), axis=1, kind="stable")
+            rows, tokens = np.divmod(order, vocab)
+            ended = tokens == EOS
+            taken = np.cumsum(~ended, axis=1) - ~ended < beam_size
+            for g, i in zip(*np.nonzero(taken & ended)):
+                finished[g].append(
+                    (live[g * width + rows[g, i]].tolist() + [EOS], candidates[g, order[g, i]])
+                )
+            keep = taken & ~ended
+            parents = (np.arange(groups)[:, None] * width + rows)[keep]
+            width = min(beam_size, width * (vocab - 1))
+            cache.reorder(parents)
+            live = np.concatenate([live[parents], tokens[keep, None]], axis=1)
+            totals = np.take_along_axis(candidates, order, axis=1)[keep]
+    live = [(row.tolist(), total) for row, total in zip(live, totals)]
+    return [
+        best_distinct(finished[g] + live[g * width : (g + 1) * width], beam_size)[:n_best]
+        for g in range(groups)
+    ]
+
+
+def best_distinct(hypotheses, k):
+    """Up to k distinct (tokens, mean log-prob) pairs from (tokens, total
+    log-prob) pairs, best first; Python's stable sort breaks ties."""
+    hypotheses = sorted(hypotheses, key=lambda c: c[1] / (len(c[0]) - 1), reverse=True)
     out, seen = [], set()
-    for tokens, total in finished:
+    for tokens, total in hypotheses:
         if tuple(tokens) not in seen:
             seen.add(tuple(tokens))
             out.append((tokens, total / (len(tokens) - 1)))
-        if len(out) == beam_size:
+        if len(out) == k:
             break
     return out
 
@@ -274,20 +311,21 @@ class TestBeam:
         rng = np.random.default_rng(4)
         features, feat_lengths, z, _ = tiny_inputs(rng, batch=1)
         [greedy], _ = rollout(gen, features, feat_lengths, z, "greedy", max_length=6)
-        [ranked] = beam_decode(gen, features, feat_lengths, z, beam_size=1, max_length=6)
+        [ranked] = beam_decode(gen, features, feat_lengths, z, beam_size=1, max_length=6,
+                               n_best=1)
         assert ranked[0][0] == greedy
 
     def test_beam_one_equals_greedy_toy(self):
         model = ToyModel(PEAKED)
         features, lens, z = toy_inputs()
         [greedy], _ = rollout(model, features, lens, z, "greedy", max_length=3)
-        [ranked] = beam_decode(model, features, lens, z, beam_size=1, max_length=3)
+        [ranked] = beam_decode(model, features, lens, z, beam_size=1, max_length=3, n_best=1)
         assert ranked[0][0] == greedy
 
     def test_top_hypothesis_matches_brute_force(self):
         model = ToyModel(PEAKED)
         features, lens, z = toy_inputs()
-        [ranked] = beam_decode(model, features, lens, z, beam_size=16, max_length=3)
+        [ranked] = beam_decode(model, features, lens, z, beam_size=16, max_length=3, n_best=1)
         paths = enumerate_paths(model, max_steps=3)
         best = max(paths, key=lambda p: p[1] / (len(p[0]) - 1))
         assert ranked[0][0] == best[0]
@@ -296,7 +334,7 @@ class TestBeam:
     def test_sorted_and_distinct(self):
         model = ToyModel(PEAKED)
         features, lens, z = toy_inputs()
-        [ranked] = beam_decode(model, features, lens, z, beam_size=5, max_length=3)
+        [ranked] = beam_decode(model, features, lens, z, beam_size=5, max_length=3, n_best=5)
         scores = [s for _, s in ranked]
         assert scores == sorted(scores, reverse=True)
         assert len({tuple(t) for t, _ in ranked}) == len(ranked)
@@ -305,8 +343,8 @@ class TestBeam:
         model = ToyModel(PEAKED)
         shifted = ToyModel({k: np.asarray(v) + 7.5 for k, v in PEAKED.items()})
         features, lens, z = toy_inputs()
-        [a] = beam_decode(model, features, lens, z, beam_size=4, max_length=3)
-        [b] = beam_decode(shifted, features, lens, z, beam_size=4, max_length=3)
+        [a] = beam_decode(model, features, lens, z, beam_size=4, max_length=3, n_best=4)
+        [b] = beam_decode(shifted, features, lens, z, beam_size=4, max_length=3, n_best=4)
         assert [t for t, _ in a] == [t for t, _ in b]
 
 
@@ -318,14 +356,16 @@ class TestBeamOracle:
     def test_toy_tables(self, table, beam_size):
         model = ToyModel(table)
         features, lens, z = toy_inputs()
-        [got] = beam_decode(model, features, lens, z, beam_size=beam_size, max_length=3)
+        [got] = beam_decode(model, features, lens, z, beam_size=beam_size, max_length=3,
+                            n_best=beam_size)
         assert got == reference_beam(model, features, lens, z, beam_size, max_length=3)
 
     @pytest.mark.parametrize("beam_size", [1, 4, 16])
     def test_tiny_generator(self, beam_size):
         gen = tiny_generator(n_layers=2)
         features, feat_lengths, z, _ = tiny_inputs(np.random.default_rng(20), batch=1)
-        [got] = beam_decode(gen, features, feat_lengths, z, beam_size=beam_size, max_length=6)
+        [got] = beam_decode(gen, features, feat_lengths, z, beam_size=beam_size, max_length=6,
+                            n_best=beam_size)
         want = reference_beam(gen, features, feat_lengths, z, beam_size, max_length=6)
         assert [t for t, _ in got] == [t for t, _ in want]
         np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-12)
@@ -336,11 +376,11 @@ class TestFullRecomputeReference:
     captions as decoding from the whole prefix at every step."""
 
     @staticmethod
-    def generator():
+    def generator(eos_boost=1.5):
         gen = default_generator(seed=3)
         # raise <eos> so captions end at different steps instead of all
         # running to the length cap
-        gen.params["dec.out.b"].data[EOS] += 1.5
+        gen.params["dec.out.b"].data[EOS] += eos_boost
         return gen
 
     def test_greedy_batch_with_dead_rows(self):
@@ -362,7 +402,8 @@ class TestFullRecomputeReference:
         features = rng.standard_normal((1, 9, c.feat_dim))
         feat_lengths = np.array([8])
         z = rng.standard_normal((1, c.noise_dim))
-        [got] = beam_decode(gen, features, feat_lengths, z, beam_size=beam_size, max_length=8)
+        [got] = beam_decode(gen, features, feat_lengths, z, beam_size=beam_size, max_length=8,
+                            n_best=beam_size)
         want = reference_beam(gen, features, feat_lengths, z, beam_size, max_length=8)
         assert [t for t, _ in got] == [t for t, _ in want]
         np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-5)
@@ -379,7 +420,8 @@ class TestGroupedBeam:
         # beam 16 grows the width 1 -> 5 -> 16 over the first steps
         model = NoisyToyModel(table)
         features, lens, _ = toy_inputs()
-        got = beam_decode(model, features, lens, self.GROUP_Z, beam_size=beam_size, max_length=3)
+        got = beam_decode(model, features, lens, self.GROUP_Z, beam_size=beam_size, max_length=3,
+                          n_best=beam_size)
         assert len(got) == len(self.GROUP_Z)
         for g, ranked in enumerate(got):
             want = reference_beam(
@@ -399,7 +441,8 @@ class TestGroupedBeam:
         features = rng.standard_normal((1, 9, c.feat_dim))
         feat_lengths = np.array([8])
         z = rng.standard_normal((3, c.noise_dim))
-        got = beam_decode(gen, features, feat_lengths, z, beam_size=beam_size, max_length=8)
+        got = beam_decode(gen, features, feat_lengths, z, beam_size=beam_size, max_length=8,
+                          n_best=beam_size)
         assert len(got) == 3
         for g, ranked in enumerate(got):
             want = reference_beam(gen, features, feat_lengths, z[g : g + 1], beam_size,
@@ -418,10 +461,89 @@ class TestGroupedBeam:
         feat_lengths = np.array([9])
         z = np.zeros((1, c.noise_dim))
         [got] = beam_decode(gen, features, feat_lengths, z, beam_size=beam_size,
-                            max_length=c.t_max)
+                            max_length=c.t_max, n_best=beam_size)
         want = single_group_beam(gen, features, feat_lengths, z, beam_size, c.t_max)
         assert got == want  # bit-identical captions and scores
         assert all(type(s) is type(w) for (_, s), (_, w) in zip(got, want))
+
+
+class StepCounter:
+    """Wraps a model and counts its ``step_logits`` calls."""
+
+    def __init__(self, model):
+        self.model = model
+        self.config = model.config
+        self.steps = 0
+
+    def encode(self, *args):
+        return self.model.encode(*args)
+
+    def step_logits(self, *args, **kwargs):
+        self.steps += 1
+        return self.model.step_logits(*args, **kwargs)
+
+
+# the row through 'c' keeps its first-step total to the length cap, so its
+# mean keeps rising and finally beats the early 'a <eos>'
+LATE = {
+    1: [NEG, NEG, NEG, 1.0, NEG, 0.0],  # 'a' beats 'c' at the first step
+    3: [NEG, NEG, 0.0, NEG, NEG, NEG],  # 'a' -> <eos> at log-prob exactly 0
+    5: [NEG, NEG, NEG, NEG, NEG, 0.0],  # 'c' -> 'c' at log-prob exactly 0
+}
+
+
+class TestSettledStop:
+    """The search that stops once every group is settled against the
+    full-length search it replaced: equal tokens and scores."""
+
+    @pytest.mark.parametrize("max_length", [3, 22])
+    @pytest.mark.parametrize("n_best", ["1", "beam"])
+    @pytest.mark.parametrize("groups", [1, 3])
+    @pytest.mark.parametrize("beam_size", [1, 4, 16])
+    @pytest.mark.parametrize("table", [PEAKED, TIED], ids=["peaked", "tied"])
+    def test_toy_tables(self, table, beam_size, groups, n_best, max_length):
+        model = NoisyToyModel(table)
+        features, lens, _ = toy_inputs()
+        z = TestGroupedBeam.GROUP_Z[:groups]
+        n_best = 1 if n_best == "1" else beam_size
+        got = beam_decode(model, features, lens, z, beam_size=beam_size,
+                          max_length=max_length, n_best=n_best)
+        assert got == full_length_beam(model, features, lens, z, beam_size, max_length, n_best)
+
+    @pytest.mark.parametrize("eos_boost", [1.5, 3.0])
+    @pytest.mark.parametrize("n_best", ["1", "beam"])
+    @pytest.mark.parametrize("mode", ["gan", "mle"])
+    def test_generator(self, mode, n_best, eos_boost):
+        gen = TestFullRecomputeReference.generator(eos_boost)
+        c = gen.config
+        rng = np.random.default_rng(26)
+        features = rng.standard_normal((1, 9, c.feat_dim))
+        feat_lengths = np.array([8])
+        # gan mode: one noise group per caption; mle mode: one zero-noise group
+        z = rng.standard_normal((3, c.noise_dim)) if mode == "gan" else np.zeros((1, c.noise_dim))
+        n_best = 1 if n_best == "1" else 5
+        got = beam_decode(gen, features, feat_lengths, z, beam_size=5, max_length=c.t_max,
+                          n_best=n_best)
+        assert got == full_length_beam(gen, features, feat_lengths, z, 5, c.t_max, n_best)
+
+    def test_late_finisher(self):
+        model = ToyModel(LATE)
+        features, lens, z = toy_inputs()
+        logp = _log_softmax(np.asarray(LATE[1]))
+        early, late = logp[3] / 2, logp[5] / 23  # means of 'a <eos>' and of 'c' x 23
+        # after the second step the early <eos> beats the live 'c c' at its
+        # current length, but not at the length the live row can still reach
+        assert logp[5] / 2 < early < late
+        got = beam_decode(model, features, lens, z, beam_size=2, max_length=22, n_best=1)
+        assert got == [[([SOS] + [5] * 23, pytest.approx(late, abs=1e-12))]]
+        assert got == full_length_beam(model, features, lens, z, 2, 22, 1)
+
+    @pytest.mark.parametrize("n_best", [1, 4])
+    def test_stops_before_the_length_cap(self, n_best):
+        model = StepCounter(ToyModel(PEAKED))
+        features, lens, z = toy_inputs()
+        beam_decode(model, features, lens, z, beam_size=4, max_length=22, n_best=n_best)
+        assert model.steps < 23
 
 
 class TestGivenMemory:
@@ -473,7 +595,7 @@ class TestDiverseSet:
         for _ in range(config.n_captions):
             z = ref_rng.standard_normal((1, c.noise_dim))
             [ranked] = beam_decode(gen, features, feat_lengths, z, beam_size=config.beam_size,
-                                   max_length=config.max_length)
+                                   max_length=config.max_length, n_best=1)
             want.append(ranked[0])
 
         beams, encodes = [], []

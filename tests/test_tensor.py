@@ -391,7 +391,8 @@ class TestNoGrad:
         features, feat_lengths, z, tokens = tiny_inputs(rng)
         targets = rng.integers(0, 11, size=tokens.shape)
         rollout(gen, features, feat_lengths, z, "greedy", max_length=4)
-        beam_decode(gen, features[:1], feat_lengths[:1], z[:1], beam_size=3, max_length=4)
+        beam_decode(gen, features[:1], feat_lengths[:1], z[:1], beam_size=3, max_length=4,
+                    n_best=1)
 
         def loss():
             return cross_entropy(gen.forward(features, feat_lengths, z, tokens), targets)
@@ -409,6 +410,16 @@ class TestShapeOps:
         fd = finite_difference(
             lambda: float((x.data.reshape(3, 4).T * x.data.reshape(4, 3)).sum()), [x]
         )
+        assert_grads_close([x], fd)
+
+    @pytest.mark.parametrize("axes", [(1, 2, 0), (2, 0, 1)])
+    def test_cyclic_transpose_gradient(self, axes, rng):
+        # a permutation that is not its own inverse: the backward must
+        # transpose by the inverse, not by the permutation again
+        x = param(rng, 2, 3, 4)
+        w = rng.standard_normal(np.transpose(x.data, axes).shape)
+        (x.transpose(axes) * Tensor(w)).sum().backward()
+        fd = finite_difference(lambda: float((np.transpose(x.data, axes) * w).sum()), [x])
         assert_grads_close([x], fd)
 
     def test_broadcast_to_gradient(self, rng):
@@ -505,15 +516,29 @@ class TestGetitemBackward:
         np.testing.assert_array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
 
+def reference_layer_norm(x, g, b, eps=1e-5):
+    """Layer norm composed from np.mean and np.var."""
+    mu = x.mean(-1, keepdims=True)
+    var = x.var(-1, keepdims=True)
+    return (x - mu) * (1.0 / np.sqrt(var + eps)) * g + b
+
+
 class TestLayerNorm:
+    @pytest.mark.parametrize("shape", [(16, 64), (3, 7, 64)], ids=["N,d", "B,T,d"])
+    def test_bit_identical_to_mean_var(self, shape, rng):
+        x = (rng.standard_normal(shape) * 3.0 + 1.5).astype(np.float32)
+        g = rng.standard_normal(shape[-1]).astype(np.float32)
+        b = rng.standard_normal(shape[-1]).astype(np.float32)
+        out = layer_norm(Tensor(x), Tensor(g), Tensor(b)).data
+        want = reference_layer_norm(x, g, b)
+        assert out.dtype == want.dtype == np.float32
+        np.testing.assert_array_equal(out, want)
+
     def test_gradient(self, rng):
         x, g, b = param(rng, 3, 6), param(rng, 6), param(rng, 6)
 
         def numeric():
-            mu = x.data.mean(-1, keepdims=True)
-            var = x.data.var(-1, keepdims=True)
-            xhat = (x.data - mu) / np.sqrt(var + 1e-5)
-            return float(((xhat * g.data + b.data) ** 2).sum())
+            return float((reference_layer_norm(x.data, g.data, b.data) ** 2).sum())
 
         out = layer_norm(x, g, b)
         (out * out).sum().backward()
