@@ -43,6 +43,7 @@ from .models import (
 from .seeding import substream
 from .text import EmptyCaptionError, Vocabulary, normalize_and_tokenize
 from .training import (
+    ABLATION_LAMBDA,
     TrainConfig,
     TrainingDiverged,
     adversarial_train,
@@ -330,7 +331,10 @@ def cmd_pretrain_se(args) -> int:
 
 def cmd_train_gan(args) -> int:
     cfg = _resolve_config(args)
-    if args.lambda_sweep:
+    if args.ablation and args.lam is not None and args.lam != ABLATION_LAMBDA[args.ablation]:
+        raise CliError("usage", f"--ablation {args.ablation} fixes lambda at "
+                                f"{ABLATION_LAMBDA[args.ablation]:g}, not {args.lam:g}")
+    if args.lambda_sweep is not None:
         if args.ablation:
             # the ablation pins lambda, so every sweep run would be the same
             raise CliError("usage", f"--ablation {args.ablation} fixes lambda; "

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import pad_frames
+from .models import pad_frames, pad_sequences
 from .seeding import substream
 from .text import Vocabulary, normalize_and_tokenize
 
@@ -62,9 +62,9 @@ class Batch:
     clip_ids: list[str]
     features: np.ndarray  # [B, F_max, feat_dim]
     feature_lengths: np.ndarray  # [B]
-    targets: np.ndarray  # [B, T_max+2] token ids, sos ... eos then pad
+    targets: np.ndarray  # [B, L] token ids, sos ... eos then pad; L = longest row
     target_lengths: np.ndarray  # [B] counting sos+content+eos
-    mask: np.ndarray  # [B, T_max+1] 1 where the *predicted* position is real
+    mask: np.ndarray  # [B, L-1] 1 where the *predicted* position is real
 
     def __post_init__(self):
         assert self.mask.sum() == (self.target_lengths - 1).sum()
@@ -259,7 +259,8 @@ def epoch_batches(
     t_max: int = 22,
 ) -> list[Batch]:
     """One epoch of batches; each clip appears once with one reference
-    chosen uniformly for this epoch."""
+    chosen uniformly for this epoch. A batch's targets are padded only to
+    its longest caption (at most ``t_max`` words plus sos and eos)."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     order = np.arange(len(split.records))
@@ -271,15 +272,10 @@ def epoch_batches(
         idx = order[start : start + batch_size]
         recs = [split.records[i] for i in idx]
         feats, feat_lengths = pad_frames([r.features for r in recs])
-        targets = np.zeros((len(recs), t_max + 2), dtype=np.int64)  # pad = 0
-        target_lengths = np.zeros(len(recs), dtype=np.int64)
-        mask = np.zeros((len(recs), t_max + 1), dtype=np.float64)
-        for b, (record, i) in enumerate(zip(recs, idx)):
-            tokens = record.references[ref_choice[i]][:t_max]
-            ids = vocab.encode(tokens)  # sos ... eos
-            targets[b, : len(ids)] = ids
-            target_lengths[b] = len(ids)
-            mask[b, : len(ids) - 1] = 1.0
+        targets, target_lengths = pad_sequences(
+            [vocab.encode(r.references[ref_choice[i]][:t_max]) for r, i in zip(recs, idx)]
+        )
+        predicted = np.arange(targets.shape[1] - 1)[None, :] < (target_lengths - 1)[:, None]
         batches.append(
             Batch(
                 clip_ids=[r.clip_id for r in recs],
@@ -287,7 +283,7 @@ def epoch_batches(
                 feature_lengths=feat_lengths,
                 targets=targets,
                 target_lengths=target_lengths,
-                mask=mask,
+                mask=predicted.astype(np.float64),
             )
         )
     return batches

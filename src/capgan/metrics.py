@@ -140,8 +140,12 @@ def reference_vectors(references, df_table: DocFreqTable) -> list:
     return orders
 
 
-def cider_against(candidate, ref_vectors: list, df_table: DocFreqTable) -> float:
-    """CIDEr of a candidate against precomputed ``reference_vectors``."""
+def cider(candidate, references, df_table: DocFreqTable, ref_vectors: list | None = None) -> float:
+    """TF-IDF n-gram cosine consensus, averaged over orders and references,
+    scaled to [0, 10]. ``ref_vectors`` are the references'
+    ``reference_vectors``, if the caller has them already."""
+    if ref_vectors is None:
+        ref_vectors = reference_vectors(references, df_table)
     per_order = []
     for n, refs in enumerate(ref_vectors, start=1):
         cand_vec = _tfidf_vector(candidate, df_table, n)
@@ -149,12 +153,6 @@ def cider_against(candidate, ref_vectors: list, df_table: DocFreqTable) -> float
         sims = [_cosine(cand_vec, nu, vec, nv) for vec, nv in refs]
         per_order.append(sum(sims) / len(sims))
     return 10.0 * sum(per_order) / len(per_order)
-
-
-def cider(candidate, references, df_table: DocFreqTable) -> float:
-    """TF-IDF n-gram cosine consensus, averaged over orders and references,
-    scaled to [0, 10]."""
-    return cider_against(candidate, reference_vectors(references, df_table), df_table)
 
 
 # -- diversity ----------------------------------------------------------------

@@ -105,16 +105,23 @@ def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
     return x / norm.broadcast_to(x.shape)
 
 
-def dropout_mask(shape, rate: float, rng: np.random.Generator | None, dtype):
-    """Inverted-dropout multiplier (0 or 1/keep), or None when off."""
+def dropout_mask(shape, drawn, rate: float, rng: np.random.Generator | None, dtype):
+    """Inverted-dropout multiplier (0 or 1/keep) of ``shape``, or None when
+    off.
+
+    The uniforms are drawn at ``drawn`` and cut to their leading ``shape``
+    corner: a shorter input sees the values the longer one would at its
+    positions, and the stream advances the same.
+    """
     if rng is None or rate <= 0.0:
         return None
     keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(dtype) / keep
+    kept = rng.random(drawn)[tuple(slice(n) for n in shape)] < keep
+    return kept.astype(dtype) / keep
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    mask = dropout_mask(x.shape, rate, rng, x.dtype.type)
+def dropout(x: Tensor, drawn, rate: float, rng: np.random.Generator | None) -> Tensor:
+    mask = dropout_mask(x.shape, drawn, rate, rng, x.dtype.type)
     return x if mask is None else x * Tensor(mask)
 
 
@@ -335,8 +342,11 @@ class Generator:
             out = self._attention(shared, keys, values, mask_np, layer, block, drop_rng)
             return out.reshape(batch, t_q, c.d_model)
         qh = self._heads(x @ p[f"dec.{layer}.{block}.q"])
+        t_k, t_full = keys.shape[2], c.t_max + 1
         drop = dropout_mask(
-            (batch, c.n_heads, t_q, keys.shape[2]), c.dropout, drop_rng, self.dtype.type
+            (batch, c.n_heads, t_q, t_k),
+            (batch, c.n_heads, t_full, t_full if block == "self" else t_k),
+            c.dropout, drop_rng, self.dtype.type,
         )
         out = attention(qh, keys, values, mask_np, drop)
         out = out.transpose(0, 2, 1, 3).reshape(batch, t_q, c.d_model)
@@ -360,6 +370,11 @@ class Generator:
         (encoded from the features if not given) on the first call and
         reused after it. Without a cache, a fresh one makes ``tokens``
         whole teacher-forced prefixes.
+
+        Training dropout (``drop_rng``) draws every mask for all
+        ``t_max + 1`` positions and keeps those of ``tokens``, so a batch
+        trimmed to its longest caption sees the masks a full-width one
+        would at its positions.
         """
         c = self.config
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -387,7 +402,8 @@ class Generator:
             np.broadcast_to(self._positions[start:t_steps], (batch, t_new, c.d_model)),
             self.dtype,
         )
-        x = dropout(x, c.dropout, drop_rng)
+        t_full = c.t_max + 1
+        x = dropout(x, (batch, t_full, c.d_model), c.dropout, drop_rng)
         for layer in range(c.n_layers):
             n = lambda tag, t: layer_norm(
                 t, p[f"dec.{layer}.{tag}.g"], p[f"dec.{layer}.{tag}.b"]
@@ -398,7 +414,7 @@ class Generator:
             x = x + self._attention(n("n2", x), *cross[layer], mem_mask, layer, "cross", drop_rng)
             h = n("n3", x)
             h = linear(h, p[f"dec.{layer}.ff.w1"], p[f"dec.{layer}.ff.b1"]).relu()
-            h = dropout(h, c.dropout, drop_rng)
+            h = dropout(h, (batch, t_full, c.d_ff), c.dropout, drop_rng)
             x = x + linear(h, p[f"dec.{layer}.ff.w2"], p[f"dec.{layer}.ff.b2"])
         cache.length = t_steps
         x = layer_norm(x, p["dec.final_norm.g"], p["dec.final_norm.b"])

@@ -667,12 +667,22 @@ class Adam:
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            m_hat = self.m[i] / (1 - b1**self.t)
-            v_hat = self.v[i] / (1 - b2**self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # in place, in the order of m = b1 m + (1 - b1) g,
+            # v = b2 v + (1 - b2) g g and p -= lr m_hat / (sqrt(v_hat) + eps)
+            g, m, v = p.grad, self.m[i], self.v[i]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            g2 = (1 - b2) * g
+            g2 *= g
+            v += g2
+            update = np.divide(m, 1 - b1**self.t, out=g2)
+            update *= self.lr
+            v_hat = v / (1 - b2**self.t)
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += self.eps
+            update /= v_hat
+            p.data -= update
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import DatasetSplit, epoch_batches
 from .decoding import rollout
-from .metrics import DocFreqTable, build_doc_freq, cider, cider_against, reference_vectors
+from .metrics import DocFreqTable, build_doc_freq, cider, reference_vectors
 from .models import (
     Discriminator,
     Generator,
@@ -35,6 +35,11 @@ from .tensor import Adam, Tensor, cross_entropy, no_grad
 
 class TrainingDiverged(RuntimeError):
     pass
+
+
+# the lam each ablation pins, so its reward is exactly one term:
+# the discriminator (nd), the semantic evaluator (se) or CIDEr (le)
+ABLATION_LAMBDA = {"nd": 1.0, "se": 1.0, "le": 0.0}
 
 
 @dataclass
@@ -56,13 +61,10 @@ class TrainConfig:
             raise ValueError("lam must be in [0, 1]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.ablation not in (None, "nd", "se", "le"):
+        if self.ablation not in (None, *ABLATION_LAMBDA):
             raise ValueError(f"unknown ablation {self.ablation!r}")
-        # single-judge ablations pin lam so the reward is exactly one term
-        if self.ablation in ("nd", "se"):
-            self.lam = 1.0
-        elif self.ablation == "le":
-            self.lam = 0.0
+        if self.ablation is not None:
+            self.lam = ABLATION_LAMBDA[self.ablation]
 
 
 @dataclass
@@ -149,7 +151,8 @@ class RewardOracles:
             s = self.evaluator.score(audio, seqs).tolist()
         if lam < 1.0:
             c = [
-                cider_against(self.vocab.decode(seq), self._reference_vectors(r), self.df_table)
+                cider(self.vocab.decode(seq), r.references, self.df_table,
+                      self._reference_vectors(r))
                 for seq, r in zip(seqs, records)
             ]
         return [RewardBreakdown(n=n_i, s=s_i, c=c_i, lam=lam) for n_i, s_i, c_i in zip(n, s, c)]
@@ -170,11 +173,13 @@ def _optimize(opt: Adam, loss: Tensor, what: str) -> float:
 # -- MLE pretraining ----------------------------------------------------------
 
 
-def _eval_greedy_cider(gen, split: DatasetSplit, vocab, df_table, t_max: int) -> float:
+def _eval_greedy_cider(gen, split: DatasetSplit, ref_vecs: list, vocab, df_table,
+                       t_max: int) -> float:
     """Mean CIDEr of the zero-noise greedy captions of a split, decoded in
-    one rollout. Each clip is encoded alone, at its own length: a padded
-    batch would see the conv's padding at the clip's last frame. The
-    decoder masks the zero frames padded onto the shorter memories."""
+    one rollout, against ``ref_vecs``, each clip's ``reference_vectors``.
+    Each clip is encoded alone, at its own length: a padded batch would
+    see the conv's padding at the clip's last frame. The decoder masks the
+    zero frames padded onto the shorter memories."""
     records = split.records
     features, lengths = pad_frames([r.features for r in records])
     z = np.zeros((len(records), gen.config.noise_dim))
@@ -185,8 +190,16 @@ def _eval_greedy_cider(gen, split: DatasetSplit, vocab, df_table, t_max: int) ->
         ])
     seqs, _ = rollout(gen, features, lengths, z, "greedy", max_length=t_max,
                       memory=Tensor(memory))
-    scores = [cider(vocab.decode(seq), r.references, df_table) for seq, r in zip(seqs, records)]
+    scores = [cider(vocab.decode(seq), r.references, df_table, vecs)
+              for seq, r, vecs in zip(seqs, records, ref_vecs)]
     return float(np.mean(scores))
+
+
+def _eval_references(split: DatasetSplit | None, df_table) -> list:
+    """Each eval clip's ``reference_vectors``, computed once per run; empty
+    when there is no eval split."""
+    records = split.records if split is not None else []
+    return [reference_vectors(r.references, df_table) for r in records]
 
 
 def mle_pretrain(
@@ -204,6 +217,7 @@ def mle_pretrain(
     drop_rng = substream(config.seed, "mle-dropout")
     log = TrainLog()
     df_table = build_doc_freq([r.references for r in train_split.records])
+    eval_refs = _eval_references(eval_split, df_table)
     best_cider = -1.0
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
@@ -221,9 +235,9 @@ def mle_pretrain(
             loss = cross_entropy(logits, batch.targets[:, 1:], batch.mask)
             losses.append(_optimize(opt, loss, "MLE loss"))
         record = {"epoch": epoch, "mle_loss": float(np.mean(losses))}
-        if eval_split is not None and eval_split.records:
+        if eval_refs:
             record["eval_cider"] = _eval_greedy_cider(
-                gen, eval_split, vocab, df_table, config.t_max
+                gen, eval_split, eval_refs, vocab, df_table, config.t_max
             )
         log.append(**record)
         if out_dir is not None:
@@ -360,10 +374,10 @@ def semantic_gap(se: SemanticEvaluator, split: DatasetSplit, vocab,
 
 
 def scst_surrogate_loss(gen: Generator, batch, z: np.ndarray,
-                        sampled: list[list[int]], advantages: np.ndarray,
-                        t_max: int) -> Tensor:
-    """-(1/B) sum_b adv_b * sum_t log pi(w_t); advantages held constant."""
-    tokens, lengths = pad_sequences(sampled, width=t_max + 2)
+                        sampled: list[list[int]], advantages: np.ndarray) -> Tensor:
+    """-(1/B) sum_b adv_b * sum_t log pi(w_t); advantages held constant.
+    The samples are padded only to the longest of them."""
+    tokens, lengths = pad_sequences(sampled)
     inputs = tokens[:, :-1]
     targets = tokens[:, 1:]
     mask = (np.arange(targets.shape[1])[None, :] < (lengths - 1)[:, None]).astype(float)
@@ -405,7 +419,7 @@ def scst_generator_step(
     rewards = oracles.score(sampled + greedy, records + records, config)
     breakdowns, baselines = rewards[: len(sampled)], rewards[len(sampled):]
     advantages = np.array([r.total - b.total for r, b in zip(breakdowns, baselines)])
-    loss = scst_surrogate_loss(gen, batch, z, sampled, advantages, config.t_max)
+    loss = scst_surrogate_loss(gen, batch, z, sampled, advantages)
     return _optimize(opt, loss, "SCST loss"), breakdowns, advantages
 
 
@@ -428,6 +442,7 @@ def adversarial_train(
     # reward CIDEr uses training references; the eval table would leak
     df_table = build_doc_freq([r.references for r in train_split.records])
     oracles = RewardOracles(d, se, df_table, vocab)
+    eval_refs = _eval_references(eval_split, df_table)
     gen_opt = Adam(gen.store.tensors(), lr=config.learning_rate)
     d_opt = Adam(d.store.tensors(), lr=config.learning_rate)
     data_rng = substream(config.seed, "adv-data")
@@ -475,9 +490,9 @@ def adversarial_train(
             "d_queries": oracles.d_queries,
             "se_queries": oracles.se_queries,
         }
-        if eval_split is not None and eval_split.records:
+        if eval_refs:
             record["eval_cider"] = _eval_greedy_cider(
-                gen, eval_split, vocab, df_table, config.t_max
+                gen, eval_split, eval_refs, vocab, df_table, config.t_max
             )
         log.append(**record)
         if out_dir is not None:

@@ -269,6 +269,18 @@ class TestTrainGan:
         assert log[0]["se_queries"] == 0 and log[0]["d_queries"] > 0
 
 
+    def test_ablation_accepts_its_own_lambda(self, full_run, data_dir, config_file, capsys):
+        code, _, err = run(
+            ["train-gan", "--data", str(data_dir), "--run", str(full_run),
+             "--config", str(config_file), "--epochs", "1", "--ablation", "le",
+             "--lambda", "0"],
+            capsys,
+        )
+        assert code == 0, err
+        merged = yaml.safe_load((full_run / "gan" / "ablation_le" / "config.yaml").read_text())
+        assert merged["lam"] == 0.0
+
+
 class TestGenerateEvaluate:
     def test_generate_and_evaluate(self, pretrained, data_dir, tmp_path, capsys):
         out_file = tmp_path / "captions.jsonl"
@@ -367,6 +379,11 @@ REJECTED_VALUES = {
     "train-gan --lambda-sweep 0.5,2": (
         TRAIN_GAN + ["--lambda-sweep", "0.5,2"], "{run}/gan/lambda_0.5"),
     "train-gan --lambda-sweep ,": (TRAIN_GAN + ["--lambda-sweep", ","], "{run}/gan"),
+    "train-gan --lambda-sweep ''": (TRAIN_GAN + ["--lambda-sweep", ""], "{run}/gan"),
+    "train-gan --lambda 0.5 --ablation nd": (
+        TRAIN_GAN + ["--lambda", "0.5", "--ablation", "nd"], "{run}/gan"),
+    "train-gan --lambda 1 --ablation le": (
+        TRAIN_GAN + ["--lambda", "1", "--ablation", "le"], "{run}/gan"),
     "train-gan --lambda-sweep --ablation nd": (
         TRAIN_GAN + ["--lambda-sweep", "--ablation", "nd"], "{run}/gan"),
     "generate --beam-size 0": (GENERATE + ["--beam-size", "0"], "{run}/captions_gan.jsonl"),

@@ -159,6 +159,18 @@ class TestBatches:
                 assert np.all(batch.targets[b, length:] == 0)
                 assert np.all(batch.targets[b, :length] != 0) or batch.targets[b, 0] == 1
 
+    @pytest.mark.parametrize("t_max", [22, 5])
+    def test_width_is_the_longest_caption(self, t_max):
+        train, _ = small_corpus()
+        vocab = build_vocabulary(train)
+        for batch in epoch_batches(train, vocab, 4, substream(0, "batch"), t_max=t_max):
+            rows, longest = len(batch.clip_ids), batch.target_lengths.max()
+            assert longest <= t_max + 2
+            assert batch.targets.shape == (rows, longest)
+            assert batch.mask.shape == (rows, longest - 1)
+            predicted = np.arange(longest - 1)[None, :] < (batch.target_lengths - 1)[:, None]
+            np.testing.assert_array_equal(batch.mask, predicted)
+
     def test_every_reference_used_over_epochs(self):
         train, _ = small_corpus(n_clips=10)
         vocab = build_vocabulary(train)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from capgan import models
+from capgan import models
 from capgan.models import (
     CheckpointError,
     DecodeCache,
@@ -16,6 +17,7 @@ from capgan.models import (
     SemanticEvaluator,
     SemanticEvaluatorConfig,
     conv1d_k3,
+    dropout_mask,
     gru_final_hidden,
     gru_inputs,
     l2_normalize,
@@ -236,6 +238,48 @@ class TestGenerator:
         params = gen.store.tensors()
         fd = finite_difference(loss, params)
         assert_grads_close(params, fd, rtol=1e-3)
+
+
+class TestTrainingDropout:
+    """Training masks are drawn for all t_max + 1 positions and cut to the
+    positions of the tokens, so a batch trimmed to its longest caption
+    sees what a full-width one would."""
+
+    def test_mask_is_the_corner_of_the_drawn_shape(self):
+        full = dropout_mask((3, 7, 5), (3, 7, 5), 0.3, np.random.default_rng(0), np.float32)
+        rng = np.random.default_rng(0)
+        cut = dropout_mask((3, 4, 5), (3, 7, 5), 0.3, rng, np.float32)
+        np.testing.assert_array_equal(cut, full[:, :4])
+        follow = np.random.default_rng(0)
+        follow.random((3, 7, 5))
+        assert rng.random() == follow.random()  # the stream passed the whole draw
+
+    def test_short_forward_sees_the_full_width_masks(self, monkeypatch):
+        config = GeneratorConfig(
+            vocab_size=11, feat_dim=5, d_model=8, n_layers=2, n_heads=2,
+            d_ff=12, noise_dim=4, t_max=6, dropout=0.3,
+        )
+        gen = Generator(config, np.random.default_rng(0), dtype=np.float64)
+        features, feat_lengths, z, tokens = tiny_inputs(
+            np.random.default_rng(1), batch=3, t=config.t_max + 1)
+        drawn = []
+
+        def spy(*args):
+            mask = dropout_mask(*args)
+            drawn.append(mask)
+            return mask
+
+        monkeypatch.setattr(models, "dropout_mask", spy)
+        short_rng, full_rng = np.random.default_rng(9), np.random.default_rng(9)
+        short = gen.forward(features, feat_lengths, z, tokens[:, :4], drop_rng=short_rng)
+        n_short = len(drawn)
+        full = gen.forward(features, feat_lengths, z, tokens, drop_rng=full_rng)
+        # embedding, then self-attention, cross-attention and feed-forward per layer
+        assert n_short == len(drawn) - n_short == 1 + 3 * config.n_layers
+        for cut, whole in zip(drawn[:n_short], drawn[n_short:]):
+            np.testing.assert_array_equal(cut, whole[tuple(slice(n) for n in cut.shape)])
+        assert short_rng.random() == full_rng.random()
+        np.testing.assert_allclose(short.data, full.data[:, :4], rtol=0, atol=1e-12)
 
 
 def reference_encode(gen, features, z):

@@ -556,6 +556,30 @@ class TestAdam:
             opt.step()
         assert abs(x.data[0]) < 1e-2
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_step_equals_the_formula(self, dtype):
+        # parameters and moments bit for bit against the textbook update,
+        # with the moment buffers updated where they are
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((6, 5)).astype(dtype), requires_grad=True)
+        opt = Adam([x], lr=1e-2)
+        buffers = (opt.m[0], opt.v[0])
+        want, m, v = x.data.copy(), np.zeros_like(x.data), np.zeros_like(x.data)
+        for t in range(1, 51):
+            g = rng.standard_normal(x.shape).astype(dtype)
+            x.grad = g.copy()
+            opt.step()
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * g * g
+            m_hat = m / (1 - 0.9**t)
+            v_hat = v / (1 - 0.999**t)
+            want -= 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            np.testing.assert_array_equal(x.data, want)
+            np.testing.assert_array_equal(opt.m[0], m)
+            np.testing.assert_array_equal(opt.v[0], v)
+            np.testing.assert_array_equal(x.grad, g)
+        assert (opt.m[0], opt.v[0]) == buffers and x.data.dtype == dtype
+
     def test_skips_gradless_params(self):
         x = Tensor([1.0], requires_grad=True)
         opt = Adam([x], lr=0.1)

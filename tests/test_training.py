@@ -17,9 +17,10 @@ from capgan.models import (
     SemanticEvaluator,
     SemanticEvaluatorConfig,
     pad_frames,
+    pad_sequences,
     restore_model,
 )
-from capgan.tensor import Adam, Tensor
+from capgan.tensor import Adam, Tensor, cross_entropy
 from capgan.text import EOS, SOS
 from capgan.training import (
     RewardBreakdown,
@@ -28,6 +29,7 @@ from capgan.training import (
     TrainLog,
     TrainingDiverged,
     _eval_greedy_cider,
+    _eval_references,
     adversarial_train,
     d_pretrain,
     discriminator_accuracy,
@@ -344,11 +346,124 @@ class _MiniBatch:
         self.feature_lengths[-1] = frames - 1
 
 
+def full_width(batch, width):
+    """The batch with targets zero-padded to ``width`` columns, as every
+    batch was before batches were trimmed to their longest caption."""
+    rows, t = batch.targets.shape
+    targets = np.zeros((rows, width), dtype=batch.targets.dtype)
+    targets[:, :t] = batch.targets
+    mask = np.zeros((rows, width - 1))
+    mask[:, : t - 1] = batch.mask
+    return dataclasses.replace(batch, targets=targets, mask=mask)
+
+
+def full_width_surrogate(gen, batch, z, sampled, advantages, width):
+    """The SCST surrogate with samples padded to ``width``, as it was."""
+    tokens, lengths = pad_sequences(sampled, width=width)
+    targets = tokens[:, 1:]
+    mask = (np.arange(targets.shape[1])[None, :] < (lengths - 1)[:, None]).astype(float)
+    logits = gen.forward(batch.features, batch.feature_lengths, z, tokens[:, :-1])
+    log_probs = logits.log_softmax(axis=-1)
+    onehot = np.zeros(log_probs.shape, dtype=log_probs.dtype)
+    np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
+    picked = (log_probs * Tensor(onehot)).sum(axis=-1)
+    weights = (mask * advantages[:, None]).astype(log_probs.dtype)
+    return -(picked * Tensor(weights)).sum() * (1.0 / len(sampled))
+
+
+def loss_and_grads(params, make_loss):
+    """A fresh loss's value and every parameter's gradient down it."""
+    for p in params:
+        p.zero_grad()
+    loss = make_loss()
+    loss.backward()
+    return loss.item(), [p.grad.copy() for p in params]
+
+
+def assert_grads_agree(got, want, rtol):
+    """Each gradient within ``rtol`` of its largest entry."""
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= rtol * np.abs(w).max()
+
+
+class TestTrimmedBatches:
+    """Batches padded to their longest caption against the full
+    ``t_max + 2`` width, at default model sizes (t_max 22, dropout 0.1)."""
+
+    @staticmethod
+    def _batch(vocab, train, seed=0):
+        batch = epoch_batches(train, vocab, 4, np.random.default_rng(seed))[0]
+        assert batch.targets.shape[1] < 24
+        return batch, full_width(batch, 24)
+
+    def test_generator_loss_and_gradients(self):
+        train, _, vocab, _, _, _ = tiny_setup()
+        gen = Generator(GeneratorConfig(vocab_size=len(vocab), feat_dim=5),
+                        np.random.default_rng(1))
+        params = gen.store.tensors()
+
+        def mle_loss(batch):
+            z = np.zeros((len(batch.clip_ids), gen.config.noise_dim))
+            logits = gen.forward(batch.features, batch.feature_lengths, z,
+                                 batch.targets[:, :-1], drop_rng=np.random.default_rng(7))
+            return cross_entropy(logits, batch.targets[:, 1:], batch.mask)
+
+        for seed in range(3):
+            trimmed, padded = self._batch(vocab, train, seed)
+            got, got_grads = loss_and_grads(params, lambda: mle_loss(trimmed))
+            want, want_grads = loss_and_grads(params, lambda: mle_loss(padded))
+            # the masked mean sums a different count of zeros, and the
+            # GEMMs and softmaxes run over fewer rows and keys: float32
+            # reassociation, a last bit of the loss at most
+            assert got == pytest.approx(want, rel=2e-7)
+            assert_grads_agree(got_grads, want_grads, rtol=1e-5)
+
+    def test_discriminator_loss_and_gradients_are_equal(self):
+        train, _, vocab, _, d, _ = tiny_setup()
+        trimmed, padded = self._batch(vocab, train)
+        fakes = pad_sequences([[SOS, 5, 6, EOS], [SOS, 7, EOS], [SOS, 4, EOS], [SOS, 9, 9, EOS]])
+        params = d.store.tensors()
+        got, got_grads = loss_and_grads(params, lambda: discriminator_loss(
+            d, trimmed.targets, trimmed.target_lengths, *fakes))
+        want, want_grads = loss_and_grads(params, lambda: discriminator_loss(
+            d, padded.targets, padded.target_lengths, *fakes))
+        assert got == want
+        for g, w in zip(got_grads, want_grads):
+            np.testing.assert_array_equal(g, w)
+
+    def test_semantic_loss_and_gradients_are_equal(self):
+        train, _, vocab, _, _, se = tiny_setup()
+        trimmed, padded = self._batch(vocab, train)
+        params = se.store.tensors()
+        got, got_grads = loss_and_grads(params, lambda: semantic_hinge_loss(se, trimmed, 0.2))
+        want, want_grads = loss_and_grads(params, lambda: semantic_hinge_loss(se, padded, 0.2))
+        assert got == want
+        for g, w in zip(got_grads, want_grads):
+            np.testing.assert_array_equal(g, w)
+
+    def test_surrogate_matches_the_full_width(self):
+        train, _, vocab, _, _, _ = tiny_setup()
+        gen = Generator(GeneratorConfig(vocab_size=len(vocab), feat_dim=5),
+                        np.random.default_rng(1))
+        batch, _ = self._batch(vocab, train)
+        rng = np.random.default_rng(2)
+        z = rng.standard_normal((len(batch.clip_ids), gen.config.noise_dim))
+        sampled, _ = rollout(gen, batch.features, batch.feature_lengths, z, "sample",
+                             rng=rng, max_length=gen.config.t_max)
+        advantages = np.array([0.8, -0.3, 0.1, -1.2])
+        params = gen.store.tensors()
+        got, got_grads = loss_and_grads(
+            params, lambda: scst_surrogate_loss(gen, batch, z, sampled, advantages))
+        want, want_grads = loss_and_grads(
+            params, lambda: full_width_surrogate(gen, batch, z, sampled, advantages, 24))
+        assert got == pytest.approx(want, rel=1e-6)
+        assert_grads_agree(got_grads, want_grads, rtol=1e-5)
+
+
 class TestSurrogate:
     def test_gradient_matches_finite_differences(self):
         _, _, vocab, _, _, _ = tiny_setup()
         gen = tiny_generator_sized(vocab, dtype=np.float64)
-        config = tiny_train_config()
         rng = np.random.default_rng(0)
         batch = _MiniBatch(rng)
         z = rng.standard_normal((len(batch.clip_ids), gen.config.noise_dim))
@@ -356,11 +471,9 @@ class TestSurrogate:
         advantages = np.array([0.8, -0.3, 0.1, -1.2])
 
         def loss():
-            return scst_surrogate_loss(
-                gen, batch, z, sampled, advantages, config.t_max
-            ).item()
+            return scst_surrogate_loss(gen, batch, z, sampled, advantages).item()
 
-        scst_surrogate_loss(gen, batch, z, sampled, advantages, config.t_max).backward()
+        scst_surrogate_loss(gen, batch, z, sampled, advantages).backward()
         params = gen.store.tensors()
         fd = finite_difference(loss, params)
         assert_grads_close(params, fd, rtol=1e-3)
@@ -373,18 +486,17 @@ class TestSurrogate:
         gen = tiny_generator_sized(vocab, dtype=np.float32)
         gen64 = tiny_generator_sized(vocab, dtype=np.float64)
         restore_model(gen64, {name: p.data for name, p in gen.params.items()})
-        config = tiny_train_config()
         rng = np.random.default_rng(3)
         batch = _MiniBatch(rng)
         z = rng.standard_normal((len(batch.clip_ids), gen.config.noise_dim))
         sampled = [[1, 5, 6, 2], [1, 7, 2], [1, 4, 4, 8, 2], [1, 9, 2]]
         advantages = np.array([0.8, -0.3, 0.1, -1.2])
 
-        loss = scst_surrogate_loss(gen, batch, z, sampled, advantages, config.t_max)
+        loss = scst_surrogate_loss(gen, batch, z, sampled, advantages)
         assert loss.dtype == np.float32
         loss.backward()
         fd = finite_difference(
-            lambda: scst_surrogate_loss(gen64, batch, z, sampled, advantages, config.t_max).item(),
+            lambda: scst_surrogate_loss(gen64, batch, z, sampled, advantages).item(),
             gen64.store.tensors(),
         )
         assert_grads_close(gen.store.tensors(), fd, rtol=1e-3)
@@ -392,14 +504,11 @@ class TestSurrogate:
     def test_zero_advantages_zero_gradient(self):
         _, _, vocab, _, _, _ = tiny_setup()
         gen = tiny_generator_sized(vocab, dtype=np.float64)
-        config = tiny_train_config()
         rng = np.random.default_rng(1)
         batch = _MiniBatch(rng)
         z = rng.standard_normal((len(batch.clip_ids), gen.config.noise_dim))
         sampled = [[1, 5, 2]] * len(batch.clip_ids)
-        loss = scst_surrogate_loss(
-            gen, batch, z, sampled, np.zeros(len(batch.clip_ids)), config.t_max
-        )
+        loss = scst_surrogate_loss(gen, batch, z, sampled, np.zeros(len(batch.clip_ids)))
         loss.backward()
         for p in gen.store.tensors():
             if p.grad is not None:
@@ -410,14 +519,13 @@ class TestSurrogate:
         # but SCST uses per-row (r - baseline); verify linearity in adv
         _, _, vocab, _, _, _ = tiny_setup()
         gen = tiny_generator_sized(vocab, dtype=np.float64)
-        config = tiny_train_config()
         rng = np.random.default_rng(2)
         batch = _MiniBatch(rng)
         z = rng.standard_normal((len(batch.clip_ids), gen.config.noise_dim))
         sampled = [[1, 5, 6, 2], [1, 7, 2], [1, 4, 8, 2], [1, 9, 2]]
         a1 = np.array([0.5, -0.5, 1.0, 0.0])
-        l1 = scst_surrogate_loss(gen, batch, z, sampled, a1, config.t_max).item()
-        l2 = scst_surrogate_loss(gen, batch, z, sampled, 2 * a1, config.t_max).item()
+        l1 = scst_surrogate_loss(gen, batch, z, sampled, a1).item()
+        l2 = scst_surrogate_loss(gen, batch, z, sampled, 2 * a1).item()
         assert l2 == pytest.approx(2 * l1, rel=1e-12)
 
 
@@ -619,15 +727,16 @@ class TestEvalPass:
         gen.params["dec.out.b"].data[EOS] += 1.5
         df_table = build_doc_freq([r.references for r in train.records])
         assert len({len(r.features) for r in evaluation.records}) > 5
-        return gen, evaluation, vocab, df_table
+        return gen, evaluation, vocab, df_table, _eval_references(evaluation, df_table)
 
     def test_matches_per_clip_rollouts(self, monkeypatch):
-        gen, evaluation, vocab, df_table = self._setup()
+        gen, evaluation, vocab, df_table, refs = self._setup()
         want_seqs, want_logps, want_cider = reference_eval_pass(
             gen, evaluation, vocab, df_table, gen.config.t_max)
         calls = []
         spy_rollout(monkeypatch, calls)
-        got_cider = _eval_greedy_cider(gen, evaluation, vocab, df_table, gen.config.t_max)
+        got_cider = _eval_greedy_cider(gen, evaluation, refs, vocab, df_table,
+                                       gen.config.t_max)
         assert len(calls) == 1
         got_seqs, got_logps = calls[0][1]
         assert got_seqs == want_seqs
@@ -637,12 +746,12 @@ class TestEvalPass:
         assert got_cider == want_cider
 
     def test_padded_memory_frames_are_masked(self, monkeypatch):
-        gen, evaluation, vocab, df_table = self._setup()
+        gen, evaluation, vocab, df_table, refs = self._setup()
         zero_calls, filled_calls = [], []
         spy_rollout(monkeypatch, zero_calls)
-        zero = _eval_greedy_cider(gen, evaluation, vocab, df_table, gen.config.t_max)
+        zero = _eval_greedy_cider(gen, evaluation, refs, vocab, df_table, gen.config.t_max)
         spy_rollout(monkeypatch, filled_calls, pad_fill=1e3)
-        filled = _eval_greedy_cider(gen, evaluation, vocab, df_table, gen.config.t_max)
+        filled = _eval_greedy_cider(gen, evaluation, refs, vocab, df_table, gen.config.t_max)
         memory = filled_calls[0][0]["memory"].data
         assert (memory == 1e3).any()
         assert filled_calls[0][1] == zero_calls[0][1]
@@ -656,6 +765,27 @@ class TestEvalPass:
         assert len(calls) == 2
         for _, (seqs, _) in calls:
             assert len(seqs) == len(evaluation.records)
+
+    @pytest.mark.parametrize("trainer", ["mle", "adversarial"])
+    def test_reference_vectors_once_per_run(self, trainer, monkeypatch):
+        # the eval references' TF-IDF vectors depend only on the run's
+        # table, so two epochs derive them once per clip
+        train, evaluation, vocab, gen, d, se = tiny_setup()
+        config = tiny_train_config(mle_epochs=2, adversarial_epochs=2, lam=1.0)
+        derived = []
+        real = training.reference_vectors
+
+        def spy(references, df_table):
+            derived.append(references)
+            return real(references, df_table)
+
+        monkeypatch.setattr(training, "reference_vectors", spy)
+        if trainer == "mle":
+            log = mle_pretrain(gen, train, evaluation, vocab, config)
+        else:
+            log, _ = adversarial_train(gen, d, se, train, evaluation, vocab, config)
+        assert derived == [r.references for r in evaluation.records]
+        assert len(log.records) == 2 and all("eval_cider" in r for r in log.records)
 
 
 class TestAdversarial:
