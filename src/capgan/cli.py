@@ -7,13 +7,14 @@ defaults; every training command writes the merged configuration back
 into its run directory so a run is reproducible from its artifacts alone.
 
 Errors exit nonzero with a single machine-parseable line on stderr:
-``error: category=<category>: <message>``.
+``error: category=<category>: <message>``, with each category's exit code
+in ``EXIT_CODES``. Training refuses checkpoints of other model settings.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +64,6 @@ DEFAULTS = {
     "adversarial_epochs": 30,
     "t_max": 22,
     "min_count": 1,
-    "beam_size": 5,
-    "n_captions": 5,
     "d_model": 128,
     "n_layers": 2,
     "n_heads": 4,
@@ -79,6 +78,10 @@ DEFAULTS = {
 }
 
 LAMBDA_SWEEP_DEFAULT = "1.0,0.7,0.5,0.3,0.0"
+
+EXIT_CODES = {
+    "usage": 2, "config": 2, "evaluation": 2, "corpus": 3, "checkpoint": 4, "diverged": 5,
+}
 
 
 class CliError(Exception):
@@ -149,7 +152,7 @@ def _checked(make, **kwargs):
 def _train_config(cfg: dict, **overrides) -> TrainConfig:
     fields = (
         "lam", "mle_epochs", "d_pretrain_epochs", "se_pretrain_epochs",
-        "adversarial_epochs", "batch_size", "learning_rate", "seed", "t_max",
+        "adversarial_epochs", "batch_size", "learning_rate", "seed",
     )
     kwargs = {f: cfg[f] for f in fields}
     kwargs.update(overrides)
@@ -211,15 +214,24 @@ def _build_semantic(vocab, cfg: dict, feat_dim: int) -> SemanticEvaluator:
     return SemanticEvaluator(config, substream(cfg["seed"], "semantic-init"))
 
 
-def _restore_generator(path) -> tuple[Generator, dict]:
+def _restore_generator(path) -> Generator:
     arrays, meta = load_checkpoint(path, expected_kind="generator")
     gen = Generator(GeneratorConfig(**meta["config"]), substream(0, "generator-init"))
     restore_model(gen, arrays)
-    return gen, meta
+    return gen
 
 
 def _restore_into(model, path, kind: str) -> dict:
+    """Restore the checkpoint at ``path`` into ``model``, built from the run
+    config; a checkpoint recorded with other model settings is refused."""
+    if not Path(path).exists():
+        raise CliError("checkpoint", f"missing checkpoint {path}")
     arrays, meta = load_checkpoint(path, expected_kind=kind)
+    recorded = meta["config"]
+    differ = [f"{key} {recorded.get(key)!r} (run: {value!r})"
+              for key, value in asdict(model.config).items() if recorded.get(key) != value]
+    if differ:
+        raise CheckpointError(f"{path} was trained with other settings: {', '.join(differ)}")
     restore_model(model, arrays)
     return meta
 
@@ -296,7 +308,8 @@ def cmd_pretrain_d(args) -> int:
     train, _ = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
     gen_ckpt = Path(args.generator) if args.generator else run_dir / "generator_mle_final.ckpt"
-    gen, _ = _restore_generator(gen_ckpt)
+    gen = _build_generator(vocab, cfg, _data_feat_dim(train))
+    _restore_into(gen, gen_ckpt, "generator")
     d = _build_discriminator(vocab, cfg)
     d_ckpt = run_dir / "discriminator_pretrained.ckpt"
     start_epoch = _start_epoch(d, d_ckpt, "discriminator", args.resume)
@@ -320,7 +333,7 @@ def cmd_pretrain_se(args) -> int:
     se_ckpt = run_dir / "semantic_evaluator.ckpt"
     start_epoch = _start_epoch(se, se_ckpt, "semantic", args.resume)
     _write_merged_config(cfg, run_dir)
-    log = semantic_pretrain(se, train, vocab, config, start_epoch=start_epoch)
+    log = semantic_pretrain(se, train, vocab, config, cfg["t_max"], start_epoch=start_epoch)
     save_checkpoint(se_ckpt, se, {"epoch": config.se_pretrain_epochs, "seed": cfg["seed"],
                                   "stage": "se-pretrain"})
     log.save_jsonl(run_dir / "se_log.jsonl")
@@ -356,15 +369,13 @@ def cmd_train_gan(args) -> int:
     gen_ckpt = Path(args.generator) if args.generator else run_dir / "generator_mle_final.ckpt"
     d_ckpt = Path(args.discriminator) if args.discriminator else run_dir / "discriminator_pretrained.ckpt"
     se_ckpt = Path(args.semantic) if args.semantic else run_dir / "semantic_evaluator.ckpt"
-    for path in (gen_ckpt, d_ckpt, se_ckpt):
-        if not path.exists():
-            raise CliError("checkpoint", f"missing pretrained checkpoint {path}")
 
     for lam, config in zip(lambdas, configs):
         tag = f"ablation_{args.ablation}" if args.ablation else f"lambda_{lam:g}"
         out_dir = run_dir / "gan" / tag
         # fresh copies per lambda so sweep runs are independent
-        gen, _ = _restore_generator(gen_ckpt)
+        gen = _build_generator(vocab, cfg, feat_dim)
+        _restore_into(gen, gen_ckpt, "generator")
         d = _build_discriminator(vocab, cfg)
         _restore_into(d, d_ckpt, "discriminator")
         se = _build_semantic(vocab, cfg, feat_dim)
@@ -394,14 +405,12 @@ def cmd_generate(args) -> int:
         raise CliError("usage", f"no vocabulary at {vocab_path}; run pretrain first")
     vocab = Vocabulary.load(vocab_path)
     ckpt = Path(args.checkpoint) if args.checkpoint else run_dir / "generator_mle_final.ckpt"
-    gen, _ = _restore_generator(ckpt)
+    gen = _restore_generator(ckpt)
     train, evaluation = _load_splits(args.data)
     split = train if args.split == "train" else evaluation
     if split is None:
         raise CliError("corpus", f"no {args.split} split in {args.data}")
-    decode = _checked(
-        DecodeConfig, beam_size=args.beam_size, max_length=gen.config.t_max, n_captions=args.n,
-    )
+    decode = _checked(DecodeConfig, beam_size=args.beam_size, n_captions=args.n)
     rng = substream(args.seed if args.seed is not None else 0, "generate-noise")
     rows = []
     underfilled = 0
@@ -433,7 +442,10 @@ def cmd_evaluate(args) -> int:
     if split is None:
         raise CliError("corpus", f"no {args.split} split in {args.data}")
     references = {r.clip_id: r.references for r in split.records}
-    rows = read_captions(args.captions)
+    try:
+        rows = read_captions(args.captions)
+    except ValueError as exc:  # also bad UTF-8
+        raise CliError("evaluation", f"{args.captions}: {exc}")
     generated = {}
     for row in rows:
         try:
@@ -544,20 +556,17 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: category={exc.category}: {exc}", file=sys.stderr)
-        return 2
+        category, message = exc.category, str(exc)
     except CorpusError as exc:
-        print(f"error: category=corpus: {exc}", file=sys.stderr)
-        return 3
+        category, message = "corpus", str(exc)
     except CheckpointError as exc:
-        print(f"error: category=checkpoint: {exc}", file=sys.stderr)
-        return 4
+        category, message = "checkpoint", str(exc)
     except TrainingDiverged as exc:
-        print(f"error: category=diverged: {exc}", file=sys.stderr)
-        return 5
+        category, message = "diverged", str(exc)
     except FileNotFoundError as exc:
-        print(f"error: category=usage: {exc}", file=sys.stderr)
-        return 2
+        category, message = "usage", str(exc)
+    print(f"error: category={category}: {message}", file=sys.stderr)
+    return EXIT_CODES[category]
 
 
 if __name__ == "__main__":

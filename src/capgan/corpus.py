@@ -20,6 +20,7 @@ from .text import Vocabulary, normalize_and_tokenize
 
 FEATURE_MAGIC = b"DCFEAT01"
 N_REFERENCES = 5
+MANIFEST_KEYS = ("clip_id", "feature_file", "captions")
 
 
 class CorpusError(ValueError):
@@ -100,9 +101,17 @@ def read_features(path) -> np.ndarray:
 def load_dataset(manifest_path, name: str = "train") -> DatasetSplit:
     """Load a manifest (JSON array of {clip_id, feature_file, captions})."""
     manifest_path = Path(manifest_path)
-    entries = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        entries = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise CorpusError(f"{manifest_path}: not a JSON manifest: {exc}") from None
+    if not isinstance(entries, list):
+        raise CorpusError(f"{manifest_path}: a manifest is a JSON array")
     records = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
+        missing = [k for k in MANIFEST_KEYS if not isinstance(entry, dict) or k not in entry]
+        if missing:
+            raise CorpusError(f"{manifest_path} entry {i}: no {', '.join(missing)}")
         clip_id = entry["clip_id"]
         feature_path = manifest_path.parent / entry["feature_file"]
         if not feature_path.exists():

@@ -40,14 +40,13 @@ from pathlib import Path
 import numpy as np
 
 from .models import DecodeCache
-from .tensor import no_grad
+from .tensor import log_softmax, no_grad
 from .text import EOS, PAD, SOS
 
 
 @dataclass
 class DecodeConfig:
     beam_size: int = 5
-    max_length: int = 22
     n_captions: int = 5
 
     def __post_init__(self):
@@ -55,11 +54,6 @@ class DecodeConfig:
             raise ValueError("beam_size must be >= 1")
         if self.n_captions < 1:
             raise ValueError("n_captions must be >= 1")
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _forbid_markers(logits: np.ndarray) -> np.ndarray:
@@ -111,7 +105,7 @@ def rollout(
             ))
             if step == 0:
                 logits[..., EOS] = -1e9  # minimum caption length of one word
-            logp = _log_softmax(logits)
+            logp = log_softmax(logits)
             if mode == "greedy":
                 chosen = logp.argmax(axis=-1)
             else:
@@ -177,7 +171,7 @@ def beam_decode(model, features, feat_lengths, z, beam_size: int = 5,
                 logits[..., EOS] = -1e9  # minimum caption length of one word
                 totals = np.zeros(groups, dtype=logits.dtype)  # log-prob per live row
             vocab = logits.shape[1]
-            candidates = (totals[:, None] + _log_softmax(logits)).reshape(groups, width * vocab)
+            candidates = (totals[:, None] + log_softmax(logits)).reshape(groups, width * vocab)
             # best first by mean log-prob, per group; stable, so ties keep
             # (row, token) order
             order = np.argsort(-(candidates / (step + 1)), axis=1, kind="stable")
@@ -234,19 +228,19 @@ def _best_distinct(hypotheses, beam_size: int):
 
 def generate_diverse_set(model, features, feat_lengths, config: DecodeConfig,
                          rng: np.random.Generator, mode: str = "gan"):
-    """n captions for one clip.
+    """n captions for one clip, each of up to ``model.config.t_max`` words.
 
     gan: one noise vector per caption, all n decoded as the groups of one
     beam search, each group's top-1 kept (duplicates kept).
     mle: zero noise, the beam's top-n distinct hypotheses.
     Returns (sequences, scores, underfilled_flag).
     """
-    noise_dim = model.config.noise_dim
+    noise_dim, max_length = model.config.noise_dim, model.config.t_max
     if mode == "gan":
         z = rng.standard_normal((config.n_captions, noise_dim))
         ranked = beam_decode(
             model, features, feat_lengths, z,
-            beam_size=config.beam_size, max_length=config.max_length, n_best=1,
+            beam_size=config.beam_size, max_length=max_length, n_best=1,
         )
         sequences = [group[0][0] for group in ranked]
         scores = [group[0][1] for group in ranked]
@@ -256,7 +250,7 @@ def generate_diverse_set(model, features, feat_lengths, config: DecodeConfig,
         [ranked] = beam_decode(
             model, features, feat_lengths, z,
             beam_size=max(config.beam_size, config.n_captions),
-            max_length=config.max_length, n_best=config.n_captions,
+            max_length=max_length, n_best=config.n_captions,
         )
         sequences = [tokens for tokens, _ in ranked]
         scores = [score for _, score in ranked]
@@ -275,8 +269,19 @@ def write_captions(path, rows: list[dict]) -> None:
 
 
 def read_captions(path) -> list[dict]:
+    """The rows of a caption file; a line that is not a JSON object with a
+    string ``clip_id`` and a list of string ``captions`` is a ValueError."""
     rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line:
-            rows.append(json.loads(line))
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {number}: not JSON: {exc}") from None
+        if not (isinstance(row, dict) and isinstance(row.get("clip_id"), str)
+                and isinstance(row.get("captions"), list)
+                and all(isinstance(c, str) for c in row["captions"])):
+            raise ValueError(f"line {number}: needs a clip_id and a list of captions")
+        rows.append(row)
     return rows

@@ -596,20 +596,31 @@ def load_checkpoint(path, expected_kind: str | None = None) -> tuple[dict, dict]
         offset += count
         return chunk
 
+    def text(count):
+        try:
+            return bytes(take(count)).decode()
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: undecodable checkpoint header") from None
+
     (version,) = struct.unpack("<I", take(4))
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (kind_len,) = struct.unpack("<H", take(2))
-    kind = bytes(take(kind_len)).decode()
+    kind = text(kind_len)
     if expected_kind is not None and kind != expected_kind:
         raise CheckpointError(f"{path}: checkpoint kind {kind!r}, expected {expected_kind!r}")
     (meta_len,) = struct.unpack("<I", take(4))
-    metadata = json.loads(bytes(take(meta_len)).decode())
+    try:
+        metadata = json.loads(text(meta_len))
+    except json.JSONDecodeError:
+        metadata = None
+    if not (isinstance(metadata, dict) and isinstance(metadata.get("config"), dict)):
+        raise CheckpointError(f"{path}: checkpoint metadata is not a JSON object with a config")
     (n_entries,) = struct.unpack("<I", take(4))
     arrays = {}
     for _ in range(n_entries):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode()
+        name = text(name_len)
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         count = int(np.prod(shape)) if shape else 1

@@ -35,12 +35,19 @@ __all__ = [
     "attention",
     "gru_cell",
     "cross_entropy",
+    "log_softmax",
     "layer_norm",
     "Adam",
 ]
 
 
 _grad_enabled = True
+
+
+def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``log(softmax(x))`` along ``axis``, shifted by the max for range."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 @contextmanager
@@ -395,8 +402,7 @@ class Tensor:
         return Tensor._from_op(out_data, (self,), backward)
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        out_data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+        out_data = log_softmax(self.data, axis)
 
         def backward(grad):
             soft = np.exp(out_data)
@@ -606,8 +612,7 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     if n_kept == 0:
         raise DomainError("cross_entropy over an empty unmasked set")
 
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    log_probs = log_softmax(logits.data)
     picked = np.take_along_axis(log_probs, targets[..., None], axis=-1)[..., 0]
     out_data = np.asarray(-(picked * mask).sum() / n_kept)
 

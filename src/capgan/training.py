@@ -41,6 +41,9 @@ class TrainingDiverged(RuntimeError):
 # the discriminator (nd), the semantic evaluator (se) or CIDEr (le)
 ABLATION_LAMBDA = {"nd": 1.0, "se": 1.0, "le": 0.0}
 
+# the semantic evaluator's ranking margin
+SE_MARGIN = 0.2
+
 
 @dataclass
 class TrainConfig:
@@ -52,8 +55,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-4
     seed: int = 0
-    t_max: int = 22
-    se_margin: float = 0.2
     ablation: str | None = None  # nd | se | le
 
     def __post_init__(self):
@@ -173,8 +174,7 @@ def _optimize(opt: Adam, loss: Tensor, what: str) -> float:
 # -- MLE pretraining ----------------------------------------------------------
 
 
-def _eval_greedy_cider(gen, split: DatasetSplit, ref_vecs: list, vocab, df_table,
-                       t_max: int) -> float:
+def _eval_greedy_cider(gen, split: DatasetSplit, ref_vecs: list, vocab, df_table) -> float:
     """Mean CIDEr of the zero-noise greedy captions of a split, decoded in
     one rollout, against ``ref_vecs``, each clip's ``reference_vectors``.
     Each clip is encoded alone, at its own length: a padded batch would
@@ -188,7 +188,7 @@ def _eval_greedy_cider(gen, split: DatasetSplit, ref_vecs: list, vocab, df_table
             gen.encode(r.features[None], lengths[i : i + 1], z[i : i + 1]).data[0]
             for i, r in enumerate(records)
         ])
-    seqs, _ = rollout(gen, features, lengths, z, "greedy", max_length=t_max,
+    seqs, _ = rollout(gen, features, lengths, z, "greedy", max_length=gen.config.t_max,
                       memory=Tensor(memory))
     scores = [cider(vocab.decode(seq), r.references, df_table, vecs)
               for seq, r, vecs in zip(seqs, records, ref_vecs)]
@@ -226,7 +226,7 @@ def mle_pretrain(
     for epoch in range(start_epoch, config.mle_epochs + 1):
         losses = []
         for batch in epoch_batches(train_split, vocab, config.batch_size, data_rng,
-                                   t_max=config.t_max):
+                                   t_max=gen.config.t_max):
             z = np.zeros((len(batch.clip_ids), gen.config.noise_dim))
             logits = gen.forward(
                 batch.features, batch.feature_lengths, z,
@@ -236,9 +236,7 @@ def mle_pretrain(
             losses.append(_optimize(opt, loss, "MLE loss"))
         record = {"epoch": epoch, "mle_loss": float(np.mean(losses))}
         if eval_refs:
-            record["eval_cider"] = _eval_greedy_cider(
-                gen, eval_split, eval_refs, vocab, df_table, config.t_max
-            )
+            record["eval_cider"] = _eval_greedy_cider(gen, eval_split, eval_refs, vocab, df_table)
         log.append(**record)
         if out_dir is not None:
             save_checkpoint(out_dir / "generator_mle_final.ckpt", gen,
@@ -264,11 +262,11 @@ def discriminator_loss(d: Discriminator, real_tokens, real_lengths,
     return loss_real + loss_fake
 
 
-def _sample_fakes(gen: Generator, batch, rng, t_max: int) -> list[list[int]]:
+def _sample_fakes(gen: Generator, batch, rng) -> list[list[int]]:
     z = rng.standard_normal((len(batch.clip_ids), gen.config.noise_dim))
     seqs, _ = rollout(
         gen, batch.features, batch.feature_lengths, z, "sample",
-        rng=rng, max_length=t_max,
+        rng=rng, max_length=gen.config.t_max,
     )
     return seqs
 
@@ -295,10 +293,10 @@ def d_pretrain(
     for epoch in range(start_epoch, config.d_pretrain_epochs + 1):
         losses = []
         for batch in epoch_batches(train_split, vocab, config.batch_size, data_rng,
-                                   t_max=config.t_max):
+                                   t_max=gen.config.t_max):
             real_tokens = batch.targets
             real_lengths = batch.target_lengths
-            fakes = _sample_fakes(gen, batch, fake_rng, config.t_max)
+            fakes = _sample_fakes(gen, batch, fake_rng)
             fake_tokens, fake_lengths = pad_sequences(fakes)
             losses.append(
                 discriminator_step(d, opt, real_tokens, real_lengths,
@@ -340,6 +338,7 @@ def semantic_pretrain(
     train_split: DatasetSplit,
     vocab,
     config: TrainConfig,
+    t_max: int,
     start_epoch: int = 1,
 ) -> TrainLog:
     opt = Adam(se.store.tensors(), lr=config.learning_rate)
@@ -348,17 +347,16 @@ def semantic_pretrain(
     for epoch in range(start_epoch, config.se_pretrain_epochs + 1):
         losses = []
         for batch in epoch_batches(train_split, vocab, config.batch_size, data_rng,
-                                   t_max=config.t_max):
+                                   t_max=t_max):
             if len(batch.clip_ids) < 2:
                 continue  # hinge loss needs in-batch negatives
-            loss = semantic_hinge_loss(se, batch, config.se_margin)
+            loss = semantic_hinge_loss(se, batch, SE_MARGIN)
             losses.append(_optimize(opt, loss, "semantic loss"))
         log.append(epoch=epoch, se_loss=float(np.mean(losses)) if losses else 0.0)
     return log
 
 
-def semantic_gap(se: SemanticEvaluator, split: DatasetSplit, vocab,
-                 t_max: int = 22) -> float:
+def semantic_gap(se: SemanticEvaluator, split: DatasetSplit, vocab, t_max: int) -> float:
     """Mean paired-minus-unpaired cosine over a split (unpaired = shifted)."""
     features, feat_lengths = pad_frames([r.features for r in split.records])
     tokens, lengths = pad_sequences(
@@ -409,11 +407,11 @@ def scst_generator_step(
         memory = gen.encode(batch.features, batch.feature_lengths, z)
     sampled, _ = rollout(
         gen, batch.features, batch.feature_lengths, z, "sample",
-        rng=sample_rng, max_length=config.t_max, memory=memory,
+        rng=sample_rng, max_length=gen.config.t_max, memory=memory,
     )
     greedy, _ = rollout(
         gen, batch.features, batch.feature_lengths, z, "greedy",
-        max_length=config.t_max, memory=memory,
+        max_length=gen.config.t_max, memory=memory,
     )
     records = [records_by_id[clip_id] for clip_id in batch.clip_ids]
     rewards = oracles.score(sampled + greedy, records + records, config)
@@ -460,9 +458,9 @@ def adversarial_train(
     for epoch in range(1, config.adversarial_epochs + 1):
         d_losses, g_losses, rewards, advantages = [], [], [], []
         for batch in epoch_batches(train_split, vocab, config.batch_size, data_rng,
-                                   t_max=config.t_max):
+                                   t_max=gen.config.t_max):
             if train_d:
-                fakes = _sample_fakes(gen, batch, fake_rng, config.t_max)
+                fakes = _sample_fakes(gen, batch, fake_rng)
                 fake_tokens, fake_lengths = pad_sequences(fakes)
                 d_losses.append(
                     discriminator_step(d, d_opt, batch.targets, batch.target_lengths,
@@ -491,9 +489,7 @@ def adversarial_train(
             "se_queries": oracles.se_queries,
         }
         if eval_refs:
-            record["eval_cider"] = _eval_greedy_cider(
-                gen, eval_split, eval_refs, vocab, df_table, config.t_max
-            )
+            record["eval_cider"] = _eval_greedy_cider(gen, eval_split, eval_refs, vocab, df_table)
         log.append(**record)
         if out_dir is not None:
             save_checkpoint(out_dir / f"generator_adv_epoch{epoch:03d}.ckpt", gen,

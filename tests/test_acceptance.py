@@ -87,7 +87,6 @@ def _smoke_train_config(seed, **overrides):
     base = dict(
         lam=1.0, mle_epochs=5, d_pretrain_epochs=2, se_pretrain_epochs=5,
         adversarial_epochs=5, batch_size=8, learning_rate=2e-3, seed=seed,
-        t_max=T_MAX,
     )
     base.update(overrides)
     return TrainConfig(**base)
@@ -120,7 +119,7 @@ def _smoke_semantic(vocab, seed):
 
 def _decode_sets(gen, split, vocab, mode, seed, n=5, beam=5):
     rng = substream(seed, f"{mode}-decode")
-    config = DecodeConfig(beam_size=beam, max_length=gen.config.t_max, n_captions=n)
+    config = DecodeConfig(beam_size=beam, n_captions=n)
     out = {}
     for record in split.records:
         seqs, _, _ = generate_diverse_set(
@@ -440,7 +439,7 @@ def test_ac07_semantic_gap(capsys):
     vocab = build_vocabulary(train)
     se = _smoke_semantic(vocab, 12)
     config = _smoke_train_config(12, se_pretrain_epochs=25, learning_rate=2e-3)
-    semantic_pretrain(se, train, vocab, config)
+    semantic_pretrain(se, train, vocab, config, T_MAX)
     gap = semantic_gap(se, evaluation, vocab, t_max=T_MAX)
     _finish(capsys, "AC7 semantic evaluator gap", gap > 0.2,
             f"held-out paired-unpaired gap {gap:.3f} > 0.2")
@@ -508,7 +507,7 @@ def _trend_pipeline(seed):
     d = _smoke_discriminator(vocab, seed)
     d_pretrain(d, gen, train, vocab, config)
     se = _smoke_semantic(vocab, seed)
-    semantic_pretrain(se, train, vocab, config)
+    semantic_pretrain(se, train, vocab, config, T_MAX)
     adversarial_train(gen, d, se, train, None, vocab, config)
     gan_caps = _decode_sets(gen, evaluation, vocab, "gan", seed, n=5, beam=3)
     refs = {r.clip_id: r.references for r in evaluation.records}

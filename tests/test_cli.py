@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 import yaml
 
 import capgan
-from capgan.cli import main
+from capgan.cli import EXIT_CODES, main
 from capgan.decoding import read_captions
 from capgan.models import load_checkpoint
 
@@ -451,3 +452,134 @@ def test_evaluate_rejects_a_clip_without_captions(data_dir, tmp_path, capsys):
     code, _, err = run(["evaluate", "--captions", str(empty), "--data", str(data_dir)], capsys)
     assert code == 2
     assert err.startswith("error: category=evaluation: ") and clip_id in err
+
+
+# a command per error category: argv, then the exit code that category gives
+CATEGORY_COMMANDS = {
+    "usage": (["pretrain", "--data", "{data}", "--run", "{tmp}/fresh", "--config", "{config}",
+               "--batch-size", "0"], 2),
+    "config": (["pretrain", "--data", "{data}", "--run", "{tmp}/fresh",
+                "--config", "{tmp}/unknown_key.yaml"], 2),
+    "evaluation": (["evaluate", "--captions", "{tmp}/unknown_clip.jsonl", "--data", "{data}"], 2),
+    "corpus": (["pretrain", "--data", "{tmp}/nope", "--run", "{tmp}/fresh",
+                "--config", "{config}"], 3),
+    "checkpoint": (TRAIN_GAN, 4),
+    "diverged": (["pretrain", "--data", "{data}", "--run", "{tmp}/fresh", "--config", "{config}",
+                  "--epochs", "2", "--learning-rate", "1e30"], 5),
+}
+
+
+@pytest.mark.parametrize("category", sorted(CATEGORY_COMMANDS))
+def test_each_error_category_has_its_exit_code(category, pretrained, data_dir, config_file,
+                                               tmp_path):
+    (tmp_path / "unknown_key.yaml").write_text("nonsense_knob: 3\n")
+    (tmp_path / "unknown_clip.jsonl").write_text(
+        json.dumps({"clip_id": "clip_9999", "captions": ["a dog barks"]}) + "\n")
+    argv, exit_code = CATEGORY_COMMANDS[category]
+    paths = {"tmp": tmp_path, "data": data_dir, "run": pretrained, "config": config_file}
+    code, err = run_process([arg.format(**paths) for arg in argv])
+    assert code == exit_code, err
+    assert "Traceback" not in err
+    # a diverging run may warn about overflow first; the error line is last
+    assert err.splitlines()[-1].startswith(f"error: category={category}: "), err
+
+
+def _bad_manifest(data_dir, tmp_path, edit):
+    """A copy of the dataset whose train manifest is ``edit(manifest text)``."""
+    bad = tmp_path / "bad_data"
+    shutil.copytree(data_dir, bad)
+    (bad / "train.json").write_text(edit((bad / "train.json").read_text()))
+    return bad
+
+
+def _without(key):
+    def edit(text):
+        entries = json.loads(text)
+        del entries[0][key]
+        return json.dumps(entries)
+    return edit
+
+
+# a malformed input: the command that reads it, the caption file's text or
+# an edit of the train manifest, the category it fails with, what the line names
+MALFORMED_INPUTS = {
+    "caption line not JSON": ("evaluate", '{"clip_id": "clip_0009", "captions": [\n',
+                              "evaluation", "line 1"),
+    "caption row without clip_id": ("evaluate", json.dumps({"captions": ["a dog barks"]}) + "\n",
+                                    "evaluation", "clip_id"),
+    "manifest not JSON": ("pretrain", lambda text: "[{", "corpus", "train.json"),
+    "manifest entry without clip_id": ("pretrain", _without("clip_id"), "corpus", "clip_id"),
+    "manifest entry without feature_file": (
+        "pretrain", _without("feature_file"), "corpus", "feature_file"),
+    "manifest entry without captions": ("pretrain", _without("captions"), "corpus", "captions"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_one_error_line(case, data_dir, config_file, tmp_path):
+    command, content, category, named = MALFORMED_INPUTS[case]
+    if command == "evaluate":
+        captions = tmp_path / "captions.jsonl"
+        captions.write_text(content)
+        unwritten = tmp_path / "report.json"
+        argv = ["evaluate", "--captions", str(captions), "--data", str(data_dir),
+                "--out-json", str(unwritten)]
+    else:
+        unwritten = tmp_path / "fresh"
+        argv = ["pretrain", "--data", str(_bad_manifest(data_dir, tmp_path, content)),
+                "--run", str(unwritten), "--config", str(config_file)]
+    code, err = run_process(argv)
+    assert code == EXIT_CODES[category], err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: category={category}: "), err
+    assert named in lines[0]
+    assert not unwritten.exists()
+
+
+@pytest.fixture
+def short_run(data_dir, config_file, tmp_path, capsys):
+    """Generator, discriminator and semantic evaluator all trained with
+    --t-max 6, where the config file says 12."""
+    run_dir = tmp_path / "short"
+    for cmd in ("pretrain", "pretrain-d", "pretrain-se"):
+        code, _, err = run(
+            [cmd, "--data", str(data_dir), "--run", str(run_dir), "--config", str(config_file),
+             "--epochs", "1", "--t-max", "6"],
+            capsys,
+        )
+        assert code == 0, err
+    return run_dir
+
+
+def snapshot(run_dir: Path) -> dict:
+    return {p.relative_to(run_dir): p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+
+
+# a command whose settings differ from its run's checkpoints, then the field
+MISMATCHED_SETTINGS = {
+    "pretrain-d without --t-max": (
+        ["pretrain-d", "--data", "{data}", "--run", "{run}", "--config", "{config}",
+         "--epochs", "1"], "t_max"),
+    "train-gan without --t-max": (TRAIN_GAN, "t_max"),
+    "pretrain --resume with other n_heads": (
+        ["pretrain", "--data", "{data}", "--run", "{run}", "--config", "{tmp}/one_head.yaml",
+         "--t-max", "6", "--epochs", "2", "--resume"], "n_heads"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHED_SETTINGS))
+def test_checkpoint_of_other_settings_is_refused(case, short_run, data_dir, config_file,
+                                                 tmp_path):
+    (tmp_path / "one_head.yaml").write_text(yaml.safe_dump(dict(SMALL_MODEL, n_heads=1)))
+    argv, field = MISMATCHED_SETTINGS[case]
+    paths = {"tmp": tmp_path, "data": data_dir, "run": short_run, "config": config_file}
+    before = snapshot(short_run)
+    code, err = run_process([arg.format(**paths) for arg in argv])
+    assert code == 4, err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: category=checkpoint: "), err
+    assert field in lines[0]
+    # no checkpoint, log or config.yaml written, nothing under gan/
+    assert snapshot(short_run) == before

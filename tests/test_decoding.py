@@ -8,7 +8,6 @@ from capgan import decoding
 from capgan.decoding import (
     DecodeConfig,
     _forbid_markers,
-    _log_softmax,
     beam_decode,
     generate_diverse_set,
     read_captions,
@@ -16,7 +15,7 @@ from capgan.decoding import (
     write_captions,
 )
 from capgan.models import DecodeCache
-from capgan.tensor import no_grad
+from capgan.tensor import log_softmax, no_grad
 from capgan.text import EOS, PAD, SOS
 
 from test_models import default_generator, tiny_generator, tiny_inputs
@@ -92,7 +91,7 @@ def reference_greedy(model, features, feat_lengths, z, max_length):
         logits = _forbid_markers(model.step_logits(features, feat_lengths, z, prefix))
         if step == 0:
             logits[..., EOS] = -1e9
-        chosen = np.where(alive, _log_softmax(logits).argmax(axis=-1), PAD)
+        chosen = np.where(alive, log_softmax(logits).argmax(axis=-1), PAD)
         prefix = np.concatenate([prefix, chosen[:, None]], axis=1)
         alive &= chosen != EOS
     return [[SOS] + [int(t) for t in row[1:] if t != PAD] for row in prefix]
@@ -114,7 +113,7 @@ def reference_beam(model, features, feat_lengths, z, beam_size, max_length):
         ))
         if step == 0:
             logits[..., EOS] = -1e9
-        logp = _log_softmax(logits)
+        logp = log_softmax(logits)
         candidates = []
         for i, (tokens, total) in enumerate(live):
             for tok in range(logp.shape[-1]):
@@ -146,7 +145,7 @@ def single_group_beam(model, features, feat_lengths, z, beam_size, max_length):
             if step == 0:
                 logits[..., EOS] = -1e9
                 totals = np.zeros(1, dtype=logits.dtype)
-            candidates = totals[:, None] + _log_softmax(logits)
+            candidates = totals[:, None] + log_softmax(logits)
             order = np.argsort(-(candidates / (step + 1)), axis=None, kind="stable")
             rows, tokens = np.divmod(order, candidates.shape[1])
             ended = tokens == EOS
@@ -179,7 +178,7 @@ def full_length_beam(model, features, feat_lengths, z, beam_size, max_length, n_
                 logits[..., EOS] = -1e9
                 totals = np.zeros(groups, dtype=logits.dtype)
             vocab = logits.shape[1]
-            candidates = (totals[:, None] + _log_softmax(logits)).reshape(groups, width * vocab)
+            candidates = (totals[:, None] + log_softmax(logits)).reshape(groups, width * vocab)
             order = np.argsort(-(candidates / (step + 1)), axis=1, kind="stable")
             rows, tokens = np.divmod(order, vocab)
             ended = tokens == EOS
@@ -529,7 +528,7 @@ class TestSettledStop:
     def test_late_finisher(self):
         model = ToyModel(LATE)
         features, lens, z = toy_inputs()
-        logp = _log_softmax(np.asarray(LATE[1]))
+        logp = log_softmax(np.asarray(LATE[1]))
         early, late = logp[3] / 2, logp[5] / 23  # means of 'a <eos>' and of 'c' x 23
         # after the second step the early <eos> beats the live 'c c' at its
         # current length, but not at the length the live row can still reach
@@ -574,7 +573,7 @@ class TestDiverseSet:
         gen = tiny_generator()
         rng = np.random.default_rng(5)
         features, feat_lengths, _, _ = tiny_inputs(rng, batch=1)
-        config = DecodeConfig(beam_size=2, max_length=6, n_captions=5)
+        config = DecodeConfig(beam_size=2, n_captions=5)
         seqs, scores, flagged = generate_diverse_set(
             gen, features, feat_lengths, config, np.random.default_rng(0), mode="gan"
         )
@@ -587,7 +586,7 @@ class TestDiverseSet:
         rng = np.random.default_rng(25)
         features = rng.standard_normal((1, 9, c.feat_dim))
         feat_lengths = np.array([7])
-        config = DecodeConfig(beam_size=5, max_length=c.t_max, n_captions=5)
+        config = DecodeConfig(beam_size=5, n_captions=5)
         # reference: one single-noise beam search per caption, noise drawn
         # as n (1, noise_dim) rows from the same seeded stream
         ref_rng = np.random.default_rng(42)
@@ -595,7 +594,7 @@ class TestDiverseSet:
         for _ in range(config.n_captions):
             z = ref_rng.standard_normal((1, c.noise_dim))
             [ranked] = beam_decode(gen, features, feat_lengths, z, beam_size=config.beam_size,
-                                   max_length=config.max_length, n_best=1)
+                                   max_length=c.t_max, n_best=1)
             want.append(ranked[0])
 
         beams, encodes = [], []
@@ -616,7 +615,7 @@ class TestDiverseSet:
         gen = tiny_generator()
         rng = np.random.default_rng(6)
         features, feat_lengths, _, _ = tiny_inputs(rng, batch=1)
-        config = DecodeConfig(beam_size=5, max_length=6, n_captions=5)
+        config = DecodeConfig(beam_size=5, n_captions=5)
         s1, _, _ = generate_diverse_set(
             gen, features, feat_lengths, config, np.random.default_rng(0), mode="mle"
         )
@@ -630,7 +629,7 @@ class TestDiverseSet:
         gen = tiny_generator()
         rng = np.random.default_rng(7)
         features, feat_lengths, _, _ = tiny_inputs(rng, batch=1)
-        config = DecodeConfig(beam_size=2, max_length=6, n_captions=3)
+        config = DecodeConfig(beam_size=2, n_captions=3)
         s1, _, _ = generate_diverse_set(
             gen, features, feat_lengths, config, np.random.default_rng(42), mode="gan"
         )

@@ -585,6 +585,32 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field", ["kind", "metadata", "name"])
+    def test_undecodable_header_rejected(self, tmp_path, field):
+        gen = tiny_generator(dtype=np.float32)
+        path = tmp_path / "gen.ckpt"
+        save_checkpoint(path, gen)
+        raw = bytearray(path.read_bytes())
+        kind_at = 8 + 4 + 2  # magic, version, kind length
+        meta_at = kind_at + len(b"generator") + 4
+        meta_len = int.from_bytes(raw[meta_at - 4 : meta_at], "little")
+        name_at = meta_at + meta_len + 4 + 2  # entry count, name length
+        raw[{"kind": kind_at, "metadata": meta_at, "name": name_at}[field]] = 0xFF  # not UTF-8
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="undecodable"):
+            load_checkpoint(path)
+
+    def test_metadata_that_is_not_json_rejected(self, tmp_path):
+        gen = tiny_generator(dtype=np.float32)
+        path = tmp_path / "gen.ckpt"
+        save_checkpoint(path, gen)
+        raw = path.read_bytes()
+        at = 8 + 4 + 2 + len(b"generator") + 4
+        assert raw[at : at + 1] == b"{"
+        path.write_bytes(raw[:at] + b"x" + raw[at + 1 :])
+        with pytest.raises(CheckpointError, match="JSON"):
+            load_checkpoint(path)
+
     def test_wrong_kind_rejected(self, tmp_path):
         d = Discriminator(
             DiscriminatorConfig(vocab_size=11, embed_dim=4, hidden_dim=6),

@@ -81,7 +81,7 @@ def tiny_generator_sized(vocab, dtype=np.float32, seed=0):
 def tiny_train_config(**overrides):
     base = dict(
         lam=0.5, mle_epochs=2, d_pretrain_epochs=2, se_pretrain_epochs=2,
-        adversarial_epochs=1, batch_size=4, learning_rate=1e-3, seed=0, t_max=12,
+        adversarial_epochs=1, batch_size=4, learning_rate=1e-3, seed=0,
     )
     base.update(overrides)
     return TrainConfig(**base)
@@ -620,7 +620,7 @@ class TestSemanticEvaluatorTraining:
         train, _, vocab, _, _, se = tiny_setup()
         before = semantic_gap(se, train, vocab, t_max=12)
         config = tiny_train_config(se_pretrain_epochs=15, learning_rate=5e-3)
-        log = semantic_pretrain(se, train, vocab, config)
+        log = semantic_pretrain(se, train, vocab, config, 12)
         after = semantic_gap(se, train, vocab, t_max=12)
         assert len(log.records) == 15
         assert after > before
@@ -735,8 +735,7 @@ class TestEvalPass:
             gen, evaluation, vocab, df_table, gen.config.t_max)
         calls = []
         spy_rollout(monkeypatch, calls)
-        got_cider = _eval_greedy_cider(gen, evaluation, refs, vocab, df_table,
-                                       gen.config.t_max)
+        got_cider = _eval_greedy_cider(gen, evaluation, refs, vocab, df_table)
         assert len(calls) == 1
         got_seqs, got_logps = calls[0][1]
         assert got_seqs == want_seqs
@@ -749,9 +748,9 @@ class TestEvalPass:
         gen, evaluation, vocab, df_table, refs = self._setup()
         zero_calls, filled_calls = [], []
         spy_rollout(monkeypatch, zero_calls)
-        zero = _eval_greedy_cider(gen, evaluation, refs, vocab, df_table, gen.config.t_max)
+        zero = _eval_greedy_cider(gen, evaluation, refs, vocab, df_table)
         spy_rollout(monkeypatch, filled_calls, pad_fill=1e3)
-        filled = _eval_greedy_cider(gen, evaluation, refs, vocab, df_table, gen.config.t_max)
+        filled = _eval_greedy_cider(gen, evaluation, refs, vocab, df_table)
         memory = filled_calls[0][0]["memory"].data
         assert (memory == 1e3).any()
         assert filled_calls[0][1] == zero_calls[0][1]
@@ -934,7 +933,7 @@ class TestFloat32:
         steps = {
             "MLE": (gen, lambda: mle_pretrain(gen, train, None, vocab, config)),
             "D": (d, lambda: d_pretrain(d, gen, train, vocab, config)),
-            "SE": (se, lambda: semantic_pretrain(se, train, vocab, config)),
+            "SE": (se, lambda: semantic_pretrain(se, train, vocab, config, 12)),
             "SCST": (gen, lambda: scst_generator_step(
                 gen, Adam(gen.store.tensors(), lr=1e-3), batch,
                 {r.clip_id: r for r in train.records}, oracles, config,
