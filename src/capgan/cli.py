@@ -37,6 +37,7 @@ from .models import (
     GeneratorConfig,
     SemanticEvaluator,
     SemanticEvaluatorConfig,
+    config_from_checkpoint,
     load_checkpoint,
     restore_model,
     save_checkpoint,
@@ -162,27 +163,36 @@ def _train_config(cfg: dict, **overrides) -> TrainConfig:
 # -- shared loading -----------------------------------------------------------
 
 
+def _load_split(data_dir, name: str):
+    """The "train" or "evaluation" split of a dataset directory."""
+    manifest = Path(data_dir) / f"{name}.json"
+    if not manifest.exists():
+        raise CliError("corpus", f"no {name} split in {data_dir}")
+    return load_dataset(manifest, name)
+
+
 def _load_splits(data_dir) -> tuple:
-    data_dir = Path(data_dir)
-    train_manifest = data_dir / "train.json"
-    eval_manifest = data_dir / "evaluation.json"
-    if not train_manifest.exists():
-        raise CliError("corpus", f"no train manifest at {train_manifest}")
-    train = load_dataset(train_manifest, "train")
-    evaluation = None
-    if eval_manifest.exists():
-        evaluation = load_dataset(eval_manifest, "evaluation")
-    return train, evaluation
+    """The train split, and the evaluation split or None if there is none."""
+    has_eval = (Path(data_dir) / "evaluation.json").exists()
+    return (_load_split(data_dir, "train"),
+            _load_split(data_dir, "evaluation") if has_eval else None)
 
 
 def _load_or_build_vocab(run_dir: Path, train, min_count: int) -> Vocabulary:
+    """The run's vocabulary, or one built from the train split if the run
+    has none yet; ``_save_vocab`` writes it once the command's inputs are
+    checked."""
     vocab_path = run_dir / "vocab.txt"
     if vocab_path.exists():
         return Vocabulary.load(vocab_path)
-    vocab = build_vocabulary(train, min_count=min_count)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    vocab.save(vocab_path)
-    return vocab
+    return build_vocabulary(train, min_count=min_count)
+
+
+def _save_vocab(vocab: Vocabulary, run_dir: Path) -> None:
+    vocab_path = run_dir / "vocab.txt"
+    if not vocab_path.exists():
+        run_dir.mkdir(parents=True, exist_ok=True)
+        vocab.save(vocab_path)
 
 
 def _data_feat_dim(train) -> int:
@@ -214,22 +224,15 @@ def _build_semantic(vocab, cfg: dict, feat_dim: int) -> SemanticEvaluator:
     return SemanticEvaluator(config, substream(cfg["seed"], "semantic-init"))
 
 
-def _restore_generator(path) -> Generator:
-    arrays, meta = load_checkpoint(path, expected_kind="generator")
-    gen = Generator(GeneratorConfig(**meta["config"]), substream(0, "generator-init"))
-    restore_model(gen, arrays)
-    return gen
-
-
 def _restore_into(model, path, kind: str) -> dict:
     """Restore the checkpoint at ``path`` into ``model``, built from the run
     config; a checkpoint recorded with other model settings is refused."""
     if not Path(path).exists():
         raise CliError("checkpoint", f"missing checkpoint {path}")
     arrays, meta = load_checkpoint(path, expected_kind=kind)
-    recorded = meta["config"]
-    differ = [f"{key} {recorded.get(key)!r} (run: {value!r})"
-              for key, value in asdict(model.config).items() if recorded.get(key) != value]
+    recorded = asdict(config_from_checkpoint(type(model.config), meta, path))
+    differ = [f"{key} {recorded[key]!r} (run: {value!r})"
+              for key, value in asdict(model.config).items() if recorded[key] != value]
     if differ:
         raise CheckpointError(f"{path} was trained with other settings: {', '.join(differ)}")
     restore_model(model, arrays)
@@ -287,6 +290,7 @@ def cmd_pretrain(args) -> int:
     gen = _build_generator(vocab, cfg, _data_feat_dim(train))
     start_epoch = _start_epoch(gen, run_dir / "generator_mle_final.ckpt", "generator",
                                args.resume)
+    _save_vocab(vocab, run_dir)
     _write_merged_config(cfg, run_dir)
     log = mle_pretrain(
         gen, train, evaluation, vocab, config, out_dir=run_dir,
@@ -313,6 +317,7 @@ def cmd_pretrain_d(args) -> int:
     d = _build_discriminator(vocab, cfg)
     d_ckpt = run_dir / "discriminator_pretrained.ckpt"
     start_epoch = _start_epoch(d, d_ckpt, "discriminator", args.resume)
+    _save_vocab(vocab, run_dir)
     _write_merged_config(cfg, run_dir)
     log = d_pretrain(d, gen, train, vocab, config, start_epoch=start_epoch)
     save_checkpoint(d_ckpt, d, {"epoch": config.d_pretrain_epochs, "seed": cfg["seed"],
@@ -332,6 +337,7 @@ def cmd_pretrain_se(args) -> int:
     se = _build_semantic(vocab, cfg, _data_feat_dim(train))
     se_ckpt = run_dir / "semantic_evaluator.ckpt"
     start_epoch = _start_epoch(se, se_ckpt, "semantic", args.resume)
+    _save_vocab(vocab, run_dir)
     _write_merged_config(cfg, run_dir)
     log = semantic_pretrain(se, train, vocab, config, cfg["t_max"], start_epoch=start_epoch)
     save_checkpoint(se_ckpt, se, {"epoch": config.se_pretrain_epochs, "seed": cfg["seed"],
@@ -370,16 +376,23 @@ def cmd_train_gan(args) -> int:
     d_ckpt = Path(args.discriminator) if args.discriminator else run_dir / "discriminator_pretrained.ckpt"
     se_ckpt = Path(args.semantic) if args.semantic else run_dir / "semantic_evaluator.ckpt"
 
-    for lam, config in zip(lambdas, configs):
-        tag = f"ablation_{args.ablation}" if args.ablation else f"lambda_{lam:g}"
-        out_dir = run_dir / "gan" / tag
-        # fresh copies per lambda so sweep runs are independent
+    def restored():
         gen = _build_generator(vocab, cfg, feat_dim)
         _restore_into(gen, gen_ckpt, "generator")
         d = _build_discriminator(vocab, cfg)
         _restore_into(d, d_ckpt, "discriminator")
         se = _build_semantic(vocab, cfg, feat_dim)
         _restore_into(se, se_ckpt, "semantic")
+        return gen, d, se
+
+    # every checkpoint is checked before anything is written
+    first = restored()
+    _save_vocab(vocab, run_dir)
+    for i, (lam, config) in enumerate(zip(lambdas, configs)):
+        tag = f"ablation_{args.ablation}" if args.ablation else f"lambda_{lam:g}"
+        out_dir = run_dir / "gan" / tag
+        # fresh copies per lambda so sweep runs are independent
+        gen, d, se = first if i == 0 else restored()
         run_cfg = dict(cfg, lam=config.lam)
         _write_merged_config(run_cfg, out_dir)
         log, oracles = adversarial_train(
@@ -405,11 +418,11 @@ def cmd_generate(args) -> int:
         raise CliError("usage", f"no vocabulary at {vocab_path}; run pretrain first")
     vocab = Vocabulary.load(vocab_path)
     ckpt = Path(args.checkpoint) if args.checkpoint else run_dir / "generator_mle_final.ckpt"
-    gen = _restore_generator(ckpt)
-    train, evaluation = _load_splits(args.data)
-    split = train if args.split == "train" else evaluation
-    if split is None:
-        raise CliError("corpus", f"no {args.split} split in {args.data}")
+    arrays, meta = load_checkpoint(ckpt, expected_kind="generator")
+    gen = Generator(config_from_checkpoint(GeneratorConfig, meta, ckpt),
+                    substream(0, "generator-init"))
+    restore_model(gen, arrays)
+    split = _load_split(args.data, args.split)
     decode = _checked(DecodeConfig, beam_size=args.beam_size, n_captions=args.n)
     rng = substream(args.seed if args.seed is not None else 0, "generate-noise")
     rows = []
@@ -437,10 +450,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    train, evaluation = _load_splits(args.data)
-    split = train if args.split == "train" else evaluation
-    if split is None:
-        raise CliError("corpus", f"no {args.split} split in {args.data}")
+    split = _load_split(args.data, args.split)
     references = {r.clip_id: r.references for r in split.records}
     try:
         rows = read_captions(args.captions)
@@ -448,6 +458,9 @@ def cmd_evaluate(args) -> int:
         raise CliError("evaluation", f"{args.captions}: {exc}")
     generated = {}
     for row in rows:
+        if row["clip_id"] in generated:
+            raise CliError("evaluation", f"{args.captions}: clip {row['clip_id']} has more "
+                                         "than one row")
         try:
             generated[row["clip_id"]] = [
                 normalize_and_tokenize(c) for c in row["captions"]

@@ -2,7 +2,9 @@
 mBLEU, div-n) over tokenized captions.
 
 All functions take captions as plain lists of word tokens (markers already
-stripped).
+stripped). ``evaluate_captions`` counts each caption and reference once per
+n-gram order and scores every metric from those count tables; the public
+per-metric functions count their inputs and call the same scoring code.
 """
 from __future__ import annotations
 
@@ -19,54 +21,62 @@ NGRAM_BACKEND = "python"
 def ngram_counts(seq, n):
     """Count the n-grams of a token sequence. Returns tuple -> count."""
     counts = {}
-    for i in range(len(seq) - n + 1):
-        key = tuple(seq[i : i + n])
+    for key in zip(*(seq[i:] for i in range(n))):
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+NMAX = 4  # highest n-gram order of BLEU, CIDEr and the report
+
+
+def _count(tokens, nmax: int = NMAX) -> list:
+    """A caption's count tables, ``[order - 1] -> gram -> count``."""
+    return [ngram_counts(tokens, n) for n in range(1, nmax + 1)]
 
 
 # -- BLEU ---------------------------------------------------------------------
 
 
-def _closest_ref_length(cand_len: int, references) -> int:
-    return min((abs(len(r) - cand_len), len(r)) for r in references)[1]
+def _ceiling(tables) -> list:
+    """Per order, each gram's largest count in any of ``tables`` (count
+    tables of the references): the most matches BLEU credits it with."""
+    ceiling = []
+    for order_tables in zip(*tables):
+        top = {}
+        for counts in order_tables:
+            for gram, count in counts.items():
+                if count > top.get(gram, 0):
+                    top[gram] = count
+        ceiling.append(top)
+    return ceiling
 
 
-def _clipped_matches(candidate, references, n):
-    """(clipped match count, candidate n-gram count) for one order."""
-    cand_counts = ngram_counts(candidate, n)
-    total = max(0, len(candidate) - n + 1)
-    if not cand_counts:
-        return 0, total
-    max_ref = {}
-    for ref in references:
-        for gram, count in ngram_counts(ref, n).items():
-            if count > max_ref.get(gram, 0):
-                max_ref[gram] = count
-    clipped = sum(min(count, max_ref.get(gram, 0)) for gram, count in cand_counts.items())
-    return clipped, total
+def _bleu_stats(tables, length: int, ceiling, ref_lengths) -> tuple:
+    """One candidate's BLEU tallies from its count tables: clipped matches
+    and n-gram totals per order, its length, its closest reference length
+    (the shorter one on a tie)."""
+    matches = tuple(
+        sum(min(count, top.get(gram, 0)) for gram, count in counts.items())
+        for counts, top in zip(tables, ceiling)
+    )
+    totals = tuple(max(0, length - k) for k in range(len(matches)))
+    closest = min((abs(r - length), r) for r in ref_lengths)[1]
+    return matches, totals, length, closest
 
 
-def corpus_bleu(candidates, references_list, n: int = 4) -> float:
-    """Corpus-level BLEU_n: clipped precisions pooled over the corpus,
-    geometric mean, times brevity penalty."""
-    if not 1 <= n <= 4:
-        raise ValueError("n must be in 1..4")
-    if not candidates or len(candidates) != len(references_list):
-        raise ValueError("need one reference set per candidate")
+def _bleu(stats, n: int) -> float:
+    """BLEU_n over candidates' ``_bleu_stats``: clipped precisions pooled
+    over them, geometric mean, times brevity penalty."""
     matches = [0] * n
     totals = [0] * n
     cand_len_sum = 0
     ref_len_sum = 0
-    for candidate, references in zip(candidates, references_list):
-        if not references:
-            raise ValueError("every candidate needs at least one reference")
-        cand_len_sum += len(candidate)
-        ref_len_sum += _closest_ref_length(len(candidate), references)
-        for order in range(1, n + 1):
-            m, t = _clipped_matches(candidate, references, order)
-            matches[order - 1] += m
-            totals[order - 1] += t
+    for m, t, length, closest in stats:
+        for k in range(n):
+            matches[k] += m[k]
+            totals[k] += t[k]
+        cand_len_sum += length
+        ref_len_sum += closest
     if any(t == 0 or m == 0 for m, t in zip(matches, totals)):
         return 0.0
     log_precision = sum(math.log(m / t) for m, t in zip(matches, totals)) / n
@@ -74,8 +84,21 @@ def corpus_bleu(candidates, references_list, n: int = 4) -> float:
     return bp * math.exp(log_precision)
 
 
-def sentence_bleu(candidate, references, n: int = 4) -> float:
-    return corpus_bleu([candidate], [references], n=n)
+def corpus_bleu(candidates, references_list, n: int = 4) -> float:
+    """Corpus-level BLEU_n: clipped precisions pooled over the corpus,
+    geometric mean, times brevity penalty."""
+    if not 1 <= n <= NMAX:
+        raise ValueError("n must be in 1..4")
+    if not candidates or len(candidates) != len(references_list):
+        raise ValueError("need one reference set per candidate")
+    stats = []
+    for candidate, references in zip(candidates, references_list):
+        if not references:
+            raise ValueError("every candidate needs at least one reference")
+        ceiling = _ceiling([_count(ref, n) for ref in references])
+        stats.append(_bleu_stats(_count(candidate, n), len(candidate), ceiling,
+                                 [len(ref) for ref in references]))
+    return _bleu(stats, n)
 
 
 # -- CIDEr --------------------------------------------------------------------
@@ -84,37 +107,44 @@ def sentence_bleu(candidate, references, n: int = 4) -> float:
 @dataclass
 class DocFreqTable:
     """Per-order document frequencies: df[n-1][gram] = number of clips
-    whose reference set contains the gram."""
+    whose reference set contains the gram. Read-only once built: each
+    gram's idf is taken when the table is made."""
 
     df: list[dict]
     corpus_size: int
-    nmax: int = 4
+    nmax: int = NMAX
+
+    def __post_init__(self):
+        # each gram's idf, taken once; unseen grams are clamped to df=1, as
+        # in the original metric
+        self._idf = [
+            {gram: math.log(self.corpus_size / max(1, count)) for gram, count in df.items()}
+            for df in self.df
+        ]
+        self._idf_unseen = math.log(self.corpus_size / 1)
 
     def idf(self, gram, n: int) -> float:
-        # unseen grams are clamped to df=1, as in the original metric
-        return math.log(self.corpus_size / max(1, self.df[n - 1].get(gram, 0)))
+        return self._idf[n - 1].get(gram, self._idf_unseen)
 
 
-def build_doc_freq(references_list, nmax: int = 4) -> DocFreqTable:
-    if not references_list:
+def _doc_freq(ref_tables_list, nmax: int) -> DocFreqTable:
+    """The table over clips given as their references' count tables."""
+    if not ref_tables_list:
         raise ValueError("empty reference corpus")
     df = [{} for _ in range(nmax)]
-    for references in references_list:
-        seen = [set() for _ in range(nmax)]
-        for ref in references:
-            for i in range(nmax):
-                seen[i].update(ngram_counts(ref, i + 1))
+    for ref_tables in ref_tables_list:
         for i in range(nmax):
-            for gram in seen[i]:
+            for gram in set().union(*(tables[i] for tables in ref_tables)):
                 df[i][gram] = df[i].get(gram, 0) + 1
-    return DocFreqTable(df, len(references_list), nmax)
+    return DocFreqTable(df, len(ref_tables_list), nmax)
 
 
-def _tfidf_vector(tokens, df_table: DocFreqTable, n: int) -> dict:
-    return {
-        gram: count * df_table.idf(gram, n)
-        for gram, count in ngram_counts(tokens, n).items()
-    }
+def build_doc_freq(references_list, nmax: int = NMAX) -> DocFreqTable:
+    return _doc_freq([[_count(ref, nmax) for ref in refs] for refs in references_list], nmax)
+
+
+def _tfidf_vector(counts: dict, df_table: DocFreqTable, n: int) -> dict:
+    return {gram: count * df_table.idf(gram, n) for gram, count in counts.items()}
 
 
 def _norm(vec: dict) -> float:
@@ -128,16 +158,20 @@ def _cosine(u: dict, nu: float, v: dict, nv: float) -> float:
     return dot / (nu * nv)
 
 
+def _reference_vectors(ref_tables, df_table: DocFreqTable) -> list:
+    orders = []
+    for n in range(1, df_table.nmax + 1):
+        vecs = [_tfidf_vector(tables[n - 1], df_table, n) for tables in ref_tables]
+        orders.append([(vec, _norm(vec)) for vec in vecs])
+    return orders
+
+
 def reference_vectors(references, df_table: DocFreqTable) -> list:
     """Each order's reference TF-IDF vectors with their norms,
     ``[order - 1][ref] -> (vector, norm)``. They depend only on the
     references and the table, so a caller that scores many candidates
     against one clip computes them once."""
-    orders = []
-    for n in range(1, df_table.nmax + 1):
-        vecs = [_tfidf_vector(ref, df_table, n) for ref in references]
-        orders.append([(vec, _norm(vec)) for vec in vecs])
-    return orders
+    return _reference_vectors([_count(ref, df_table.nmax) for ref in references], df_table)
 
 
 def cider(candidate, references, df_table: DocFreqTable, ref_vectors: list | None = None) -> float:
@@ -148,7 +182,7 @@ def cider(candidate, references, df_table: DocFreqTable, ref_vectors: list | Non
         ref_vectors = reference_vectors(references, df_table)
     per_order = []
     for n, refs in enumerate(ref_vectors, start=1):
-        cand_vec = _tfidf_vector(candidate, df_table, n)
+        cand_vec = _tfidf_vector(ngram_counts(candidate, n), df_table, n)
         nu = _norm(cand_vec)
         sims = [_cosine(cand_vec, nu, vec, nv) for vec, nv in refs]
         per_order.append(sum(sims) / len(sims))
@@ -163,27 +197,36 @@ def vocab_size(captions) -> int:
     return len({tok for caption in captions for tok in caption})
 
 
+def _mbleu(tables, lengths, n: int) -> float:
+    """Mean BLEU_n of each caption, given as count tables and length,
+    against the clip's other captions."""
+    scores = []
+    for i, (own, length) in enumerate(zip(tables, lengths)):
+        others = [j for j in range(len(tables)) if j != i]
+        ceiling = _ceiling([tables[j] for j in others])
+        stats = _bleu_stats(own, length, ceiling, [lengths[j] for j in others])
+        scores.append(_bleu([stats], n))
+    return sum(scores) / len(scores)
+
+
 def mbleu(captions_per_clip, n: int = 4) -> float:
     """Mutual BLEU among one clip's captions; lower means more diverse."""
     if len(captions_per_clip) < 2:
         raise ValueError("mbleu needs at least 2 captions per clip")
-    scores = []
-    for i, caption in enumerate(captions_per_clip):
-        rest = [c for j, c in enumerate(captions_per_clip) if j != i]
-        scores.append(sentence_bleu(caption, rest, n=n))
-    return sum(scores) / len(scores)
+    return _mbleu([_count(c, n) for c in captions_per_clip],
+                  [len(c) for c in captions_per_clip], n)
+
+
+def _distinct_ratio(count_tables, total_words: int) -> float:
+    if total_words == 0:
+        return 0.0
+    return len(set().union(*count_tables)) / total_words
 
 
 def div_n(captions_per_clip, n: int) -> float:
     """Distinct n-grams over total words in one clip's caption set."""
-    distinct = set()
-    total_words = 0
-    for caption in captions_per_clip:
-        distinct.update(ngram_counts(caption, n))
-        total_words += len(caption)
-    if total_words == 0:
-        return 0.0
-    return len(distinct) / total_words
+    return _distinct_ratio([ngram_counts(c, n) for c in captions_per_clip],
+                           sum(len(c) for c in captions_per_clip))
 
 
 # -- report -------------------------------------------------------------------
@@ -272,50 +315,44 @@ def evaluate_captions(generated: dict, references: dict) -> MetricReport:
     if empty:
         raise ValueError(f"no captions for clip ids: {empty}")
     clip_ids = sorted(generated)
+    if any(not references[c] for c in clip_ids):
+        raise ValueError("every candidate needs at least one reference")
 
-    df_table = build_doc_freq([references[c] for c in clip_ids])
-    top1 = [generated[c][0] for c in clip_ids]
-    refs = [references[c] for c in clip_ids]
-    bleu_scores = {f"bleu_{n}": corpus_bleu(top1, refs, n=n) for n in range(1, 5)}
-
-    all_cands, all_refs = [], []
-    for c in clip_ids:
-        for caption in generated[c]:
-            all_cands.append(caption)
-            all_refs.append(references[c])
-    bleu_4_all = corpus_bleu(all_cands, all_refs, n=4)
-
-    ciders = {
-        c: [cider(caption, references[c], df_table) for caption in generated[c]]
-        for c in clip_ids
-    }
-    cider_top1 = sum(ciders[c][0] for c in clip_ids) / len(clip_ids)
-    cider_all = sum(score for c in clip_ids for score in ciders[c]) / len(all_cands)
-
-    per_clip = []
-    mbleus, div1s, div2s = [], [], []
+    # every reference and caption is counted once; all scores read the tables
+    ref_tables = {c: [_count(ref) for ref in references[c]] for c in clip_ids}
+    df_table = _doc_freq([ref_tables[c] for c in clip_ids], NMAX)
+    top1_stats, all_stats, ciders, per_clip = [], [], [], []
     for c in clip_ids:
         captions = generated[c]
-        clip_mbleu = mbleu(captions) if len(captions) >= 2 else 1.0
-        clip_div1 = div_n(captions, 1)
-        clip_div2 = div_n(captions, 2)
-        mbleus.append(clip_mbleu)
-        div1s.append(clip_div1)
-        div2s.append(clip_div2)
-        per_clip.append(
-            (c, ciders[c][0], clip_mbleu, clip_div1, clip_div2)
-        )
+        tables = [_count(caption) for caption in captions]
+        lengths = [len(caption) for caption in captions]
+        ceiling = _ceiling(ref_tables[c])
+        ref_lengths = [len(ref) for ref in references[c]]
+        stats = [_bleu_stats(t, length, ceiling, ref_lengths) for t, length in zip(tables, lengths)]
+        top1_stats.append(stats[0])
+        all_stats.extend(stats)
+        ref_vecs = _reference_vectors(ref_tables[c], df_table)
+        clip_ciders = [cider(caption, references[c], df_table, ref_vecs) for caption in captions]
+        ciders.extend(clip_ciders)
+        words = sum(lengths)
+        per_clip.append((
+            c,
+            clip_ciders[0],
+            _mbleu(tables, lengths, 4) if len(captions) >= 2 else 1.0,
+            _distinct_ratio([t[0] for t in tables], words),
+            _distinct_ratio([t[1] for t in tables], words),
+        ))
 
     return MetricReport(
-        bleu=bleu_scores,
-        bleu_4_all=bleu_4_all,
-        cider_top1=cider_top1,
-        cider_all=cider_all,
+        bleu={f"bleu_{n}": _bleu(top1_stats, n) for n in range(1, 5)},
+        bleu_4_all=_bleu(all_stats, 4),
+        cider_top1=sum(row[1] for row in per_clip) / len(clip_ids),
+        cider_all=sum(ciders) / len(ciders),
         spider=None,
-        vocab_size=vocab_size(all_cands),
-        mbleu_4=sum(mbleus) / len(mbleus),
-        div_1=sum(div1s) / len(div1s),
-        div_2=sum(div2s) / len(div2s),
+        vocab_size=vocab_size(caption for c in clip_ids for caption in generated[c]),
+        mbleu_4=sum(row[2] for row in per_clip) / len(clip_ids),
+        div_1=sum(row[3] for row in per_clip) / len(clip_ids),
+        div_2=sum(row[4] for row in per_clip) / len(clip_ids),
         n_clips=len(clip_ids),
         per_clip=per_clip,
     )

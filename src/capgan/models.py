@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -629,6 +630,36 @@ def load_checkpoint(path, expected_kind: str | None = None) -> tuple[dict, dict]
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after checkpoint payload")
     return arrays, metadata
+
+
+def config_from_checkpoint(config_cls, metadata: dict, path):
+    """The ``config_cls`` a checkpoint's metadata records. Refused with a
+    ``CheckpointError`` unless it has every field and no other, each of its
+    declared type (a float field takes an int; a bool is neither), and the
+    config accepts the values."""
+    recorded = metadata["config"]
+    types = typing.get_type_hints(config_cls)
+    problems = []
+    unknown = sorted(set(recorded) - set(types))
+    if unknown:
+        problems.append(f"unknown fields {unknown}")
+    missing = sorted(set(types) - set(recorded))
+    if missing:
+        problems.append(f"missing fields {missing}")
+    wrong = [
+        f"{key} {value!r}" for key, value in recorded.items()
+        if key in types and (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float) if types[key] is float else types[key]))
+    ]
+    if wrong:
+        problems.append(f"values of the wrong type: {', '.join(wrong)}")
+    if problems:
+        raise CheckpointError(f"{path}: recorded config has {'; '.join(problems)}")
+    try:
+        return config_cls(**recorded)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: recorded config is invalid: {exc}") from None
 
 
 def restore_model(model, arrays: dict) -> None:

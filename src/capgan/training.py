@@ -12,6 +12,7 @@ their token probabilities up.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -171,6 +172,16 @@ def _optimize(opt: Adam, loss: Tensor, what: str) -> float:
     return value
 
 
+def _quiet_numerics(loop):
+    """Runs a training loop with numpy's floating-point warnings off, so a
+    diverging run is reported once, by ``_optimize``'s non-finite check."""
+    @functools.wraps(loop)
+    def run(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return loop(*args, **kwargs)
+    return run
+
+
 # -- MLE pretraining ----------------------------------------------------------
 
 
@@ -202,6 +213,7 @@ def _eval_references(split: DatasetSplit | None, df_table) -> list:
     return [reference_vectors(r.references, df_table) for r in records]
 
 
+@_quiet_numerics
 def mle_pretrain(
     gen: Generator,
     train_split: DatasetSplit,
@@ -277,6 +289,7 @@ def discriminator_step(d, opt: Adam, real_tokens, real_lengths,
     return _optimize(opt, loss, "discriminator loss")
 
 
+@_quiet_numerics
 def d_pretrain(
     d: Discriminator,
     gen: Generator,
@@ -333,6 +346,7 @@ def semantic_hinge_loss(se: SemanticEvaluator, batch, margin: float) -> Tensor:
     return (audio_anchored + caption_anchored) * (1.0 / denom)
 
 
+@_quiet_numerics
 def semantic_pretrain(
     se: SemanticEvaluator,
     train_split: DatasetSplit,
@@ -424,6 +438,7 @@ def scst_generator_step(
 # -- adversarial loop ---------------------------------------------------------
 
 
+@_quiet_numerics
 def adversarial_train(
     gen: Generator,
     d: Discriminator,

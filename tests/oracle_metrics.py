@@ -78,3 +78,54 @@ def oracle_cider(candidate, references, df, corpus_size, nmax=4):
             sims.append(dot / (norm_c * norm_r) if norm_c > 0 and norm_r > 0 else 0.0)
         order_means.append(sum(sims) / len(sims))
     return 10.0 * sum(order_means) / nmax
+
+
+def oracle_mbleu(captions, n=4):
+    """Each caption's BLEU_n against the clip's other captions, averaged."""
+    scores = []
+    for i, caption in enumerate(captions):
+        others = captions[:i] + captions[i + 1 :]
+        scores.append(oracle_corpus_bleu([caption], [others], n))
+    return sum(scores) / len(scores)
+
+
+def oracle_div_n(captions, n):
+    """Distinct n-grams of the caption set per word of it."""
+    distinct = set()
+    for caption in captions:
+        distinct.update(ngrams(caption, n))
+    words = sum(len(caption) for caption in captions)
+    return len(distinct) / words if words else 0.0
+
+
+def oracle_evaluate(generated, references):
+    """The report's fields and per-clip rows (clip id, top-1 CIDEr,
+    mBLEU_4, div-1, div-2), clips in sorted order. A clip with one
+    caption has mBLEU 1."""
+    clip_ids = sorted(generated)
+    refs = [references[c] for c in clip_ids]
+    top1 = [generated[c][0] for c in clip_ids]
+    every = [(caption, references[c]) for c in clip_ids for caption in generated[c]]
+    df, corpus_size = oracle_doc_freq(refs)
+    ciders = {
+        c: [oracle_cider(caption, references[c], df, corpus_size) for caption in generated[c]]
+        for c in clip_ids
+    }
+    rows = []
+    for c in clip_ids:
+        captions = generated[c]
+        mutual = oracle_mbleu(captions) if len(captions) > 1 else 1.0
+        rows.append((c, ciders[c][0], mutual, oracle_div_n(captions, 1),
+                     oracle_div_n(captions, 2)))
+    report = {f"bleu_{n}": oracle_corpus_bleu(top1, refs, n) for n in range(1, 5)}
+    report.update(
+        bleu_4_all=oracle_corpus_bleu([c for c, _ in every], [r for _, r in every], 4),
+        cider=sum(ciders[c][0] for c in clip_ids) / len(clip_ids),
+        cider_all=sum(s for c in clip_ids for s in ciders[c]) / len(every),
+        vocab_size=len({tok for caption, _ in every for tok in caption}),
+        mbleu_4=sum(row[2] for row in rows) / len(rows),
+        div_1=sum(row[3] for row in rows) / len(rows),
+        div_2=sum(row[4] for row in rows) / len(rows),
+        n_clips=len(clip_ids),
+    )
+    return report, rows

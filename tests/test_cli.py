@@ -12,7 +12,13 @@ import yaml
 import capgan
 from capgan.cli import EXIT_CODES, main
 from capgan.decoding import read_captions
-from capgan.models import load_checkpoint
+from capgan.models import (
+    Generator,
+    GeneratorConfig,
+    load_checkpoint,
+    restore_model,
+    save_checkpoint,
+)
 
 
 def run(argv, capsys):
@@ -480,8 +486,8 @@ def test_each_error_category_has_its_exit_code(category, pretrained, data_dir, c
     code, err = run_process([arg.format(**paths) for arg in argv])
     assert code == exit_code, err
     assert "Traceback" not in err
-    # a diverging run may warn about overflow first; the error line is last
-    assert err.splitlines()[-1].startswith(f"error: category={category}: "), err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: category={category}: "), err
 
 
 def _bad_manifest(data_dir, tmp_path, edit):
@@ -583,3 +589,68 @@ def test_checkpoint_of_other_settings_is_refused(case, short_run, data_dir, conf
     assert field in lines[0]
     # no checkpoint, log or config.yaml written, nothing under gan/
     assert snapshot(short_run) == before
+
+
+def test_evaluate_refuses_a_clip_listed_twice(data_dir, tmp_path):
+    clip_id = json.loads((data_dir / "evaluation.json").read_text())[0]["clip_id"]
+    captions = tmp_path / "twice.jsonl"
+    captions.write_text("".join(
+        json.dumps({"clip_id": clip_id, "captions": [text]}) + "\n"
+        for text in ("a dog barks", "rain falls")
+    ))
+    report, per_clip = tmp_path / "report.json", tmp_path / "per_clip.csv"
+    code, err = run_process(["evaluate", "--captions", str(captions), "--data", str(data_dir),
+                             "--out-json", str(report), "--per-clip-csv", str(per_clip)])
+    assert code == EXIT_CODES["evaluation"], err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: category=evaluation: "), err
+    assert clip_id in lines[0]
+    assert not report.exists() and not per_clip.exists()
+
+
+def _edit_recorded_config(edit):
+    def rewrite(path):
+        arrays, meta = load_checkpoint(path, "generator")
+        gen = Generator(GeneratorConfig(**meta["config"]), np.random.default_rng(0))
+        restore_model(gen, arrays)
+        meta["config"] = edit(dict(meta["config"]))
+        save_checkpoint(path, gen, meta)
+    return rewrite
+
+
+# an edit of the generator checkpoint's recorded config, then what the line names
+BAD_RECORDED_CONFIGS = {
+    "unknown field": (lambda c: dict(c, extra=1), "extra"),
+    "missing field": (lambda c: {k: v for k, v in c.items() if k != "noise_dim"}, "noise_dim"),
+    "wrong type": (lambda c: dict(c, n_heads="2"), "n_heads"),
+    "d_model not divisible by n_heads": (lambda c: dict(c, n_heads=3), "divisible"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORDED_CONFIGS))
+def test_generate_refuses_a_bad_recorded_config(case, pretrained, data_dir, tmp_path):
+    edit, named = BAD_RECORDED_CONFIGS[case]
+    ckpt = tmp_path / "edited.ckpt"
+    shutil.copy(pretrained / "generator_mle_final.ckpt", ckpt)
+    _edit_recorded_config(edit)(ckpt)
+    out = tmp_path / "captions.jsonl"
+    code, err = run_process(["generate", "--data", str(data_dir), "--run", str(pretrained),
+                             "--checkpoint", str(ckpt), "--out", str(out)])
+    assert code == EXIT_CODES["checkpoint"], err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: category=checkpoint: "), err
+    assert named in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain-d", "train-gan"])
+def test_missing_checkpoint_leaves_the_run_directory_unchanged(command, data_dir, config_file,
+                                                               tmp_path):
+    run_dir = tmp_path / "r2"
+    run_dir.mkdir()
+    code, err = run_process([command, "--data", str(data_dir), "--run", str(run_dir),
+                             "--config", str(config_file), "--epochs", "1"])
+    assert code == EXIT_CODES["checkpoint"], err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: category=checkpoint: "), err
+    assert list(run_dir.iterdir()) == []

@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from capgan import metrics
 from capgan.metrics import (
-    DocFreqTable,
     build_doc_freq,
     cider,
     corpus_bleu,
     div_n,
     evaluate_captions,
     mbleu,
-    sentence_bleu,
     vocab_size,
 )
 
-from oracle_metrics import oracle_cider, oracle_corpus_bleu, oracle_doc_freq
+from oracle_metrics import oracle_cider, oracle_corpus_bleu, oracle_doc_freq, oracle_evaluate
 
 WORDS = ["a", "the", "dog", "cat", "rain", "wind", "falls", "blows", "softly", "loud"]
 
@@ -46,9 +45,9 @@ class TestBleu:
         cand = ["the"] * 7
         refs = [["the", "cat", "is", "on", "the", "mat"]]
         assert corpus_bleu([cand], [refs], n=1) == pytest.approx(2 / 7 * min(1, np.e ** (1 - 6 / 7)))
-        # the raw precision component alone
-        m, t = metrics._clipped_matches(cand, refs, 1)
-        assert (m, t) == (2, 7)
+        # the candidate is longer than its reference, so the brevity
+        # penalty is 1 and the score is the clipped precision alone
+        assert corpus_bleu([cand], [refs], n=1) == 2 / 7
 
     def test_empty_candidate_set(self):
         with pytest.raises(ValueError):
@@ -220,3 +219,84 @@ class TestReport:
         report.write_per_clip_csv(path)
         assert path.read_text().splitlines()[0].startswith("clip_id")
 
+
+
+# drawn corpora: captions of 1-7 words, so many are shorter than 4; some
+# drawn only from words no reference uses; clips of one caption; repeats
+REF_WORDS = ["a", "the", "dog", "rain", "falls", "softly"]
+UNSEEN_WORDS = ["x", "y", "z"]
+
+
+def _words(pool):
+    return st.lists(st.sampled_from(pool), min_size=1, max_size=7)
+
+
+@st.composite
+def corpora(draw):
+    generated, references = {}, {}
+    for i in range(draw(st.integers(1, 4))):
+        clip = f"c{i}"
+        references[clip] = draw(st.lists(_words(REF_WORDS), min_size=1, max_size=3))
+        captions = draw(st.lists(st.one_of(_words(REF_WORDS), _words(UNSEEN_WORDS)),
+                                 min_size=1, max_size=4))
+        if draw(st.booleans()):
+            captions.append(list(draw(st.sampled_from(captions))))
+        generated[clip] = captions
+    return generated, references
+
+
+def composed_report(generated, references):
+    """The report's fields and per-clip rows from the public metric
+    functions, one call per score."""
+    clip_ids = sorted(generated)
+    refs = [references[c] for c in clip_ids]
+    top1 = [generated[c][0] for c in clip_ids]
+    every = [caption for c in clip_ids for caption in generated[c]]
+    every_refs = [references[c] for c in clip_ids for _ in generated[c]]
+    df = build_doc_freq(refs)
+    ciders = {c: [cider(caption, references[c], df) for caption in generated[c]]
+              for c in clip_ids}
+    rows = [
+        (c, ciders[c][0], mbleu(generated[c]) if len(generated[c]) > 1 else 1.0,
+         div_n(generated[c], 1), div_n(generated[c], 2))
+        for c in clip_ids
+    ]
+    fields = {f"bleu_{n}": corpus_bleu(top1, refs, n=n) for n in range(1, 5)}
+    fields.update(
+        bleu_4_all=corpus_bleu(every, every_refs, n=4),
+        cider=sum(row[1] for row in rows) / len(rows),
+        cider_all=sum(s for c in clip_ids for s in ciders[c]) / len(every),
+        vocab_size=vocab_size(every),
+        mbleu_4=sum(row[2] for row in rows) / len(rows),
+        div_1=sum(row[3] for row in rows) / len(rows),
+        div_2=sum(row[4] for row in rows) / len(rows),
+        n_clips=len(clip_ids),
+    )
+    return fields, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora())
+@example((
+    {"c0": [["dog"]],
+     "c1": [["x", "y", "z", "x"], ["x", "y", "z", "x"], ["rain", "falls"]]},
+    {"c0": [["a", "dog", "barks", "loud"]],
+     "c1": [["rain", "falls", "softly", "now"], ["the", "rain"]]},
+))
+def test_evaluate_equals_oracle_and_public_functions(corpus):
+    generated, references = corpus
+    report = evaluate_captions(generated, references)
+    got = report.to_dict()
+    fields, rows = oracle_evaluate(generated, references)
+    for key, value in fields.items():
+        if isinstance(value, int):
+            assert got[key] == value, key
+        else:
+            assert got[key] == pytest.approx(value, abs=1e-9), key
+    assert [row[0] for row in report.per_clip] == [row[0] for row in rows]
+    for mine, oracle in zip(report.per_clip, rows):
+        assert mine[1:] == pytest.approx(oracle[1:], abs=1e-9)
+    # the one-pass report scores exactly as the public functions do
+    fields, rows = composed_report(generated, references)
+    assert {key: got[key] for key in fields} == fields
+    assert report.per_clip == rows
