@@ -2,9 +2,10 @@
 
 Subcommands cover the full workflow: prepare-data, pretrain (generator
 MLE), pretrain-d, pretrain-se, train-gan, generate, evaluate. Options
-resolve as command-line flags over a YAML config file over built-in
-defaults; every training command writes the merged configuration back
-into its run directory so a run is reproducible from its artifacts alone.
+resolve as command-line flags over a YAML config file over ``DEFAULTS``,
+which reads each setting's default from the config class that owns it;
+every training command writes the merged configuration back into its run
+directory so a run is reproducible from its artifacts alone.
 
 Errors exit nonzero with a single machine-parseable line on stderr:
 ``error: category=<category>: <message>``, with each category's exit code
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,28 +55,22 @@ from .training import (
     semantic_pretrain,
 )
 
+# every run setting but min_count is a config field: the discriminator's
+# under d_, the semantic evaluator's under se_, every other under its own name
+SETTING_PREFIX = {TrainConfig: "", GeneratorConfig: "", DiscriminatorConfig: "d_",
+                  SemanticEvaluatorConfig: "se_"}
+# fields set by the data (vocab_size, feat_dim) or by a flag (ablation)
+NOT_SETTINGS = ("vocab_size", "feat_dim", "ablation")
+
+
+def _settings(cls) -> dict:
+    """``cls``'s run settings: setting name -> field."""
+    return {SETTING_PREFIX[cls] + f.name: f for f in fields(cls) if f.name not in NOT_SETTINGS}
+
+
 DEFAULTS = {
-    "seed": 0,
-    "batch_size": 32,
-    "learning_rate": 1e-4,
-    "lam": 0.5,
-    "mle_epochs": 25,
-    "d_pretrain_epochs": 5,
-    "se_pretrain_epochs": 25,
-    "adversarial_epochs": 30,
-    "t_max": 22,
-    "min_count": 1,
-    "d_model": 128,
-    "n_layers": 2,
-    "n_heads": 4,
-    "d_ff": 256,
-    "noise_dim": 64,
-    "dropout": 0.1,
-    "d_embed_dim": 64,
-    "d_hidden_dim": 128,
-    "se_embed_dim": 64,
-    "se_hidden_dim": 128,
-    "se_out_dim": 128,
+    "min_count": 1,  # the vocabulary's minimum word count
+    **{key: f.default for cls in SETTING_PREFIX for key, f in _settings(cls).items()},
 }
 
 LAMBDA_SWEEP_DEFAULT = "1.0,0.7,0.5,0.3,0.0"
@@ -150,14 +145,11 @@ def _checked(make, **kwargs):
         raise CliError("usage", str(exc))
 
 
-def _train_config(cfg: dict, **overrides) -> TrainConfig:
-    fields = (
-        "lam", "mle_epochs", "d_pretrain_epochs", "se_pretrain_epochs",
-        "adversarial_epochs", "batch_size", "learning_rate", "seed",
-    )
-    kwargs = {f: cfg[f] for f in fields}
-    kwargs.update(overrides)
-    return _checked(TrainConfig, **kwargs)
+def _config(cls, cfg: dict, **given):
+    """A ``cls`` built from the run settings ``cfg`` and the ``given``
+    fields, with a value it rejects reported as a usage error."""
+    settings = {f.name: cfg[key] for key, f in _settings(cls).items()}
+    return _checked(cls, **{**settings, **given})
 
 
 # -- shared loading -----------------------------------------------------------
@@ -200,27 +192,17 @@ def _data_feat_dim(train) -> int:
 
 
 def _build_generator(vocab, cfg: dict, feat_dim: int) -> Generator:
-    config = GeneratorConfig(
-        vocab_size=len(vocab), feat_dim=feat_dim, d_model=cfg["d_model"],
-        n_layers=cfg["n_layers"], n_heads=cfg["n_heads"], d_ff=cfg["d_ff"],
-        noise_dim=cfg["noise_dim"], t_max=cfg["t_max"], dropout=cfg["dropout"],
-    )
+    config = _config(GeneratorConfig, cfg, vocab_size=len(vocab), feat_dim=feat_dim)
     return Generator(config, substream(cfg["seed"], "generator-init"))
 
 
 def _build_discriminator(vocab, cfg: dict) -> Discriminator:
-    config = DiscriminatorConfig(
-        vocab_size=len(vocab), embed_dim=cfg["d_embed_dim"],
-        hidden_dim=cfg["d_hidden_dim"],
-    )
+    config = _config(DiscriminatorConfig, cfg, vocab_size=len(vocab))
     return Discriminator(config, substream(cfg["seed"], "discriminator-init"))
 
 
 def _build_semantic(vocab, cfg: dict, feat_dim: int) -> SemanticEvaluator:
-    config = SemanticEvaluatorConfig(
-        vocab_size=len(vocab), feat_dim=feat_dim, embed_dim=cfg["se_embed_dim"],
-        hidden_dim=cfg["se_hidden_dim"], out_dim=cfg["se_out_dim"],
-    )
+    config = _config(SemanticEvaluatorConfig, cfg, vocab_size=len(vocab), feat_dim=feat_dim)
     return SemanticEvaluator(config, substream(cfg["seed"], "semantic-init"))
 
 
@@ -283,7 +265,7 @@ def cmd_prepare_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _resolve_config(args)
-    config = _train_config(cfg)
+    config = _config(TrainConfig, cfg)
     run_dir = Path(args.run)
     train, evaluation = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
@@ -307,7 +289,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_pretrain_d(args) -> int:
     cfg = _resolve_config(args)
-    config = _train_config(cfg)
+    config = _config(TrainConfig, cfg)
     run_dir = Path(args.run)
     train, _ = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
@@ -330,7 +312,7 @@ def cmd_pretrain_d(args) -> int:
 
 def cmd_pretrain_se(args) -> int:
     cfg = _resolve_config(args)
-    config = _train_config(cfg)
+    config = _config(TrainConfig, cfg)
     run_dir = Path(args.run)
     train, _ = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
@@ -367,7 +349,7 @@ def cmd_train_gan(args) -> int:
     else:
         lambdas = [cfg["lam"]]
     # every lambda is checked before the first one trains
-    configs = [_train_config(cfg, lam=lam, ablation=args.ablation) for lam in lambdas]
+    configs = [_config(TrainConfig, cfg, lam=lam, ablation=args.ablation) for lam in lambdas]
     run_dir = Path(args.run)
     train, evaluation = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
@@ -546,8 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="generator checkpoint (default: run dir MLE final)")
     p.add_argument("--split", choices=("train", "evaluation"), default="evaluation")
     p.add_argument("--mode", choices=("mle", "gan"), default="gan")
-    p.add_argument("-n", "--n", type=int, default=5, help="captions per clip")
-    p.add_argument("--beam-size", type=int, default=5, dest="beam_size")
+    p.add_argument("-n", "--n", type=int, default=DecodeConfig.n_captions,
+                   help="captions per clip")
+    p.add_argument("--beam-size", type=int, default=DecodeConfig.beam_size, dest="beam_size")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output JSONL path")
     p.set_defaults(func=cmd_generate)

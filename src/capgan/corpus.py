@@ -107,6 +107,8 @@ def load_dataset(manifest_path, name: str = "train") -> DatasetSplit:
         raise CorpusError(f"{manifest_path}: not a JSON manifest: {exc}") from None
     if not isinstance(entries, list):
         raise CorpusError(f"{manifest_path}: a manifest is a JSON array")
+    if not entries:
+        raise CorpusError(f"{manifest_path}: a manifest lists at least one clip")
     records = []
     for i, entry in enumerate(entries):
         missing = [k for k in MANIFEST_KEYS if not isinstance(entry, dict) or k not in entry]
@@ -229,6 +231,11 @@ def generate_synthetic_corpus(
         raise ValueError("n_clips must be >= 10")
     if n_classes < 2:
         raise ValueError("n_classes must be >= 2")
+    if not 0.0 < eval_fraction < 1.0:
+        raise ValueError(f"eval_fraction must be in (0, 1), got {eval_fraction}")
+    n_eval = max(1, int(round(n_clips * eval_fraction)))
+    if n_eval == n_clips:
+        raise ValueError(f"eval_fraction {eval_fraction} leaves no train clips of {n_clips}")
     rng = substream(seed, "synthetic-corpus")
     # well-separated class directions in feature space
     class_means = rng.standard_normal((n_classes, feat_dim))
@@ -249,7 +256,6 @@ def generate_synthetic_corpus(
             references[-1] = _make_caption(rng, class_idx, n_classes)
         records.append(ClipRecord(f"clip_{i:04d}", features, references))
 
-    n_eval = max(1, int(round(n_clips * eval_fraction)))
     train = DatasetSplit("train", records[: n_clips - n_eval])
     evaluation = DatasetSplit("evaluation", records[n_clips - n_eval :])
     train.validate()
@@ -265,7 +271,7 @@ def epoch_batches(
     vocab: Vocabulary,
     batch_size: int,
     rng: np.random.Generator,
-    t_max: int = 22,
+    t_max: int,
 ) -> list[Batch]:
     """One epoch of batches; each clip appears once with one reference
     chosen uniformly for this epoch. A batch's targets are padded only to

@@ -71,7 +71,8 @@ def rollout(
     z: np.ndarray,
     mode: str = "greedy",
     rng: np.random.Generator | None = None,
-    max_length: int = 22,
+    *,
+    max_length: int,
     memory=None,
 ):
     """Batched autoregressive decode.
@@ -127,8 +128,8 @@ def rollout(
     return sequences, log_probs
 
 
-def beam_decode(model, features, feat_lengths, z, beam_size: int = 5,
-                max_length: int = 22, *, n_best: int):
+def beam_decode(model, features, feat_lengths, z, *, beam_size: int, max_length: int,
+                n_best: int):
     """Length-normalized beam search of G noise groups over one clip.
 
     ``features`` [1, F, feat_dim] is the clip and ``z`` [G, noise_dim] holds

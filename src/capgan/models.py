@@ -11,11 +11,10 @@ shared space scored by cosine similarity.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +195,14 @@ def sinusoidal_positions(t_steps: int, d_model: int, dtype) -> np.ndarray:
     return table.astype(dtype)
 
 
+def _check_sizes(config) -> None:
+    """Every field of a model config but the generator's dropout is a size."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name != "dropout" and value < 1:
+            raise ValueError(f"{type(config).__name__}.{f.name} must be >= 1, got {value}")
+
+
 # -- generator ----------------------------------------------------------------
 
 
@@ -212,6 +219,9 @@ class GeneratorConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        _check_sizes(self)
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"GeneratorConfig.dropout must be in [0, 1), got {self.dropout}")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
 
@@ -438,6 +448,9 @@ class DiscriminatorConfig:
     embed_dim: int = 64
     hidden_dim: int = 128
 
+    def __post_init__(self):
+        _check_sizes(self)
+
 
 class Discriminator:
     """Single-layer GRU over token embeddings, sigmoid naturalness head."""
@@ -482,6 +495,9 @@ class SemanticEvaluatorConfig:
     embed_dim: int = 64
     hidden_dim: int = 128
     out_dim: int = 128
+
+    def __post_init__(self):
+        _check_sizes(self)
 
 
 class SemanticEvaluator:
@@ -550,16 +566,10 @@ class SemanticEvaluator:
 # -- checkpoints --------------------------------------------------------------
 
 
-def config_hash(config) -> str:
-    payload = json.dumps(asdict(config), sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
 def save_checkpoint(path, model, metadata: dict | None = None) -> None:
     """Binary checkpoint: magic, version, kind tag, metadata JSON, entries."""
     metadata = dict(metadata or {})
     metadata.setdefault("config", asdict(model.config))
-    metadata.setdefault("config_hash", config_hash(model.config))
     meta_blob = json.dumps(metadata, sort_keys=True).encode()
     kind_blob = model.kind.encode()
     with open(path, "wb") as fh:

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -10,15 +11,20 @@ import pytest
 import yaml
 
 import capgan
+from capgan import cli
 from capgan.cli import EXIT_CODES, main
 from capgan.decoding import read_captions
 from capgan.models import (
+    DiscriminatorConfig,
     Generator,
     GeneratorConfig,
+    SemanticEvaluatorConfig,
     load_checkpoint,
     restore_model,
     save_checkpoint,
 )
+from capgan.text import Vocabulary
+from capgan.training import TrainConfig
 
 
 def run(argv, capsys):
@@ -382,6 +388,18 @@ REJECTED_VALUES = {
     "pretrain --batch-size 0": (
         ["pretrain", "--data", "{data}", "--run", "{tmp}/fresh", "--config", "{config}",
          "--batch-size", "0"], "{tmp}/fresh"),
+    "pretrain --t-max 0": (
+        ["pretrain", "--data", "{data}", "--run", "{tmp}/fresh", "--config", "{config}",
+         "--t-max", "0"], "{tmp}/fresh"),
+    "prepare-data --eval-fraction 2.0": (
+        ["prepare-data", "--out", "{tmp}/fresh", "--synthetic", "--eval-fraction", "2.0"],
+        "{tmp}/fresh"),
+    "prepare-data --eval-fraction 0": (
+        ["prepare-data", "--out", "{tmp}/fresh", "--synthetic", "--eval-fraction", "0"],
+        "{tmp}/fresh"),
+    "prepare-data --eval-fraction 0.96 --clips 10 (no train clips)": (
+        ["prepare-data", "--out", "{tmp}/fresh", "--synthetic", "--clips", "10",
+         "--eval-fraction", "0.96"], "{tmp}/fresh"),
     "train-gan --lambda 2": (TRAIN_GAN + ["--lambda", "2"], "{run}/gan"),
     "train-gan --lambda-sweep 0.5,2": (
         TRAIN_GAN + ["--lambda-sweep", "0.5,2"], "{run}/gan/lambda_0.5"),
@@ -436,6 +454,84 @@ def test_config_value_of_wrong_type_is_a_config_error(case, data_dir, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: category=config: "), err
     assert key in lines[0]
     assert not run_dir.exists()
+
+
+# a config value its config class rejects: the command, the settings that
+# differ from the test config, then what the line names
+OUT_OF_RANGE = {
+    "n_heads not dividing d_model": ("pretrain", {"n_heads": 3}, "divisible"),
+    "negative d_model": ("pretrain", {"d_model": -4}, "GeneratorConfig.d_model"),
+    "dropout above 1": ("pretrain", {"dropout": 1.5}, "GeneratorConfig.dropout"),
+    "negative dropout": ("pretrain", {"dropout": -0.1}, "GeneratorConfig.dropout"),
+    "zero d_hidden_dim": ("pretrain-d", {"d_hidden_dim": 0}, "DiscriminatorConfig.hidden_dim"),
+    "zero se_out_dim": ("pretrain-se", {"se_out_dim": 0}, "SemanticEvaluatorConfig.out_dim"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_config_value_out_of_range_is_a_usage_error(case, pretrained, data_dir, tmp_path):
+    command, changed, named = OUT_OF_RANGE[case]
+    config = tmp_path / "ranged.yaml"
+    config.write_text(yaml.safe_dump(dict(SMALL_MODEL, **changed)))
+    before = snapshot(pretrained)
+    code, err = run_process([command, "--data", str(data_dir), "--run", str(pretrained),
+                             "--config", str(config), "--epochs", "1"])
+    assert code == 2, err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: category=usage: "), err
+    assert named in lines[0]
+    assert snapshot(pretrained) == before
+
+
+# each run setting and its default
+SETTINGS = {
+    "adversarial_epochs": 30, "batch_size": 32, "d_embed_dim": 64, "d_ff": 256,
+    "d_hidden_dim": 128, "d_model": 128, "d_pretrain_epochs": 5, "dropout": 0.1, "lam": 0.5,
+    "learning_rate": 1e-4, "min_count": 1, "mle_epochs": 25, "n_heads": 4, "n_layers": 2,
+    "noise_dim": 64, "se_embed_dim": 64, "se_hidden_dim": 128, "se_out_dim": 128,
+    "se_pretrain_epochs": 25, "seed": 0, "t_max": 22,
+}
+# the config class each setting is a field of, and the prefix of its name
+OWNERS = {TrainConfig: "", GeneratorConfig: "", DiscriminatorConfig: "d_",
+          SemanticEvaluatorConfig: "se_"}
+
+
+def typed(settings: dict) -> dict:
+    return {key: (type(value), value) for key, value in settings.items()}
+
+
+def test_default_run_records_every_setting(data_dir, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    code, _, err = run(["pretrain", "--data", str(data_dir), "--run", str(run_dir),
+                        "--epochs", "1"], capsys)
+    assert code == 0, err
+    recorded = yaml.safe_load((run_dir / "config.yaml").read_text())
+    assert typed(recorded) == typed(dict(SETTINGS, mle_epochs=1))
+
+
+def test_every_setting_reaches_its_config_field(tmp_path):
+    # a valid value other than the default for each setting
+    values = {key: value / 2 if isinstance(value, float) else 2 * value or 1
+              for key, value in SETTINGS.items()}
+    path = tmp_path / "settings.yaml"
+    path.write_text(yaml.safe_dump(values))
+    args = cli.build_parser().parse_args(
+        ["pretrain", "--data", "data", "--run", "run", "--config", str(path)])
+    cfg = cli._resolve_config(args)
+    vocab = Vocabulary.build([["a", "dog", "barks"]])
+    built = [
+        cli._config(TrainConfig, cfg),
+        cli._build_generator(vocab, cfg, 5).config,
+        cli._build_discriminator(vocab, cfg).config,
+        cli._build_semantic(vocab, cfg, 5).config,
+    ]
+    reached = {"min_count": cfg["min_count"]}
+    for config in built:
+        reached.update({OWNERS[type(config)] + key: value
+                        for key, value in asdict(config).items()
+                        if key not in ("vocab_size", "feat_dim", "ablation")})
+    assert typed(reached) == typed(values)
 
 
 def test_config_float_field_accepts_an_int(data_dir, tmp_path, capsys):
@@ -514,6 +610,7 @@ MALFORMED_INPUTS = {
     "caption row without clip_id": ("evaluate", json.dumps({"captions": ["a dog barks"]}) + "\n",
                                     "evaluation", "clip_id"),
     "manifest not JSON": ("pretrain", lambda text: "[{", "corpus", "train.json"),
+    "manifest with no clips": ("pretrain", lambda text: "[]", "corpus", "train.json"),
     "manifest entry without clip_id": ("pretrain", _without("clip_id"), "corpus", "clip_id"),
     "manifest entry without feature_file": (
         "pretrain", _without("feature_file"), "corpus", "feature_file"),
@@ -624,6 +721,8 @@ BAD_RECORDED_CONFIGS = {
     "missing field": (lambda c: {k: v for k, v in c.items() if k != "noise_dim"}, "noise_dim"),
     "wrong type": (lambda c: dict(c, n_heads="2"), "n_heads"),
     "d_model not divisible by n_heads": (lambda c: dict(c, n_heads=3), "divisible"),
+    "zero noise_dim": (lambda c: dict(c, noise_dim=0), "noise_dim"),
+    "dropout of 1": (lambda c: dict(c, dropout=1.0), "dropout"),
 }
 
 
@@ -654,3 +753,22 @@ def test_missing_checkpoint_leaves_the_run_directory_unchanged(command, data_dir
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: category=checkpoint: "), err
     assert list(run_dir.iterdir()) == []
+
+
+def test_checkpoint_with_a_config_hash_still_restores(pretrained, data_dir, tmp_path, capsys):
+    """Checkpoints once recorded a ``config_hash`` beside their config; one
+    that still carries it restores, and new ones leave it out."""
+    ckpt = pretrained / "generator_mle_final.ckpt"
+    arrays, meta = load_checkpoint(ckpt, "generator")
+    assert "config_hash" not in meta
+    gen = Generator(GeneratorConfig(**meta["config"]), np.random.default_rng(0))
+    restore_model(gen, arrays)
+    save_checkpoint(ckpt, gen, dict(meta, config_hash="0123456789abcdef"))
+    restored = Generator(GeneratorConfig(**meta["config"]), np.random.default_rng(1))
+    assert cli._restore_into(restored, ckpt, "generator")["config_hash"] == "0123456789abcdef"
+    for name, tensor in restored.params.items():
+        np.testing.assert_array_equal(tensor.data, arrays[name])
+    code, _, err = run(["generate", "--data", str(data_dir), "--run", str(pretrained),
+                        "--n", "2", "--beam-size", "2", "--out", str(tmp_path / "c.jsonl")],
+                       capsys)
+    assert code == 0, err

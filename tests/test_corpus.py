@@ -138,20 +138,20 @@ class TestBatches:
     def test_sizes(self):
         train, _ = small_corpus(n_clips=14)  # 10 train + 4 eval (25%)
         vocab = build_vocabulary(train)
-        batches = epoch_batches(train, vocab, 4, substream(0, "batch"))
+        batches = epoch_batches(train, vocab, 4, substream(0, "batch"), t_max=22)
         assert [len(b.clip_ids) for b in batches] == [4, 4, 2]
 
     def test_epoch_covers_each_record_once(self):
         train, _ = small_corpus()
         vocab = build_vocabulary(train)
-        batches = epoch_batches(train, vocab, 4, substream(0, "batch"))
+        batches = epoch_batches(train, vocab, 4, substream(0, "batch"), t_max=22)
         seen = [cid for b in batches for cid in b.clip_ids]
         assert sorted(seen) == sorted(r.clip_id for r in train.records)
 
     def test_mask_complements_padding(self):
         train, _ = small_corpus()
         vocab = build_vocabulary(train)
-        for batch in epoch_batches(train, vocab, 4, substream(0, "batch")):
+        for batch in epoch_batches(train, vocab, 4, substream(0, "batch"), t_max=22):
             assert batch.mask.sum() == (batch.target_lengths - 1).sum()
             # padded target positions are exactly the zeros
             for b in range(len(batch.clip_ids)):
@@ -179,7 +179,7 @@ class TestBatches:
         ref_strings = {" ".join(r) for r in target.references}
         seen = set()
         for _ in range(100):
-            for batch in epoch_batches(train, vocab, 4, rng):
+            for batch in epoch_batches(train, vocab, 4, rng, t_max=22):
                 if target.clip_id in batch.clip_ids:
                     i = batch.clip_ids.index(target.clip_id)
                     length = batch.target_lengths[i]

@@ -392,7 +392,7 @@ class TestTrimmedBatches:
 
     @staticmethod
     def _batch(vocab, train, seed=0):
-        batch = epoch_batches(train, vocab, 4, np.random.default_rng(seed))[0]
+        batch = epoch_batches(train, vocab, 4, np.random.default_rng(seed), t_max=22)[0]
         assert batch.targets.shape[1] < 24
         return batch, full_width(batch, 24)
 
