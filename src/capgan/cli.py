@@ -191,19 +191,28 @@ def _data_feat_dim(train) -> int:
     return train.records[0].features.shape[1]
 
 
-def _build_generator(vocab, cfg: dict, feat_dim: int) -> Generator:
-    config = _config(GeneratorConfig, cfg, vocab_size=len(vocab), feat_dim=feat_dim)
-    return Generator(config, substream(cfg["seed"], "generator-init"))
+def _model_configs(vocab, cfg: dict, feat_dim: int) -> tuple:
+    """The generator, discriminator and semantic-evaluator configs of the
+    run. Every training command builds all three, so it refuses a model
+    setting that a later command of the run would refuse, before it writes
+    anything."""
+    return (
+        _config(GeneratorConfig, cfg, vocab_size=len(vocab), feat_dim=feat_dim),
+        _config(DiscriminatorConfig, cfg, vocab_size=len(vocab)),
+        _config(SemanticEvaluatorConfig, cfg, vocab_size=len(vocab), feat_dim=feat_dim),
+    )
 
 
-def _build_discriminator(vocab, cfg: dict) -> Discriminator:
-    config = _config(DiscriminatorConfig, cfg, vocab_size=len(vocab))
-    return Discriminator(config, substream(cfg["seed"], "discriminator-init"))
+def _build_generator(config: GeneratorConfig, seed: int) -> Generator:
+    return Generator(config, substream(seed, "generator-init"))
 
 
-def _build_semantic(vocab, cfg: dict, feat_dim: int) -> SemanticEvaluator:
-    config = _config(SemanticEvaluatorConfig, cfg, vocab_size=len(vocab), feat_dim=feat_dim)
-    return SemanticEvaluator(config, substream(cfg["seed"], "semantic-init"))
+def _build_discriminator(config: DiscriminatorConfig, seed: int) -> Discriminator:
+    return Discriminator(config, substream(seed, "discriminator-init"))
+
+
+def _build_semantic(config: SemanticEvaluatorConfig, seed: int) -> SemanticEvaluator:
+    return SemanticEvaluator(config, substream(seed, "semantic-init"))
 
 
 def _restore_into(model, path, kind: str) -> dict:
@@ -269,7 +278,8 @@ def cmd_pretrain(args) -> int:
     run_dir = Path(args.run)
     train, evaluation = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
-    gen = _build_generator(vocab, cfg, _data_feat_dim(train))
+    gen_config, _, _ = _model_configs(vocab, cfg, _data_feat_dim(train))
+    gen = _build_generator(gen_config, cfg["seed"])
     start_epoch = _start_epoch(gen, run_dir / "generator_mle_final.ckpt", "generator",
                                args.resume)
     _save_vocab(vocab, run_dir)
@@ -293,10 +303,11 @@ def cmd_pretrain_d(args) -> int:
     run_dir = Path(args.run)
     train, _ = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
+    gen_config, d_config, _ = _model_configs(vocab, cfg, _data_feat_dim(train))
     gen_ckpt = Path(args.generator) if args.generator else run_dir / "generator_mle_final.ckpt"
-    gen = _build_generator(vocab, cfg, _data_feat_dim(train))
+    gen = _build_generator(gen_config, cfg["seed"])
     _restore_into(gen, gen_ckpt, "generator")
-    d = _build_discriminator(vocab, cfg)
+    d = _build_discriminator(d_config, cfg["seed"])
     d_ckpt = run_dir / "discriminator_pretrained.ckpt"
     start_epoch = _start_epoch(d, d_ckpt, "discriminator", args.resume)
     _save_vocab(vocab, run_dir)
@@ -316,7 +327,8 @@ def cmd_pretrain_se(args) -> int:
     run_dir = Path(args.run)
     train, _ = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
-    se = _build_semantic(vocab, cfg, _data_feat_dim(train))
+    _, _, se_config = _model_configs(vocab, cfg, _data_feat_dim(train))
+    se = _build_semantic(se_config, cfg["seed"])
     se_ckpt = run_dir / "semantic_evaluator.ckpt"
     start_epoch = _start_epoch(se, se_ckpt, "semantic", args.resume)
     _save_vocab(vocab, run_dir)
@@ -353,17 +365,17 @@ def cmd_train_gan(args) -> int:
     run_dir = Path(args.run)
     train, evaluation = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
-    feat_dim = _data_feat_dim(train)
+    gen_config, d_config, se_config = _model_configs(vocab, cfg, _data_feat_dim(train))
     gen_ckpt = Path(args.generator) if args.generator else run_dir / "generator_mle_final.ckpt"
     d_ckpt = Path(args.discriminator) if args.discriminator else run_dir / "discriminator_pretrained.ckpt"
     se_ckpt = Path(args.semantic) if args.semantic else run_dir / "semantic_evaluator.ckpt"
 
     def restored():
-        gen = _build_generator(vocab, cfg, feat_dim)
+        gen = _build_generator(gen_config, cfg["seed"])
         _restore_into(gen, gen_ckpt, "generator")
-        d = _build_discriminator(vocab, cfg)
+        d = _build_discriminator(d_config, cfg["seed"])
         _restore_into(d, d_ckpt, "discriminator")
-        se = _build_semantic(vocab, cfg, feat_dim)
+        se = _build_semantic(se_config, cfg["seed"])
         _restore_into(se, se_ckpt, "semantic")
         return gen, d, se
 

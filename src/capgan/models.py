@@ -24,6 +24,7 @@ from .tensor import (
     Tensor,
     attention,
     concat,
+    conv1d_k3,
     embedding,
     gru_cell,
     layer_norm,
@@ -175,16 +176,7 @@ def gru_final_hidden(xs: Tensor, lengths: np.ndarray, p: GRUParams, d_hidden: in
     return h
 
 
-# -- shared conv building block ----------------------------------------------
-
-
-def conv1d_k3(x: Tensor, w_left: Tensor, w_center: Tensor, w_right: Tensor, b: Tensor) -> Tensor:
-    """Width-3 1-D convolution over the time axis of [B, T, d], zero padded."""
-    batch, t_steps, d_in = x.shape
-    zero = _const(np.zeros((batch, 1, d_in)), x.dtype)
-    left = concat([zero, x[:, :-1, :]], axis=1) if t_steps > 1 else zero
-    right = concat([x[:, 1:, :], zero], axis=1) if t_steps > 1 else zero
-    return linear(x, w_center, b) + left @ w_left + right @ w_right
+# -- positions ----------------------------------------------------------------
 
 
 def sinusoidal_positions(t_steps: int, d_model: int, dtype) -> np.ndarray:

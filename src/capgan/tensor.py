@@ -4,15 +4,19 @@ Small numpy-backed engine, just large enough for the three caption models.
 Each differentiable op records its inputs and a backward closure on the
 output node; ``backward()`` topologically sorts the recorded graph and
 visits every node exactly once, accumulating gradients into leaves that
-have ``requires_grad`` set. Gradients accumulate across calls until zeroed
-(the optimizer owns zeroing). Inside ``no_grad()`` ops record nothing, so
-inference builds no graph.
+have ``requires_grad`` set. Each node drops its closure and its parents
+once it has passed its gradient on, so the graph's saved arrays are freed
+during the walk and a graph can be backpropagated only once. Leaf
+gradients accumulate across graphs until zeroed (the optimizer owns
+zeroing). Inside ``no_grad()`` ops record nothing, so inference builds no
+graph.
 
 The models' hot paths are single nodes with closed-form backwards:
 ``x @ w`` with a 2-D ``w`` and ``linear`` fold the leading axes into one
-GEMM per product, ``attention`` keeps its softmax for the backward, and
-``gru_cell`` is one recurrent step. Scales stay Python floats, so float32
-data is never upcast.
+GEMM per product, ``conv1d_k3`` is a width-3 convolution over time,
+``attention`` keeps its softmax for the backward, and ``gru_cell`` is one
+recurrent step. Scales stay Python floats, so float32 data is never
+upcast.
 
 Broadcasting is deliberately restricted: binary elementwise ops accept
 equal shapes or a scalar paired with a tensor, nothing else. Row/column
@@ -32,6 +36,7 @@ __all__ = [
     "concat",
     "embedding",
     "linear",
+    "conv1d_k3",
     "attention",
     "gru_cell",
     "cross_entropy",
@@ -98,6 +103,11 @@ def _check_elementwise(a: "Tensor", b: "Tensor") -> None:
     raise DimensionError(
         f"elementwise op needs equal shapes or a scalar operand, got {a.shape} and {b.shape}"
     )
+
+
+def _released(grad) -> None:
+    """The backward of a node whose graph has been backpropagated."""
+    raise RuntimeError("this graph was already backpropagated; build it again")
 
 
 class Tensor:
@@ -413,10 +423,16 @@ class Tensor:
     # -- autodiff -------------------------------------------------------------
 
     def backward(self) -> None:
-        """Backpropagate from a scalar root, visiting each node once."""
+        """Backpropagate from a scalar root, visiting each node once.
+
+        Each node is released once it has passed its gradient on: its
+        closure and parent links go, and with them the arrays they saved.
+        A second ``backward()`` through a released node raises before any
+        gradient is touched.
+        """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar root")
-        topo: list[Tensor] = []
+        topo: list[Tensor | None] = []
         seen: set[int] = set()
         stack = [(self, False)]
         while stack:
@@ -426,15 +442,19 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _released:
+                _released(None)
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._prev:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
+        for i in range(len(topo) - 1, -1, -1):
+            node, topo[i] = topo[i], None  # the walk keeps no visited node alive
             if node._backward is not None:
                 node._backward(node.grad)
+                node._backward, node._prev = _released, ()
                 if node is not self:
                     node.grad = None  # interior grads are transient
 
@@ -490,6 +510,61 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"linear needs x[..., d], w[d, e], b[e], got {x.shape}, {w.shape}, {b.shape}"
         )
     return _folded_matmul(x, w, b)
+
+
+def _shifted(x: np.ndarray, step: int) -> np.ndarray:
+    """``x`` [B, T, d] moved ``step`` (1 or -1) positions along time,
+    zero filled: row t holds x[t - step]."""
+    out = np.zeros_like(x)
+    if step > 0:
+        out[:, step:] = x[:, :-step]
+    else:
+        out[:, :step] = x[:, -step:]
+    return out
+
+
+def conv1d_k3(x: Tensor, w_left: Tensor, w_center: Tensor, w_right: Tensor,
+              b: Tensor) -> Tensor:
+    """Width-3 convolution over the time axis of x [B, T, d], zero padded,
+    as one node: ``x[t-1] @ w_left + x[t] @ w_center + b + x[t+1] @ w_right``.
+
+    Each tap is one GEMM over all B*T rows, added into the output one step
+    over, in the order center (with bias), left, right. The backward
+    rebuilds the shifted, zero-padded inputs for the side taps' weight
+    gradients; the node keeps no array of its own.
+    """
+    d_out = w_center.shape[-1]
+    if x.data.ndim != 3 or b.shape != (d_out,) or any(
+            w.shape != (x.shape[-1], d_out) for w in (w_left, w_center, w_right)):
+        raise DimensionError(
+            f"conv1d_k3 needs x[B, T, d], three w[d, e] and b[e], got {x.shape}, "
+            f"{w_left.shape}, {w_center.shape}, {w_right.shape}, {b.shape}"
+        )
+    batch, t_steps, d_in = x.shape
+    x2 = x.data.reshape(-1, d_in)
+    out2 = x2 @ w_center.data
+    out2 += b.data
+    out = out2.reshape(batch, t_steps, d_out)
+    if t_steps > 1:
+        out[:, 1:] += (x2 @ w_left.data).reshape(out.shape)[:, :-1]
+        out[:, :-1] += (x2 @ w_right.data).reshape(out.shape)[:, 1:]
+
+    def backward(grad):
+        g2 = grad.reshape(-1, d_out)
+        if x.requires_grad:
+            dx = (g2 @ w_center.data.T).reshape(x.shape)
+            dx[:, :-1] += (g2 @ w_left.data.T).reshape(x.shape)[:, 1:]
+            dx[:, 1:] += (g2 @ w_right.data.T).reshape(x.shape)[:, :-1]
+            x._accumulate(dx)
+        if w_center.requires_grad:
+            w_center._accumulate(x.data.reshape(-1, d_in).T @ g2)
+        for w, step in ((w_left, 1), (w_right, -1)):
+            if w.requires_grad:
+                w._accumulate(_shifted(x.data, step).reshape(-1, d_in).T @ g2)
+        if b.requires_grad:
+            b._accumulate(g2.sum(axis=0))
+
+    return Tensor._from_op(out, (x, w_left, w_center, w_right, b), backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,

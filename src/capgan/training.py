@@ -63,6 +63,8 @@ class TrainConfig:
             raise ValueError("lam must be in [0, 1]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.ablation not in (None, *ABLATION_LAMBDA):
             raise ValueError(f"unknown ablation {self.ablation!r}")
         if self.ablation is not None:
@@ -162,13 +164,15 @@ class RewardOracles:
 
 def _optimize(opt: Adam, loss: Tensor, what: str) -> float:
     """One update down a loss, refused if the loss is non-finite;
-    returns the loss value."""
+    returns the loss value. The loss's graph is released by its backward,
+    and the gradients are dropped after the step, so neither outlives the
+    update into the next forward."""
     value = loss.item()
     if not np.isfinite(value):
         raise TrainingDiverged(f"{what} became non-finite ({value})")
-    opt.zero_grad()
     loss.backward()
     opt.step()
+    opt.zero_grad()
     return value
 
 
@@ -385,15 +389,17 @@ def semantic_gap(se: SemanticEvaluator, split: DatasetSplit, vocab, t_max: int) 
 # -- SCST ---------------------------------------------------------------------
 
 
-def scst_surrogate_loss(gen: Generator, batch, z: np.ndarray,
+def scst_surrogate_loss(gen: Generator, batch, memory: Tensor,
                         sampled: list[list[int]], advantages: np.ndarray) -> Tensor:
     """-(1/B) sum_b adv_b * sum_t log pi(w_t); advantages held constant.
-    The samples are padded only to the longest of them."""
+    ``memory`` is the batch's taped encoder memory, which the loss
+    backpropagates through. The samples are padded only to the longest
+    of them."""
     tokens, lengths = pad_sequences(sampled)
     inputs = tokens[:, :-1]
     targets = tokens[:, 1:]
     mask = (np.arange(targets.shape[1])[None, :] < (lengths - 1)[:, None]).astype(float)
-    logits = gen.forward(batch.features, batch.feature_lengths, z, inputs)
+    logits = gen.forward(batch.features, batch.feature_lengths, None, inputs, memory=memory)
     log_probs = logits.log_softmax(axis=-1)
     onehot = np.zeros(log_probs.shape, dtype=log_probs.dtype)
     np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
@@ -415,10 +421,13 @@ def scst_generator_step(
     sample_rng: np.random.Generator,
 ):
     """One policy-gradient update; returns (loss, the sampled captions'
-    reward breakdowns, their advantages over the greedy baseline)."""
+    reward breakdowns, their advantages over the greedy baseline).
+
+    The batch is encoded once, on the tape: both rollouts decode from that
+    memory without recording, and the surrogate loss backpropagates
+    through it."""
     z = z_rng.standard_normal((len(batch.clip_ids), gen.config.noise_dim))
-    with no_grad():
-        memory = gen.encode(batch.features, batch.feature_lengths, z)
+    memory = gen.encode(batch.features, batch.feature_lengths, z)
     sampled, _ = rollout(
         gen, batch.features, batch.feature_lengths, z, "sample",
         rng=sample_rng, max_length=gen.config.t_max, memory=memory,
@@ -431,7 +440,7 @@ def scst_generator_step(
     rewards = oracles.score(sampled + greedy, records + records, config)
     breakdowns, baselines = rewards[: len(sampled)], rewards[len(sampled):]
     advantages = np.array([r.total - b.total for r, b in zip(breakdowns, baselines)])
-    loss = scst_surrogate_loss(gen, batch, z, sampled, advantages)
+    loss = scst_surrogate_loss(gen, batch, memory, sampled, advantages)
     return _optimize(opt, loss, "SCST loss"), breakdowns, advantages
 
 

@@ -388,6 +388,12 @@ REJECTED_VALUES = {
     "pretrain --batch-size 0": (
         ["pretrain", "--data", "{data}", "--run", "{tmp}/fresh", "--config", "{config}",
          "--batch-size", "0"], "{tmp}/fresh"),
+    "pretrain --learning-rate -1": (
+        ["pretrain", "--data", "{data}", "--run", "{tmp}/fresh", "--config", "{config}",
+         "--learning-rate", "-1"], "{tmp}/fresh"),
+    "pretrain --learning-rate 0": (
+        ["pretrain", "--data", "{data}", "--run", "{tmp}/fresh", "--config", "{config}",
+         "--learning-rate", "0"], "{tmp}/fresh"),
     "pretrain --t-max 0": (
         ["pretrain", "--data", "{data}", "--run", "{tmp}/fresh", "--config", "{config}",
          "--t-max", "0"], "{tmp}/fresh"),
@@ -465,6 +471,15 @@ OUT_OF_RANGE = {
     "negative dropout": ("pretrain", {"dropout": -0.1}, "GeneratorConfig.dropout"),
     "zero d_hidden_dim": ("pretrain-d", {"d_hidden_dim": 0}, "DiscriminatorConfig.hidden_dim"),
     "zero se_out_dim": ("pretrain-se", {"se_out_dim": 0}, "SemanticEvaluatorConfig.out_dim"),
+    # each training command checks the settings of the models it does not build
+    "n_heads through pretrain-se": ("pretrain-se", {"n_heads": 3}, "divisible"),
+    "zero d_hidden_dim through pretrain": (
+        "pretrain", {"d_hidden_dim": 0}, "DiscriminatorConfig.hidden_dim"),
+    "zero se_out_dim through pretrain-d": (
+        "pretrain-d", {"se_out_dim": 0}, "SemanticEvaluatorConfig.out_dim"),
+    # before any checkpoint: this run has no discriminator or evaluator yet
+    "zero se_out_dim through train-gan": (
+        "train-gan", {"se_out_dim": 0}, "SemanticEvaluatorConfig.out_dim"),
 }
 
 
@@ -522,9 +537,7 @@ def test_every_setting_reaches_its_config_field(tmp_path):
     vocab = Vocabulary.build([["a", "dog", "barks"]])
     built = [
         cli._config(TrainConfig, cfg),
-        cli._build_generator(vocab, cfg, 5).config,
-        cli._build_discriminator(vocab, cfg).config,
-        cli._build_semantic(vocab, cfg, 5).config,
+        *cli._model_configs(vocab, cfg, 5),
     ]
     reached = {"min_count": cfg["min_count"]}
     for config in built:

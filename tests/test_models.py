@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from capgan import models
-from capgan import models
 from capgan.models import (
     CheckpointError,
     DecodeCache,
@@ -26,6 +25,7 @@ from capgan.models import (
     save_checkpoint,
 )
 from capgan.tensor import (
+    DimensionError,
     DomainError,
     Tensor,
     concat,
@@ -174,6 +174,8 @@ class TestHoistedGRU:
         with_dead_row = [t.grad.copy() for t in (p.u_r, p.u_u, p.u_h)]
         for t in (p.u_r, p.u_u, p.u_h):
             t.zero_grad()
+        # a backward releases its graph, so the second one projects the inputs again
+        x_proj = gru_inputs(xs, p)[:, 0, :]
         gru_cell(x_proj[:1], h_prev[:1], p.u_r, p.u_u, p.u_h, np.array([[True]])).sum().backward()
         for got, alone in zip(with_dead_row, (p.u_r.grad, p.u_u.grad, p.u_h.grad)):
             np.testing.assert_allclose(got, alone, rtol=1e-12, atol=1e-15)
@@ -280,6 +282,61 @@ class TestTrainingDropout:
             np.testing.assert_array_equal(cut, whole[tuple(slice(n) for n in cut.shape)])
         assert short_rng.random() == full_rng.random()
         np.testing.assert_allclose(short.data, full.data[:, :4], rtol=0, atol=1e-12)
+
+
+def reference_conv1d_k3(x, w_left, w_center, w_right, b):
+    """The width-3 convolution composed from ``linear``, ``concat``, shifted
+    slices and two matmuls, the way the one-node ``conv1d_k3`` replaced."""
+    batch, t_steps, d_in = x.shape
+    zero = Tensor(np.zeros((batch, 1, d_in), dtype=x.dtype))
+    left = concat([zero, x[:, :-1, :]], axis=1) if t_steps > 1 else zero
+    right = concat([x[:, 1:, :], zero], axis=1) if t_steps > 1 else zero
+    return linear(x, w_center, b) + left @ w_left + right @ w_right
+
+
+class TestConv1dK3:
+    @staticmethod
+    def _run(conv, x, weights, c):
+        """Output and the input's and four parameters' gradients; the input
+        is an op output, as in the models."""
+        leaf = Tensor(x, requires_grad=True)
+        params = [Tensor(w, requires_grad=True) for w in weights]
+        out = conv(leaf * 1.0, *params)
+        (out * Tensor(c)).sum().backward()
+        return [out.data, leaf.grad] + [p.grad for p in params]
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("t_steps", [1, 2, 7])
+    def test_bit_identical_to_the_composition(self, t_steps, batch):
+        rng = np.random.default_rng(10 * t_steps + batch)
+        x = rng.standard_normal((batch, t_steps, 16)).astype(np.float32)
+        weights = [rng.standard_normal((16, 12)).astype(np.float32) for _ in range(3)]
+        weights.append(rng.standard_normal(12).astype(np.float32))
+        c = rng.standard_normal((batch, t_steps, 12)).astype(np.float32)
+        got = self._run(conv1d_k3, x, weights, c)
+        want = self._run(reference_conv1d_k3, x, weights, c)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.float32
+            np.testing.assert_array_equal(g, w)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
+        params = [Tensor(rng.standard_normal(s), requires_grad=True)
+                  for s in ((3, 4), (3, 4), (3, 4), (4,))]
+        c = rng.standard_normal((2, 5, 4))
+        (conv1d_k3(x, *params) * Tensor(c)).sum().backward()
+        fd = finite_difference(lambda: float((conv1d_k3(x, *params).data * c).sum()),
+                               [x, *params])
+        assert_grads_close([x, *params], fd)
+
+    def test_mismatched_weights_rejected(self):
+        x = Tensor(np.zeros((1, 3, 4)))
+        w, b = Tensor(np.zeros((4, 2))), Tensor(np.zeros(2))
+        with pytest.raises(DimensionError):
+            conv1d_k3(x, w, w, Tensor(np.zeros((4, 3))), b)
+        with pytest.raises(DimensionError):
+            conv1d_k3(x, w, w, w, Tensor(np.zeros(3)))
 
 
 def reference_encode(gen, features, z):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -401,6 +403,61 @@ class TestNoGrad:
         params = gen.store.tensors()
         fd = finite_difference(lambda: loss().item(), params)
         assert_grads_close(params, fd, rtol=1e-3)
+
+
+class TestRelease:
+    """A backward releases the graph it walks."""
+
+    def test_interior_arrays_freed_while_the_root_is_held(self, rng):
+        x, w = param(rng, 4, 3), param(rng, 3, 5)
+        h = (x @ w).tanh()
+        activation = weakref.ref(h.data)
+        loss = (h * h).sum()
+        del h
+        loss.backward()
+        assert activation() is None
+        fd = finite_difference(lambda: float((np.tanh(x.data @ w.data) ** 2).sum()), [x, w])
+        assert_grads_close([x, w], fd)
+
+    def test_second_backward_raises_and_leaves_gradients(self, rng):
+        x = param(rng, 3)
+        y = x * 2.0
+        loss = (y * y).sum()
+        loss.backward()
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            loss.backward()
+        # a new graph through a released node raises too, before any gradient moves
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            (y * 3.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, first)
+
+    @pytest.mark.parametrize("second", ["product", "basic slice"])
+    def test_shared_gradient_survives_a_second_contribution(self, second, rng):
+        # s = a + b hands its one gradient array to both a and b; a then
+        # receives a second contribution, which must not write into it
+        a, b = param(rng, 4), param(rng, 4)
+        c, k = rng.standard_normal(4), rng.standard_normal(3)
+
+        def forward(a, b):
+            other = a * Tensor(np.r_[k, 0.0]) if second == "product" else a[1:] * Tensor(k)
+            return ((a + b) * Tensor(c)).sum() + other.sum()
+
+        loss = forward(a, b)
+        s = loss._prev[0]._prev[0]._prev[0]  # the a + b node
+        shared = []
+        real = s._backward
+
+        def spy(grad):
+            shared.append((grad, grad.copy()))
+            real(grad)
+
+        s._backward = spy
+        loss.backward()
+        (array, before), = shared
+        np.testing.assert_array_equal(array, before)
+        fd = finite_difference(lambda: forward(a, b).item(), [a, b])
+        assert_grads_close([a, b], fd)
 
 
 class TestShapeOps:

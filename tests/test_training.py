@@ -371,6 +371,12 @@ def full_width_surrogate(gen, batch, z, sampled, advantages, width):
     return -(picked * Tensor(weights)).sum() * (1.0 / len(sampled))
 
 
+def surrogate(gen, batch, z, sampled, advantages):
+    """The SCST surrogate loss on a fresh taped encode of the batch."""
+    memory = gen.encode(batch.features, batch.feature_lengths, z)
+    return scst_surrogate_loss(gen, batch, memory, sampled, advantages)
+
+
 def loss_and_grads(params, make_loss):
     """A fresh loss's value and every parameter's gradient down it."""
     for p in params:
@@ -453,7 +459,7 @@ class TestTrimmedBatches:
         advantages = np.array([0.8, -0.3, 0.1, -1.2])
         params = gen.store.tensors()
         got, got_grads = loss_and_grads(
-            params, lambda: scst_surrogate_loss(gen, batch, z, sampled, advantages))
+            params, lambda: surrogate(gen, batch, z, sampled, advantages))
         want, want_grads = loss_and_grads(
             params, lambda: full_width_surrogate(gen, batch, z, sampled, advantages, 24))
         assert got == pytest.approx(want, rel=1e-6)
@@ -471,9 +477,9 @@ class TestSurrogate:
         advantages = np.array([0.8, -0.3, 0.1, -1.2])
 
         def loss():
-            return scst_surrogate_loss(gen, batch, z, sampled, advantages).item()
+            return surrogate(gen, batch, z, sampled, advantages).item()
 
-        scst_surrogate_loss(gen, batch, z, sampled, advantages).backward()
+        surrogate(gen, batch, z, sampled, advantages).backward()
         params = gen.store.tensors()
         fd = finite_difference(loss, params)
         assert_grads_close(params, fd, rtol=1e-3)
@@ -492,11 +498,11 @@ class TestSurrogate:
         sampled = [[1, 5, 6, 2], [1, 7, 2], [1, 4, 4, 8, 2], [1, 9, 2]]
         advantages = np.array([0.8, -0.3, 0.1, -1.2])
 
-        loss = scst_surrogate_loss(gen, batch, z, sampled, advantages)
+        loss = surrogate(gen, batch, z, sampled, advantages)
         assert loss.dtype == np.float32
         loss.backward()
         fd = finite_difference(
-            lambda: scst_surrogate_loss(gen64, batch, z, sampled, advantages).item(),
+            lambda: surrogate(gen64, batch, z, sampled, advantages).item(),
             gen64.store.tensors(),
         )
         assert_grads_close(gen.store.tensors(), fd, rtol=1e-3)
@@ -508,7 +514,7 @@ class TestSurrogate:
         batch = _MiniBatch(rng)
         z = rng.standard_normal((len(batch.clip_ids), gen.config.noise_dim))
         sampled = [[1, 5, 2]] * len(batch.clip_ids)
-        loss = scst_surrogate_loss(gen, batch, z, sampled, np.zeros(len(batch.clip_ids)))
+        loss = surrogate(gen, batch, z, sampled, np.zeros(len(batch.clip_ids)))
         loss.backward()
         for p in gen.store.tensors():
             if p.grad is not None:
@@ -524,8 +530,8 @@ class TestSurrogate:
         z = rng.standard_normal((len(batch.clip_ids), gen.config.noise_dim))
         sampled = [[1, 5, 6, 2], [1, 7, 2], [1, 4, 8, 2], [1, 9, 2]]
         a1 = np.array([0.5, -0.5, 1.0, 0.0])
-        l1 = scst_surrogate_loss(gen, batch, z, sampled, a1).item()
-        l2 = scst_surrogate_loss(gen, batch, z, sampled, 2 * a1).item()
+        l1 = surrogate(gen, batch, z, sampled, a1).item()
+        l2 = surrogate(gen, batch, z, sampled, 2 * a1).item()
         assert l2 == pytest.approx(2 * l1, rel=1e-12)
 
 
@@ -667,6 +673,25 @@ class TestMLEPretrain:
             log = mle_pretrain(gen, train, None, vocab, config)
             losses.append([r["mle_loss"] for r in log.records])
         assert losses[0] == losses[1]
+
+    def test_gradients_dropped_after_each_step(self, monkeypatch):
+        train, _, vocab, gen, _, _ = tiny_setup()
+        stepped = []
+        real_step = Adam.step
+
+        def spy_step(opt):
+            stepped.append(all(p.grad is not None for p in opt.params))
+            real_step(opt)
+
+        monkeypatch.setattr(Adam, "step", spy_step)
+        mle_pretrain(gen, train, None, vocab, tiny_train_config(mle_epochs=1))
+        assert stepped and all(stepped)
+        assert all(p.grad is None for p in gen.store.tensors())
+
+    @pytest.mark.parametrize("rate", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            tiny_train_config(learning_rate=rate)
 
     def test_nan_aborts(self):
         train, _, vocab, gen, _, _ = tiny_setup()
@@ -891,15 +916,23 @@ class TestAdversarial:
             events.append(("rollout", kwargs["memory"] is memories[0]))
             return real_rollout(*args, **kwargs)
 
+        real_surrogate = training.scst_surrogate_loss
+
+        def spy_surrogate(*args, **kwargs):
+            events.append(("surrogate", args[2] is memories[0]))
+            return real_surrogate(*args, **kwargs)
+
         monkeypatch.setattr(gen, "encode", encode)
         monkeypatch.setattr(training, "rollout", spy)
+        monkeypatch.setattr(training, "scst_surrogate_loss", spy_surrogate)
         scst_generator_step(
             gen, Adam(gen.store.tensors(), lr=1e-3), batch,
             {r.clip_id: r for r in train.records}, oracles, config,
             np.random.default_rng(1), np.random.default_rng(2),
         )
-        # the second encode is the surrogate loss's taped forward
-        assert events == ["encode", ("rollout", True), ("rollout", True), "encode"]
+        # one taped encode serves both rollouts and the surrogate loss
+        assert events == ["encode", ("rollout", True), ("rollout", True), ("surrogate", True)]
+        assert memories[0].requires_grad
 
 
 class TestFloat32:
@@ -930,6 +963,15 @@ class TestFloat32:
         batch = epoch_batches(train, vocab, 4, np.random.default_rng(0), t_max=12)[0]
         outputs = []
         self._spy_outputs(monkeypatch, (gen, d, se), outputs)
+        # the gradients each Adam step consumes; they are dropped after it
+        stepped = []
+        real_step = Adam.step
+
+        def spy_step(opt):
+            stepped.append([p.grad for p in opt.params if p.grad is not None])
+            real_step(opt)
+
+        monkeypatch.setattr(Adam, "step", spy_step)
         steps = {
             "MLE": (gen, lambda: mle_pretrain(gen, train, None, vocab, config)),
             "D": (d, lambda: d_pretrain(d, gen, train, vocab, config)),
@@ -942,11 +984,12 @@ class TestFloat32:
         }
         for what, (model, step) in steps.items():
             outputs.clear()
+            stepped.clear()
             step()
             trained = {name[: name.index(".")] for name, _ in outputs}
             assert model.kind in trained, what
             assert all(dtype == np.float32 for _, dtype in outputs), (what, outputs)
-            grads = [p.grad for p in model.store.tensors() if p.grad is not None]
+            grads = stepped[-1]
             assert grads and all(g.dtype == np.float32 for g in grads), what
             assert all(p.data.dtype == np.float32 for p in model.store.tensors()), what
 
