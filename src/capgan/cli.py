@@ -14,6 +14,7 @@ in ``EXIT_CODES``. Training refuses checkpoints of other model settings.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -504,8 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--clips", type=int, default=60)
     p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--feat-dim", type=int, default=64, dest="feat_dim")
-    p.add_argument("--eval-fraction", type=float, default=0.25, dest="eval_fraction")
+    corpus_params = inspect.signature(generate_synthetic_corpus).parameters
+    p.add_argument("--feat-dim", type=int, default=corpus_params["feat_dim"].default,
+                   dest="feat_dim")
+    p.add_argument("--eval-fraction", type=float, default=corpus_params["eval_fraction"].default,
+                   dest="eval_fraction")
     p.set_defaults(func=cmd_prepare_data)
 
     p = sub.add_parser("pretrain", help="MLE pretraining of the caption generator")

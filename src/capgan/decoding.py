@@ -8,9 +8,18 @@ z)`` and ``step_logits(features, feat_lengths, z, prefix, memory=...,
 cache=...)``. A decode encodes its clips once (``rollout`` skips even that
 when the caller passes the encoder memory), records no autodiff graph,
 and feeds ``step_logits`` only the newest position of each prefix, along
-with one ``DecodeCache`` per decode that the model fills with what it
-keeps from earlier positions (beam search reorders it as hypotheses are
-kept, repeated or dropped).
+with one ``DecodeCache`` per decode. The generator's step runs on arrays
+and keeps in that cache the cross-attention keys/values and frame mask of
+the memory, built on the first step, and every position's self-attention
+keys/values (beam search reorders those as hypotheses are kept, repeated
+or dropped).
+
+Each beam step ranks only the candidates a group's walk can reach: a row
+has one <eos> candidate, so the walk that keeps ``beam_size`` open
+hypotheses passes at most ``beam_size + width`` of its group's
+``width * vocab``. ``np.argpartition`` finds those, and a stable sort
+orders them as the stable sort of every candidate would (see
+``_stable_head``).
 
 Beam search stops as soon as no group's answer can change (the rule of
 Huang et al., "When to Finish? Optimal Beam Search for Neural Text
@@ -173,9 +182,10 @@ def beam_decode(model, features, feat_lengths, z, *, beam_size: int, max_length:
                 totals = np.zeros(groups, dtype=logits.dtype)  # log-prob per live row
             vocab = logits.shape[1]
             candidates = (totals[:, None] + log_softmax(logits)).reshape(groups, width * vocab)
-            # best first by mean log-prob, per group; stable, so ties keep
-            # (row, token) order
-            order = np.argsort(-(candidates / (step + 1)), axis=1, kind="stable")
+            # best first by mean log-prob, per group, ties in (row, token)
+            # order. Each row has one <eos> candidate, so the walk below
+            # passes at most beam_size + width candidates of its group.
+            order = _stable_head(-(candidates / (step + 1)), beam_size + width)
             rows, tokens = np.divmod(order, vocab)
             ended = tokens == EOS
             # walk each group's ranking until beam_size hypotheses stay
@@ -209,6 +219,25 @@ def beam_decode(model, features, feat_lengths, z, *, beam_size: int, max_length:
         _best_distinct(finished[g] + live[g * width : (g + 1) * width], n_best)
         for g in range(groups)
     ]
+
+
+def _stable_head(keys: np.ndarray, reach: int) -> np.ndarray:
+    """Per row of ``keys``, the columns of its ``reach`` smallest keys,
+    smallest first and ties in column order: the first ``reach`` columns of
+    a stable argsort, found by ``np.argpartition``.
+
+    Where a key equal to the largest one kept lies past the cut (or a NaN
+    is kept), argpartition may have cut between equal keys anywhere, so
+    the full stable sort runs instead.
+    """
+    if reach >= keys.shape[1]:
+        return np.argsort(keys, axis=1, kind="stable")
+    head = np.sort(np.argpartition(keys, reach - 1, axis=1)[:, :reach], axis=1)
+    head_keys = np.take_along_axis(keys, head, axis=1)
+    cut = head_keys.max(axis=1, keepdims=True)
+    if ((keys <= cut).sum(axis=1) != reach).any():
+        return np.argsort(keys, axis=1, kind="stable")[:, :reach]
+    return np.take_along_axis(head, np.argsort(head_keys, axis=1, kind="stable"), axis=1)
 
 
 def _best_distinct(hypotheses, beam_size: int):

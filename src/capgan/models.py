@@ -23,12 +23,15 @@ from .tensor import (
     DomainError,
     Tensor,
     attention,
+    attention_kernel,
     concat,
     conv1d_k3,
     embedding,
     gru_cell,
     layer_norm,
+    layer_norm_kernel,
     linear,
+    linear_kernel,
     no_grad,
 )
 
@@ -219,35 +222,27 @@ class GeneratorConfig:
 
 
 class DecodeCache:
-    """Attention keys and values kept across the steps of one decode.
+    """What one decode keeps across its steps, as arrays.
 
-    ``self_kv`` holds each decoder layer's self-attention keys/values for the
-    ``length`` positions seen so far, one row per hypothesis; ``cross``
-    holds each layer's cross-attention keys/values, projected from the
-    encoder memory once. Models that keep no state leave it empty.
+    ``cross`` holds each decoder layer's cross-attention keys/values
+    [G, H, F, d_head], projected from the encoder memory on the first step,
+    and ``frame_mask`` the additive mask [G or 1, 1, 1, F] of the memory's
+    padded frames; both are per clip or per noise group, never per row.
+    ``self_kv`` holds each layer's self-attention keys/values
+    [B, H, length, d_head] for the ``length`` positions seen so far, one row
+    per hypothesis.
     """
 
     def __init__(self):
         self.length = 0
-        self.self_kv: list[tuple[Tensor, Tensor]] = []
-        self.cross: list[tuple[Tensor, Tensor]] = []
-
-    def extend(self, layer: int, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
-        """Append new positions' keys/values [B, H, t, d_head] to a layer's
-        cache and return everything cached for it."""
-        if layer == len(self.self_kv):
-            self.self_kv.append((keys, values))
-        else:
-            old_keys, old_values = self.self_kv[layer]
-            self.self_kv[layer] = (
-                concat([old_keys, keys], axis=2), concat([old_values, values], axis=2)
-            )
-        return self.self_kv[layer]
+        self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []
+        self.cross: list[tuple[np.ndarray, np.ndarray]] = []
+        self.frame_mask: np.ndarray | None = None
 
     def reorder(self, rows: np.ndarray) -> None:
         """Keep the self-attention rows of the given parents, in order;
         a parent may repeat or be dropped. The cross-attention keys/values
-        are per clip or per noise group, not per row, and stay as they are."""
+        and the frame mask stay as they are."""
         self.self_kv = [(keys[rows], values[rows]) for keys, values in self.self_kv]
 
 
@@ -316,11 +311,31 @@ class Generator:
         merged = concat([h, z_b], axis=2)
         return linear(merged, p["noise.w"], p["noise.b"])
 
-    def _heads(self, x: Tensor) -> Tensor:
-        """[B, T, d_model] -> [B, n_heads, T, d_head]."""
+    def _heads(self, x):
+        """[B, T, d_model] -> [B, n_heads, T, d_head], of a Tensor or an array."""
         c = self.config
         batch, t_len, _ = x.shape
         return x.reshape(batch, t_len, c.n_heads, c.d_model // c.n_heads).transpose(0, 2, 1, 3)
+
+    def _merge_heads(self, x):
+        """[B, n_heads, T, d_head] -> [B, T, d_model], of a Tensor or an array."""
+        return x.transpose(0, 2, 1, 3).reshape(x.shape[0], x.shape[2], self.config.d_model)
+
+    def _causal_mask(self, t_new: int, start: int) -> np.ndarray:
+        """Additive mask [t_new, start + t_new] of the positions after
+        ``start`` over every position up to them."""
+        return np.triu(np.full((t_new, start + t_new), -1e9, dtype=self.dtype), k=1 + start)
+
+    def _frame_mask(self, feat_lengths, frames: int) -> np.ndarray:
+        """Additive mask [B, 1, 1, frames] of each row's padded frames."""
+        frame_alive = np.arange(frames)[None, :] < np.asarray(feat_lengths)[:, None]
+        return np.where(frame_alive, 0.0, -1e9).astype(self.dtype)[:, None, None, :]
+
+    def _check_length(self, t_steps: int) -> None:
+        if t_steps > self.config.t_max + 1:
+            raise ValueError(f"prefix length {t_steps} exceeds t_max+1 = {self.config.t_max + 1}")
+
+    # taped teacher-forced pass
 
     def _keys_values(self, x: Tensor, layer: int, block: str) -> tuple[Tensor, Tensor]:
         p = self.params
@@ -330,20 +345,10 @@ class Generator:
         )
 
     def _attention(self, x, keys, values, mask_np, layer, block, drop_rng):
-        """Multi-head attention of queries from x over per-head keys/values.
-
-        keys/values may have batch G against a query batch of G·n rows, as
-        in beam search, where each noise group's n hypotheses share that
-        group's memory: the rows are folded into the query axis, so each
-        group attends as one [n, d] query block.
-        """
+        """Multi-head attention of queries from x over per-head keys/values."""
         p = self.params
         c = self.config
         batch, t_q, _ = x.shape
-        if keys.shape[0] != batch:
-            shared = x.reshape(keys.shape[0], -1, c.d_model)
-            out = self._attention(shared, keys, values, mask_np, layer, block, drop_rng)
-            return out.reshape(batch, t_q, c.d_model)
         qh = self._heads(x @ p[f"dec.{layer}.{block}.q"])
         t_k, t_full = keys.shape[2], c.t_max + 1
         drop = dropout_mask(
@@ -352,8 +357,7 @@ class Generator:
             c.dropout, drop_rng, self.dtype.type,
         )
         out = attention(qh, keys, values, mask_np, drop)
-        out = out.transpose(0, 2, 1, 3).reshape(batch, t_q, c.d_model)
-        return out @ p[f"dec.{layer}.{block}.o"]
+        return self._merge_heads(out) @ p[f"dec.{layer}.{block}.o"]
 
     def forward(
         self,
@@ -364,45 +368,36 @@ class Generator:
         drop_rng: np.random.Generator | None = None,
         memory: Tensor | None = None,
         cache: DecodeCache | None = None,
-    ) -> Tensor:
+    ):
         """Logits [B, T, vocab] for token positions [B, T].
 
-        ``tokens`` are the positions after the ``cache.length`` already
-        seen: their self-attention keys/values are appended to the cache,
-        and the cross-attention keys/values are projected from ``memory``
-        (encoded from the features if not given) on the first call and
-        reused after it. Without a cache, a fresh one makes ``tokens``
-        whole teacher-forced prefixes.
+        Without a cache this is the taped teacher-forced pass: ``tokens``
+        are whole prefixes and the logits a ``Tensor``. ``memory`` is the
+        rows' encoder memory, encoded from the features if not given.
+
+        With a cache it is one tape-free decode step (see ``_decode_step``)
+        and the logits an array.
 
         Training dropout (``drop_rng``) draws every mask for all
         ``t_max + 1`` positions and keeps those of ``tokens``, so a batch
         trimmed to its longest caption sees the masks a full-width one
         would at its positions.
         """
-        c = self.config
         tokens = np.asarray(tokens, dtype=np.int64)
-        batch, t_new = tokens.shape
-        if cache is None:
-            cache = DecodeCache()
-        start = cache.length
-        t_steps = start + t_new
-        if t_steps > c.t_max + 1:
-            raise ValueError(f"prefix length {t_steps} exceeds t_max+1 = {c.t_max + 1}")
+        if cache is not None:
+            return self._decode_step(features, feat_lengths, z, tokens, memory, cache)
+        c = self.config
+        batch, t_steps = tokens.shape
+        self._check_length(t_steps)
         p = self.params
-        if not cache.cross:
-            if memory is None:
-                memory = self.encode(features, feat_lengths, z)
-            cache.cross = [self._keys_values(memory, layer, "cross") for layer in range(c.n_layers)]
-        cross = cache.cross
-        frames = cross[0][0].shape[2]
-
-        causal = np.triu(np.full((t_new, t_steps), -1e9, dtype=self.dtype), k=1 + start)
-        frame_alive = np.arange(frames)[None, :] < np.asarray(feat_lengths)[:, None]
-        mem_mask = np.where(frame_alive, 0.0, -1e9).astype(self.dtype)
-        mem_mask = mem_mask[:, None, None, :]
+        if memory is None:
+            memory = self.encode(features, feat_lengths, z)
+        cross = [self._keys_values(memory, layer, "cross") for layer in range(c.n_layers)]
+        causal = self._causal_mask(t_steps, 0)
+        mem_mask = self._frame_mask(feat_lengths, memory.shape[1])
 
         x = embedding(p["dec.embed"], tokens) + _const(
-            np.broadcast_to(self._positions[start:t_steps], (batch, t_new, c.d_model)),
+            np.broadcast_to(self._positions[:t_steps], (batch, t_steps, c.d_model)),
             self.dtype,
         )
         t_full = c.t_max + 1
@@ -412,23 +407,90 @@ class Generator:
                 t, p[f"dec.{layer}.{tag}.g"], p[f"dec.{layer}.{tag}.b"]
             )
             xn = n("n1", x)
-            keys, values = cache.extend(layer, *self._keys_values(xn, layer, "self"))
+            keys, values = self._keys_values(xn, layer, "self")
             x = x + self._attention(xn, keys, values, causal, layer, "self", drop_rng)
             x = x + self._attention(n("n2", x), *cross[layer], mem_mask, layer, "cross", drop_rng)
             h = n("n3", x)
             h = linear(h, p[f"dec.{layer}.ff.w1"], p[f"dec.{layer}.ff.b1"]).relu()
             h = dropout(h, (batch, t_full, c.d_ff), c.dropout, drop_rng)
             x = x + linear(h, p[f"dec.{layer}.ff.w2"], p[f"dec.{layer}.ff.b2"])
-        cache.length = t_steps
         x = layer_norm(x, p["dec.final_norm.g"], p["dec.final_norm.b"])
         return linear(x, p["dec.out.w"], p["dec.out.b"])
+
+    # tape-free decode step
+
+    def _decode_step(self, features, feat_lengths, z, tokens, memory, cache) -> np.ndarray:
+        """Logits [B, t, vocab] of the ``t`` positions after the
+        ``cache.length`` already seen, on arrays, recording no graph.
+
+        Each op calls the array kernel that the matching ``Tensor`` node
+        runs forward, so the logits equal, bit for bit, those of the same
+        step built from ``Tensor`` ops. The first step fills ``cache.cross``
+        and ``cache.frame_mask`` from ``memory`` (a ``Tensor`` or an array;
+        encoded from the features if not given); every step appends its
+        positions' self-attention keys/values.
+
+        The memory's batch G may divide the rows' B, as in beam search,
+        where each noise group's B/G hypotheses share that group's memory:
+        a group's rows fold into the query axis, so the group attends as
+        one [B/G, d] query block.
+        """
+        c = self.config
+        t_new = tokens.shape[1]
+        start = cache.length
+        self._check_length(start + t_new)
+        p = {name: param.data for name, param in self.params.items()}
+        if not cache.cross:
+            if memory is None:
+                with no_grad():
+                    memory = self.encode(features, feat_lengths, z)
+            memory = memory.data if isinstance(memory, Tensor) else memory
+            cache.cross = [
+                tuple(
+                    self._heads(linear_kernel(memory, p[f"dec.{layer}.cross.{proj}"]))
+                    for proj in ("k", "v")
+                )
+                for layer in range(c.n_layers)
+            ]
+            cache.frame_mask = self._frame_mask(feat_lengths, memory.shape[1])
+        causal = self._causal_mask(t_new, start)
+
+        def norm(x, tag):
+            return layer_norm_kernel(x, p[f"{tag}.g"], p[f"{tag}.b"])[0]
+
+        def attend(x, keys, values, mask, layer, block):
+            w = f"dec.{layer}.{block}"
+            qh = self._heads(linear_kernel(x.reshape(len(keys), -1, c.d_model), p[f"{w}.q"]))
+            out, _ = attention_kernel(qh, keys, values, mask)
+            return linear_kernel(self._merge_heads(out), p[f"{w}.o"]).reshape(x.shape)
+
+        x = p["dec.embed"][tokens] + self._positions[start : start + t_new]
+        for layer in range(c.n_layers):
+            xn = norm(x, f"dec.{layer}.n1")
+            kv = tuple(self._heads(linear_kernel(xn, p[f"dec.{layer}.self.{proj}"]))
+                       for proj in ("k", "v"))
+            if layer == len(cache.self_kv):
+                cache.self_kv.append(kv)
+            else:
+                cache.self_kv[layer] = tuple(
+                    np.concatenate([old, new], axis=2) for old, new in zip(cache.self_kv[layer], kv)
+                )
+            x = x + attend(xn, *cache.self_kv[layer], causal, layer, "self")
+            x = x + attend(norm(x, f"dec.{layer}.n2"), *cache.cross[layer], cache.frame_mask,
+                           layer, "cross")
+            h = norm(x, f"dec.{layer}.n3")
+            h = np.maximum(linear_kernel(h, p[f"dec.{layer}.ff.w1"], p[f"dec.{layer}.ff.b1"]), 0.0)
+            x = x + linear_kernel(h, p[f"dec.{layer}.ff.w2"], p[f"dec.{layer}.ff.b2"])
+        cache.length = start + t_new
+        x = norm(x, "dec.final_norm")
+        return linear_kernel(x, p["dec.out.w"], p["dec.out.b"])
 
     def step_logits(self, features, feat_lengths, z, prefix: np.ndarray, memory=None,
                     cache: DecodeCache | None = None) -> np.ndarray:
         """Next-token logits for each batch row: ``prefix`` [B, T] is the
         whole prefix, or with a cache only its new positions."""
-        logits = self.forward(features, feat_lengths, z, prefix, memory=memory, cache=cache)
-        return logits.data[:, -1, :]
+        cache = DecodeCache() if cache is None else cache
+        return self.forward(features, feat_lengths, z, prefix, memory=memory, cache=cache)[:, -1, :]
 
 
 # -- discriminator ------------------------------------------------------------

@@ -16,7 +16,10 @@ The models' hot paths are single nodes with closed-form backwards:
 GEMM per product, ``conv1d_k3`` is a width-3 convolution over time,
 ``attention`` keeps its softmax for the backward, and ``gru_cell`` is one
 recurrent step. Scales stay Python floats, so float32 data is never
-upcast.
+upcast. The forwards of ``linear``/``x @ w``, ``attention`` and
+``layer_norm`` are array kernels (``linear_kernel``, ``attention_kernel``,
+``layer_norm_kernel``) that tape-free code calls directly, so a decode
+step runs the numpy calls the taped pass runs.
 
 Broadcasting is deliberately restricted: binary elementwise ops accept
 equal shapes or a scalar paired with a tensor, nothing else. Row/column
@@ -36,12 +39,15 @@ __all__ = [
     "concat",
     "embedding",
     "linear",
+    "linear_kernel",
     "conv1d_k3",
     "attention",
+    "attention_kernel",
     "gru_cell",
     "cross_entropy",
     "log_softmax",
     "layer_norm",
+    "layer_norm_kernel",
     "Adam",
 ]
 
@@ -481,26 +487,31 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._from_op(out_data, tensors, backward)
 
 
-def _folded_matmul(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
-    """``x[..., d] @ w[d, e] (+ b[e])`` with the leading axes folded into
-    rows: one GEMM forward and one per gradient."""
-    lead, d_in = x.shape[:-1], x.shape[-1]
-    x2 = x.data.reshape(-1, d_in)
-    out2 = x2 @ w.data
+def linear_kernel(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """``x[..., d] @ w[d, e] (+ b[e])`` on arrays, the leading axes folded
+    into the rows of one GEMM. The forward of ``x @ w`` and ``linear``."""
+    out2 = x.reshape(-1, x.shape[-1]) @ w
     if b is not None:
-        out2 += b.data
+        out2 += b
+    return out2.reshape(*x.shape[:-1], w.shape[1])
+
+
+def _folded_matmul(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
+    """``x[..., d] @ w[d, e] (+ b[e])`` as one node: one GEMM forward and
+    one per gradient."""
 
     def backward(grad):
         g2 = grad.reshape(-1, w.shape[1])
         if x.requires_grad:
             x._accumulate((g2 @ w.data.T).reshape(x.shape))
         if w.requires_grad:
-            w._accumulate(x2.T @ g2)
+            w._accumulate(x.data.reshape(-1, x.shape[-1]).T @ g2)
         if b is not None and b.requires_grad:
             b._accumulate(g2.sum(axis=0))
 
     parents = (x, w) if b is None else (x, w, b)
-    return Tensor._from_op(out2.reshape(*lead, w.shape[1]), parents, backward)
+    out_data = linear_kernel(x.data, w.data, None if b is None else b.data)
+    return Tensor._from_op(out_data, parents, backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -567,6 +578,19 @@ def conv1d_k3(x: Tensor, w_left: Tensor, w_center: Tensor, w_right: Tensor,
     return Tensor._from_op(out, (x, w_left, w_center, w_right, b), backward)
 
 
+def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray,
+                     drop: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``dropout(softmax(q k^T / sqrt(d) + mask)) v`` on arrays, the forward
+    of ``attention``: returns the output and the softmax before dropout."""
+    scores = np.matmul(q, np.swapaxes(k, -1, -2))
+    scores *= 1.0 / float(np.sqrt(q.shape[-1]))
+    scores += mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    probs = np.exp(scores)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return np.matmul(probs if drop is None else probs * drop, v), probs
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
               drop: np.ndarray | None = None) -> Tensor:
     """``dropout(softmax(q k^T / sqrt(d) + mask)) v`` over the last two axes,
@@ -581,18 +605,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
             f"attention needs matching batch, heads and widths, got {q.shape}, {k.shape}, "
             f"{v.shape}"
         )
+    out_data, probs = attention_kernel(q.data, k.data, v.data, mask, drop)
     scale = 1.0 / float(np.sqrt(q.shape[-1]))
-    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    scores *= scale
-    scores += mask
-    scores -= scores.max(axis=-1, keepdims=True)
-    probs = np.exp(scores)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    weights = probs if drop is None else probs * drop
-    out_data = np.matmul(weights, v.data)
 
     def backward(grad):
         if v.requires_grad:
+            weights = probs if drop is None else probs * drop
             v._accumulate(np.matmul(np.swapaxes(weights, -1, -2), grad))
         if not (q.requires_grad or k.requires_grad):
             return
@@ -700,17 +718,24 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     return Tensor._from_op(out_data, (logits,), backward)
 
 
+def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+    """Layer norm of the last axis on arrays, the forward of ``layer_norm``:
+    returns the output, the normalized input and the inverse std."""
+    d = x.shape[-1]
+    # the reductions np.mean and np.var run, with the mean taken once
+    centered = x - x.sum(axis=-1, keepdims=True) / d
+    var = np.square(centered).sum(axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = np.multiply(centered, inv_std, out=centered)  # no second [..., d] array
+    return xhat * gain + bias, xhat, inv_std
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
         raise DimensionError("layer_norm gain/bias must match the last axis")
     d = x.shape[-1]
-    # the reductions np.mean and np.var run, with the mean taken once
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) / d
-    var = np.square(centered).sum(axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = np.multiply(centered, inv_std, out=centered)  # no second [..., d] array
-    out_data = xhat * gain.data + bias.data
+    out_data, xhat, inv_std = layer_norm_kernel(x.data, gain.data, bias.data, eps)
 
     def backward(grad):
         if gain.requires_grad:

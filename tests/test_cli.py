@@ -13,6 +13,7 @@ import yaml
 import capgan
 from capgan import cli
 from capgan.cli import EXIT_CODES, main
+from capgan.corpus import generate_synthetic_corpus, save_dataset
 from capgan.decoding import read_captions
 from capgan.models import (
     DiscriminatorConfig,
@@ -98,6 +99,21 @@ class TestPrepareData:
             capsys,
         )
         assert code == 0
+
+    def test_synthetic_defaults_are_the_corpus_functions(self, tmp_path, capsys):
+        # no --feat-dim or --eval-fraction: generate_synthetic_corpus's
+        # defaults apply, so the files equal those of the function's output
+        out = tmp_path / "cli"
+        code, _, err = run(["prepare-data", "--out", str(out), "--synthetic", "--seed", "1",
+                            "--clips", "12", "--classes", "2"], capsys)
+        assert code == 0, err
+        want = tmp_path / "direct"
+        train, evaluation = generate_synthetic_corpus(seed=1, n_clips=12, n_classes=2)
+        save_dataset(train, want, "train.json")
+        save_dataset(evaluation, want, "evaluation.json")
+        files = sorted(p.relative_to(want) for p in want.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        assert all((out / f).read_bytes() == (want / f).read_bytes() for f in files)
 
     def test_import_round_trip(self, data_dir, tmp_path, capsys):
         out = tmp_path / "imported"

@@ -545,6 +545,62 @@ class TestSettledStop:
         assert model.steps < 23
 
 
+class TestBoundedRanking:
+    """Ranking only the candidates a group's walk can reach, against the
+    search that stable-sorts every candidate, on a stub at the synthetic
+    corpus's vocabulary size."""
+
+    VOCAB = 106
+
+    @classmethod
+    def stub(cls, tied: bool):
+        rng = np.random.default_rng(27)
+        tables = {}
+        for prev in range(cls.VOCAB):
+            row = rng.standard_normal(cls.VOCAB)
+            # rounded, a row holds a handful of values, so equal candidates
+            # straddle every cut
+            tables[prev] = np.round(row) if tied else row
+            # <eos> first: the walk passes every row's <eos> and reaches the
+            # cut at beam_size + width
+            tables[prev][EOS] = 4.0
+        return NoisyToyModel(tables, vocab=cls.VOCAB)
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    @pytest.mark.parametrize(("n_best", "groups"), [(1, 5), (5, 1)])
+    def test_equals_the_full_sort(self, tied, n_best, groups):
+        model = self.stub(tied)
+        features, lens, _ = toy_inputs()
+        z = np.linspace(-1.0, 1.0, groups)[:, None] * np.array([[1.0, 0.0]])
+        beam_size = 5
+        # the first step ranks the <sos> row's content candidates (its <eos>
+        # is forbidden) with a cut at beam_size + 1: tied keys straddle it,
+        # distinct ones do not
+        first = _forbid_markers(model.tables[SOS])
+        first[EOS] = NEG
+        keys = np.sort(-log_softmax(first))
+        assert (keys[beam_size] == keys[beam_size + 1]) == tied
+        got = beam_decode(model, features, lens, z, beam_size=beam_size, max_length=22,
+                          n_best=n_best)
+        assert got == full_length_beam(model, features, lens, z, beam_size, 22, n_best)
+
+    @pytest.mark.parametrize("reach", [1, 4, 6, 7, 8, 9])
+    def test_head_of_a_stable_argsort(self, reach):
+        keys = np.array([[5.0, 1.0, 1.0, 3.0, 0.0, 9.0, 9.0, 9.0],
+                         [2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0],
+                         [np.nan, 4.0, np.nan, 2.0, 1.0, 0.0, -1.0, -2.0]])
+        want = np.argsort(keys, axis=1, kind="stable")[:, :reach]
+        np.testing.assert_array_equal(decoding._stable_head(keys, reach), want)
+
+    @pytest.mark.parametrize("high", [3, 1000])
+    def test_head_of_random_keys(self, high):
+        # few distinct values tie at the cut; many leave it clear
+        keys = np.random.default_rng(28).integers(0, high, size=(6, 500)).astype(np.float32)
+        for reach in (1, 6, 10, 499):
+            want = np.argsort(keys, axis=1, kind="stable")[:, :reach]
+            np.testing.assert_array_equal(decoding._stable_head(keys, reach), want)
+
+
 class TestGivenMemory:
     """``rollout(..., memory=m)`` decodes from ``m`` and never encodes."""
 

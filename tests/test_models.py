@@ -28,9 +28,12 @@ from capgan.tensor import (
     DimensionError,
     DomainError,
     Tensor,
+    attention,
     concat,
     cross_entropy,
+    embedding,
     gru_cell,
+    layer_norm,
     linear,
     no_grad,
 )
@@ -384,6 +387,145 @@ class TestGroupedEncode:
         assert conv_batches == [1]  # the trunk ran on the clip's own row
         assert grouped.shape == (4, 7, c.d_model)
         np.testing.assert_array_equal(grouped, per_row)
+
+
+class ReferenceCache:
+    """The decode cache of ``reference_cached_step``: ``Tensor`` keys/values."""
+
+    def __init__(self):
+        self.length = 0
+        self.self_kv = []
+        self.cross = []
+
+    def reorder(self, rows):
+        self.self_kv = [(keys[rows], values[rows]) for keys, values in self.self_kv]
+
+
+def reference_cached_step(gen, features, feat_lengths, z, tokens, memory, cache):
+    """Logits [B, t, vocab] of the positions after ``cache.length``, built
+    from ``Tensor`` ops under ``no_grad``: the cached decode step as it ran
+    before it moved onto arrays. A memory of G rows serves B = G * n rows,
+    each group's n rows attending as one query block."""
+    c, p = gen.config, gen.params
+
+    def heads(x):
+        batch, t_len, _ = x.shape
+        return x.reshape(batch, t_len, c.n_heads, c.d_model // c.n_heads).transpose(0, 2, 1, 3)
+
+    def keys_values(x, layer, block):
+        return heads(x @ p[f"dec.{layer}.{block}.k"]), heads(x @ p[f"dec.{layer}.{block}.v"])
+
+    def attend(x, keys, values, mask, layer, block):
+        batch, t_q, _ = x.shape
+        if keys.shape[0] != batch:
+            shared = x.reshape(keys.shape[0], -1, c.d_model)
+            return attend(shared, keys, values, mask, layer, block).reshape(batch, t_q, c.d_model)
+        out = attention(heads(x @ p[f"dec.{layer}.{block}.q"]), keys, values, mask)
+        out = out.transpose(0, 2, 1, 3).reshape(batch, t_q, c.d_model)
+        return out @ p[f"dec.{layer}.{block}.o"]
+
+    def norm(x, tag):
+        return layer_norm(x, p[f"{tag}.g"], p[f"{tag}.b"])
+
+    with no_grad():
+        batch, t_new = tokens.shape
+        start = cache.length
+        t_steps = start + t_new
+        if not cache.cross:
+            cache.cross = [keys_values(memory, layer, "cross") for layer in range(c.n_layers)]
+        frames = cache.cross[0][0].shape[2]
+        causal = np.triu(np.full((t_new, t_steps), -1e9, dtype=gen.dtype), k=1 + start)
+        frame_alive = np.arange(frames)[None, :] < np.asarray(feat_lengths)[:, None]
+        mem_mask = np.where(frame_alive, 0.0, -1e9).astype(gen.dtype)[:, None, None, :]
+        x = embedding(p["dec.embed"], tokens) + Tensor(
+            np.broadcast_to(gen._positions[start:t_steps], (batch, t_new, c.d_model))
+        )
+        for layer in range(c.n_layers):
+            xn = norm(x, f"dec.{layer}.n1")
+            keys, values = keys_values(xn, layer, "self")
+            if layer == len(cache.self_kv):
+                cache.self_kv.append((keys, values))
+            else:
+                old_keys, old_values = cache.self_kv[layer]
+                cache.self_kv[layer] = (
+                    concat([old_keys, keys], axis=2), concat([old_values, values], axis=2)
+                )
+            x = x + attend(xn, *cache.self_kv[layer], causal, layer, "self")
+            x = x + attend(norm(x, f"dec.{layer}.n2"), *cache.cross[layer], mem_mask, layer,
+                           "cross")
+            h = linear(norm(x, f"dec.{layer}.n3"), p[f"dec.{layer}.ff.w1"],
+                       p[f"dec.{layer}.ff.b1"]).relu()
+            x = x + linear(h, p[f"dec.{layer}.ff.w2"], p[f"dec.{layer}.ff.b2"])
+        cache.length = t_steps
+        x = norm(x, "dec.final_norm")
+        return linear(x, p["dec.out.w"], p["dec.out.b"]).data
+
+
+class TestArrayStep:
+    """The array decode step against the ``Tensor``-op step it replaced:
+    bit-identical logits at the default model size."""
+
+    @staticmethod
+    def assert_steps_identical(gen, features, feat_lengths, z, tokens, reorders=None):
+        """Step both decoders through ``tokens`` [B, T], one position a
+        step; ``reorders`` maps a step to the parent rows kept before it,
+        and the rows of ``tokens`` are the hypotheses after them."""
+        reorders = reorders or {}
+        with no_grad():
+            memory = gen.encode(features, feat_lengths, z)
+        cache, reference = DecodeCache(), ReferenceCache()
+        for t in range(tokens.shape[1]):
+            rows = tokens[:, t : t + 1]
+            if t in reorders:
+                cache.reorder(reorders[t])
+                reference.reorder(reorders[t])
+            elif t == 0 and len(memory.data) < len(tokens):
+                rows = rows[:: len(tokens) // len(memory.data)]  # one row a group
+            step = gen.step_logits(features, feat_lengths, z, rows, memory=memory, cache=cache)
+            want = reference_cached_step(gen, features, feat_lengths, z, rows, memory,
+                                         reference)[:, -1]
+            assert step.dtype == want.dtype == np.float32
+            assert np.array_equal(step, want), t
+
+    def test_rollout_one_memory_per_row(self):
+        gen = default_generator(seed=4)
+        c = gen.config
+        rng = np.random.default_rng(30)
+        features = rng.standard_normal((32, 11, c.feat_dim))
+        feat_lengths = rng.integers(3, 12, size=32)
+        z = rng.standard_normal((32, c.noise_dim))
+        tokens = rng.integers(2, c.vocab_size, size=(32, 8))
+        tokens[:, 0] = 1
+        self.assert_steps_identical(gen, features, feat_lengths, z, tokens)
+
+    def test_beam_groups_with_reorders(self):
+        # 5 noise groups of one clip, 5 hypotheses each after the first step;
+        # every reorder repeats some parents and drops others, within groups
+        gen = default_generator(seed=5)
+        c = gen.config
+        rng = np.random.default_rng(31)
+        features = rng.standard_normal((1, 10, c.feat_dim))
+        feat_lengths = np.array([9])
+        z = rng.standard_normal((5, c.noise_dim))
+        tokens = rng.integers(2, c.vocab_size, size=(25, 7))
+        tokens[:, 0] = 1
+        group_rows = np.repeat(np.arange(5) * 5, 5)
+        reorders = {1: np.repeat(np.arange(5), 5)}
+        for t in range(2, tokens.shape[1]):
+            picks = rng.choice(5, size=(5, 5))
+            picks[:, 0] = picks[:, 1]  # so five picks of five drop a parent too
+            reorders[t] = group_rows + picks.ravel()
+        self.assert_steps_identical(gen, features, feat_lengths, z, tokens, reorders)
+
+    def test_prefixes_to_the_length_cap(self):
+        gen = default_generator(seed=6)
+        c = gen.config
+        rng = np.random.default_rng(32)
+        features, feat_lengths, z, tokens = tiny_inputs(
+            rng, batch=3, frames=9, feat_dim=c.feat_dim, noise_dim=c.noise_dim,
+            t=c.t_max + 1, vocab=c.vocab_size,
+        )
+        self.assert_steps_identical(gen, features, feat_lengths, z, tokens)
 
 
 class TestDecodeCache:
