@@ -40,6 +40,7 @@ from .models import (
     SemanticEvaluator,
     SemanticEvaluatorConfig,
     config_from_checkpoint,
+    fits_type,
     load_checkpoint,
     restore_model,
     save_checkpoint,
@@ -90,16 +91,6 @@ class CliError(Exception):
 # -- config plumbing ----------------------------------------------------------
 
 
-def _has_default_type(value, default) -> bool:
-    """An int field takes only ints; a float field takes floats and ints;
-    bools are neither."""
-    if isinstance(value, bool):
-        return False
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
-
-
 def _resolve_config(args) -> dict:
     """flags > YAML config file > defaults."""
     cfg = dict(DEFAULTS)
@@ -117,12 +108,9 @@ def _resolve_config(args) -> dict:
         if unknown:
             raise CliError("config", f"{config_path}: unknown keys {unknown}")
         for key, value in sorted(loaded.items()):
-            if not _has_default_type(value, DEFAULTS[key]):
-                raise CliError(
-                    "config",
-                    f"{config_path}: {key} must be {type(DEFAULTS[key]).__name__}, "
-                    f"got {value!r}",
-                )
+            if not fits_type(value, type(DEFAULTS[key])):
+                raise CliError("config", f"{config_path}: {key} must be "
+                                         f"{type(DEFAULTS[key]).__name__}, got {value!r}")
         cfg.update(loaded)
     for key in DEFAULTS:
         value = getattr(args, key, None)
@@ -204,24 +192,15 @@ def _model_configs(vocab, cfg: dict, feat_dim: int) -> tuple:
     )
 
 
-def _build_generator(config: GeneratorConfig, seed: int) -> Generator:
-    return Generator(config, substream(seed, "generator-init"))
+def _build(cls, config, seed: int):
+    """A fresh ``cls`` model, initialized from its kind's substream of ``seed``."""
+    return cls(config, substream(seed, f"{cls.kind}-init"))
 
 
-def _build_discriminator(config: DiscriminatorConfig, seed: int) -> Discriminator:
-    return Discriminator(config, substream(seed, "discriminator-init"))
-
-
-def _build_semantic(config: SemanticEvaluatorConfig, seed: int) -> SemanticEvaluator:
-    return SemanticEvaluator(config, substream(seed, "semantic-init"))
-
-
-def _restore_into(model, path, kind: str) -> dict:
+def _restore_into(model, path) -> dict:
     """Restore the checkpoint at ``path`` into ``model``, built from the run
     config; a checkpoint recorded with other model settings is refused."""
-    if not Path(path).exists():
-        raise CliError("checkpoint", f"missing checkpoint {path}")
-    arrays, meta = load_checkpoint(path, expected_kind=kind)
+    arrays, meta = load_checkpoint(path, expected_kind=model.kind)
     recorded = asdict(config_from_checkpoint(type(model.config), meta, path))
     differ = [f"{key} {recorded[key]!r} (run: {value!r})"
               for key, value in asdict(model.config).items() if recorded[key] != value]
@@ -231,14 +210,19 @@ def _restore_into(model, path, kind: str) -> dict:
     return meta
 
 
-def _start_epoch(model, path: Path, kind: str, resume: bool) -> int:
+def _start_epoch(model, path: Path, resume: bool, epochs: int) -> int:
     """1, or with ``--resume`` one past the epoch of the checkpoint at
-    ``path``, restored into ``model``."""
+    ``path``, restored into ``model``; a checkpoint already at ``epochs``
+    or past it leaves nothing to train and is refused."""
     if not resume:
         return 1
     if not path.exists():
         raise CliError("usage", f"--resume: no checkpoint at {path}")
-    return _restore_into(model, path, kind)["epoch"] + 1
+    done = _restore_into(model, path)["epoch"]
+    if done >= epochs:
+        raise CliError("usage", f"--resume: {path} is at epoch {done}, so --epochs {epochs} "
+                                "leaves nothing to train")
+    return done + 1
 
 
 # -- subcommands --------------------------------------------------------------
@@ -280,9 +264,9 @@ def cmd_pretrain(args) -> int:
     train, evaluation = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
     gen_config, _, _ = _model_configs(vocab, cfg, _data_feat_dim(train))
-    gen = _build_generator(gen_config, cfg["seed"])
-    start_epoch = _start_epoch(gen, run_dir / "generator_mle_final.ckpt", "generator",
-                               args.resume)
+    gen = _build(Generator, gen_config, cfg["seed"])
+    start_epoch = _start_epoch(gen, run_dir / "generator_mle_final.ckpt", args.resume,
+                               config.mle_epochs)
     _save_vocab(vocab, run_dir)
     _write_merged_config(cfg, run_dir)
     log = mle_pretrain(
@@ -306,11 +290,11 @@ def cmd_pretrain_d(args) -> int:
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
     gen_config, d_config, _ = _model_configs(vocab, cfg, _data_feat_dim(train))
     gen_ckpt = Path(args.generator) if args.generator else run_dir / "generator_mle_final.ckpt"
-    gen = _build_generator(gen_config, cfg["seed"])
-    _restore_into(gen, gen_ckpt, "generator")
-    d = _build_discriminator(d_config, cfg["seed"])
+    gen = _build(Generator, gen_config, cfg["seed"])
+    _restore_into(gen, gen_ckpt)
+    d = _build(Discriminator, d_config, cfg["seed"])
     d_ckpt = run_dir / "discriminator_pretrained.ckpt"
-    start_epoch = _start_epoch(d, d_ckpt, "discriminator", args.resume)
+    start_epoch = _start_epoch(d, d_ckpt, args.resume, config.d_pretrain_epochs)
     _save_vocab(vocab, run_dir)
     _write_merged_config(cfg, run_dir)
     log = d_pretrain(d, gen, train, vocab, config, start_epoch=start_epoch)
@@ -329,9 +313,9 @@ def cmd_pretrain_se(args) -> int:
     train, _ = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
     _, _, se_config = _model_configs(vocab, cfg, _data_feat_dim(train))
-    se = _build_semantic(se_config, cfg["seed"])
+    se = _build(SemanticEvaluator, se_config, cfg["seed"])
     se_ckpt = run_dir / "semantic_evaluator.ckpt"
-    start_epoch = _start_epoch(se, se_ckpt, "semantic", args.resume)
+    start_epoch = _start_epoch(se, se_ckpt, args.resume, config.se_pretrain_epochs)
     _save_vocab(vocab, run_dir)
     _write_merged_config(cfg, run_dir)
     log = semantic_pretrain(se, train, vocab, config, cfg["t_max"], start_epoch=start_epoch)
@@ -344,6 +328,8 @@ def cmd_pretrain_se(args) -> int:
 
 
 def cmd_train_gan(args) -> int:
+    if args.resume:
+        raise CliError("usage", "train-gan cannot --resume; rerun it from the pretrained models")
     cfg = _resolve_config(args)
     if args.ablation and args.lam is not None and args.lam != ABLATION_LAMBDA[args.ablation]:
         raise CliError("usage", f"--ablation {args.ablation} fixes lambda at "
@@ -372,12 +358,11 @@ def cmd_train_gan(args) -> int:
     se_ckpt = Path(args.semantic) if args.semantic else run_dir / "semantic_evaluator.ckpt"
 
     def restored():
-        gen = _build_generator(gen_config, cfg["seed"])
-        _restore_into(gen, gen_ckpt, "generator")
-        d = _build_discriminator(d_config, cfg["seed"])
-        _restore_into(d, d_ckpt, "discriminator")
-        se = _build_semantic(se_config, cfg["seed"])
-        _restore_into(se, se_ckpt, "semantic")
+        gen = _build(Generator, gen_config, cfg["seed"])
+        d = _build(Discriminator, d_config, cfg["seed"])
+        se = _build(SemanticEvaluator, se_config, cfg["seed"])
+        for model, path in ((gen, gen_ckpt), (d, d_ckpt), (se, se_ckpt)):
+            _restore_into(model, path)
         return gen, d, se
 
     # every checkpoint is checked before anything is written
@@ -413,9 +398,8 @@ def cmd_generate(args) -> int:
         raise CliError("usage", f"no vocabulary at {vocab_path}; run pretrain first")
     vocab = Vocabulary.load(vocab_path)
     ckpt = Path(args.checkpoint) if args.checkpoint else run_dir / "generator_mle_final.ckpt"
-    arrays, meta = load_checkpoint(ckpt, expected_kind="generator")
-    gen = Generator(config_from_checkpoint(GeneratorConfig, meta, ckpt),
-                    substream(0, "generator-init"))
+    arrays, meta = load_checkpoint(ckpt, expected_kind=Generator.kind)
+    gen = _build(Generator, config_from_checkpoint(GeneratorConfig, meta, ckpt), 0)
     restore_model(gen, arrays)
     split = _load_split(args.data, args.split)
     decode = _checked(DecodeConfig, beam_size=args.beam_size, n_captions=args.n)

@@ -112,7 +112,6 @@ class DocFreqTable:
 
     df: list[dict]
     corpus_size: int
-    nmax: int = NMAX
 
     def __post_init__(self):
         # each gram's idf, taken once; unseen grams are clamped to df=1, as
@@ -127,20 +126,20 @@ class DocFreqTable:
         return self._idf[n - 1].get(gram, self._idf_unseen)
 
 
-def _doc_freq(ref_tables_list, nmax: int) -> DocFreqTable:
+def _doc_freq(ref_tables_list) -> DocFreqTable:
     """The table over clips given as their references' count tables."""
     if not ref_tables_list:
         raise ValueError("empty reference corpus")
-    df = [{} for _ in range(nmax)]
+    df = [{} for _ in range(NMAX)]
     for ref_tables in ref_tables_list:
-        for i in range(nmax):
+        for i in range(NMAX):
             for gram in set().union(*(tables[i] for tables in ref_tables)):
                 df[i][gram] = df[i].get(gram, 0) + 1
-    return DocFreqTable(df, len(ref_tables_list), nmax)
+    return DocFreqTable(df, len(ref_tables_list))
 
 
-def build_doc_freq(references_list, nmax: int = NMAX) -> DocFreqTable:
-    return _doc_freq([[_count(ref, nmax) for ref in refs] for refs in references_list], nmax)
+def build_doc_freq(references_list) -> DocFreqTable:
+    return _doc_freq([[_count(ref) for ref in refs] for refs in references_list])
 
 
 def _tfidf_vector(counts: dict, df_table: DocFreqTable, n: int) -> dict:
@@ -160,7 +159,7 @@ def _cosine(u: dict, nu: float, v: dict, nv: float) -> float:
 
 def _reference_vectors(ref_tables, df_table: DocFreqTable) -> list:
     orders = []
-    for n in range(1, df_table.nmax + 1):
+    for n in range(1, NMAX + 1):
         vecs = [_tfidf_vector(tables[n - 1], df_table, n) for tables in ref_tables]
         orders.append([(vec, _norm(vec)) for vec in vecs])
     return orders
@@ -171,7 +170,7 @@ def reference_vectors(references, df_table: DocFreqTable) -> list:
     ``[order - 1][ref] -> (vector, norm)``. They depend only on the
     references and the table, so a caller that scores many candidates
     against one clip computes them once."""
-    return _reference_vectors([_count(ref, df_table.nmax) for ref in references], df_table)
+    return _reference_vectors([_count(ref) for ref in references], df_table)
 
 
 def cider(candidate, references, df_table: DocFreqTable, ref_vectors: list | None = None) -> float:
@@ -320,7 +319,7 @@ def evaluate_captions(generated: dict, references: dict) -> MetricReport:
 
     # every reference and caption is counted once; all scores read the tables
     ref_tables = {c: [_count(ref) for ref in references[c]] for c in clip_ids}
-    df_table = _doc_freq([ref_tables[c] for c in clip_ids], NMAX)
+    df_table = _doc_freq([ref_tables[c] for c in clip_ids])
     top1_stats, all_stats, ciders, per_clip = [], [], [], []
     for c in clip_ids:
         captions = generated[c]

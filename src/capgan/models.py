@@ -37,6 +37,7 @@ from .tensor import (
 
 CHECKPOINT_MAGIC = b"DCCKPT01"
 CHECKPOINT_VERSION = 1
+L2_NORM_SQ_MIN = 1e-12  # a smaller squared norm cannot be normalized
 
 
 class CheckpointError(ValueError):
@@ -101,9 +102,9 @@ def pad_frames(arrays: list[np.ndarray]):
     return padded, lengths
 
 
-def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
+def l2_normalize(x: Tensor) -> Tensor:
     norm_sq = (x * x).sum(axis=-1, keepdims=True)
-    if np.any(norm_sq.data < eps):
+    if np.any(norm_sq.data < L2_NORM_SQ_MIN):
         raise DomainError("zero-norm embedding cannot be normalized")
     norm = norm_sq.sqrt()
     return x / norm.broadcast_to(x.shape)
@@ -647,7 +648,10 @@ def save_checkpoint(path, model, metadata: dict | None = None) -> None:
 
 def load_checkpoint(path, expected_kind: str | None = None) -> tuple[dict, dict]:
     """Returns (name -> float32 array, metadata)."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise CheckpointError(f"missing checkpoint {path}") from None
     view = memoryview(raw)
     if bytes(view[:8]) != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
@@ -696,11 +700,16 @@ def load_checkpoint(path, expected_kind: str | None = None) -> tuple[dict, dict]
     return arrays, metadata
 
 
+def fits_type(value, declared: type) -> bool:
+    """An int setting takes ints, a float setting ints and floats; a bool is neither."""
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if declared is float else declared)
+
+
 def config_from_checkpoint(config_cls, metadata: dict, path):
     """The ``config_cls`` a checkpoint's metadata records. Refused with a
-    ``CheckpointError`` unless it has every field and no other, each of its
-    declared type (a float field takes an int; a bool is neither), and the
-    config accepts the values."""
+    ``CheckpointError`` unless it has every field and no other, each
+    ``fits_type`` of its declared type, and the config accepts the values."""
     recorded = metadata["config"]
     types = typing.get_type_hints(config_cls)
     problems = []
@@ -710,12 +719,8 @@ def config_from_checkpoint(config_cls, metadata: dict, path):
     missing = sorted(set(types) - set(recorded))
     if missing:
         problems.append(f"missing fields {missing}")
-    wrong = [
-        f"{key} {value!r}" for key, value in recorded.items()
-        if key in types and (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float) if types[key] is float else types[key]))
-    ]
+    wrong = [f"{key} {value!r}" for key, value in recorded.items()
+             if key in types and not fits_type(value, types[key])]
     if wrong:
         problems.append(f"values of the wrong type: {', '.join(wrong)}")
     if problems:

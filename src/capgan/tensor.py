@@ -54,6 +54,10 @@ __all__ = [
 
 _grad_enabled = True
 
+LAYER_NORM_EPS = 1e-5
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """``log(softmax(x))`` along ``axis``, shifted by the max for range."""
@@ -718,24 +722,24 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     return Tensor._from_op(out_data, (logits,), backward)
 
 
-def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Layer norm of the last axis on arrays, the forward of ``layer_norm``:
     returns the output, the normalized input and the inverse std."""
     d = x.shape[-1]
     # the reductions np.mean and np.var run, with the mean taken once
     centered = x - x.sum(axis=-1, keepdims=True) / d
     var = np.square(centered).sum(axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = np.multiply(centered, inv_std, out=centered)  # no second [..., d] array
     return xhat * gain + bias, xhat, inv_std
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
         raise DimensionError("layer_norm gain/bias must match the last axis")
     d = x.shape[-1]
-    out_data, xhat, inv_std = layer_norm_kernel(x.data, gain.data, bias.data, eps)
+    out_data, xhat, inv_std = layer_norm_kernel(x.data, gain.data, bias.data)
 
     def backward(grad):
         if gain.requires_grad:
@@ -757,18 +761,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 class Adam:
     """Adam optimizer; owns gradient zeroing per the training-loop contract."""
 
-    def __init__(self, params, lr: float = 1e-4, betas=(0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETAS
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
@@ -785,7 +787,7 @@ class Adam:
             update *= self.lr
             v_hat = v / (1 - b2**self.t)
             np.sqrt(v_hat, out=v_hat)
-            v_hat += self.eps
+            v_hat += ADAM_EPS
             update /= v_hat
             p.data -= update
 

@@ -16,10 +16,12 @@ from capgan.cli import EXIT_CODES, main
 from capgan.corpus import generate_synthetic_corpus, save_dataset
 from capgan.decoding import read_captions
 from capgan.models import (
+    CheckpointError,
     DiscriminatorConfig,
     Generator,
     GeneratorConfig,
     SemanticEvaluatorConfig,
+    config_from_checkpoint,
     load_checkpoint,
     restore_model,
     save_checkpoint,
@@ -563,6 +565,49 @@ def test_every_setting_reaches_its_config_field(tmp_path):
     assert typed(reached) == typed(values)
 
 
+# a value read from a file: the setting, the value, whether a setting of
+# that type takes it
+TYPED_VALUES = {
+    "int setting, bool": ("n_heads", True, False),
+    "int setting, str": ("n_heads", "2", False),
+    "int setting, float": ("n_heads", 2.0, False),
+    "int setting, int": ("n_heads", 2, True),
+    "float setting, bool": ("dropout", False, False),
+    "float setting, int": ("dropout", 0, True),
+    "float setting, float": ("dropout", 0.0, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPED_VALUES))
+def test_config_file_and_checkpoint_take_the_same_types(case, tmp_path):
+    """A ``--config`` file and a checkpoint's recorded config accept and
+    refuse the same values."""
+    key, value, taken = TYPED_VALUES[case]
+    path = tmp_path / "typed.yaml"
+    path.write_text(yaml.safe_dump({key: value}))
+    args = cli.build_parser().parse_args(
+        ["pretrain", "--data", "data", "--run", "run", "--config", str(path)])
+    try:
+        cli._resolve_config(args)
+        from_file = True
+    except cli.CliError as exc:
+        assert exc.category == "config" and key in str(exc)
+        from_file = False
+    gen = Generator(GeneratorConfig(vocab_size=5, feat_dim=5, d_model=8, n_layers=1, n_heads=2,
+                                    d_ff=12, noise_dim=4, t_max=12, dropout=0.0),
+                    np.random.default_rng(0))
+    ckpt = tmp_path / "typed.ckpt"
+    save_checkpoint(ckpt, gen, {"config": dict(asdict(gen.config), **{key: value})})
+    _, meta = load_checkpoint(ckpt, "generator")
+    try:
+        config_from_checkpoint(GeneratorConfig, meta, ckpt)
+        from_checkpoint = True
+    except CheckpointError as exc:
+        assert key in str(exc)
+        from_checkpoint = False
+    assert from_file == from_checkpoint == taken
+
+
 def test_config_float_field_accepts_an_int(data_dir, tmp_path, capsys):
     config = tmp_path / "int_rate.yaml"
     config.write_text(yaml.safe_dump(dict(SMALL_MODEL, learning_rate=1, dropout=0)))
@@ -717,6 +762,31 @@ def test_checkpoint_of_other_settings_is_refused(case, short_run, data_dir, conf
     assert snapshot(short_run) == before
 
 
+RUN_ARGS = ["--data", "{data}", "--run", "{run}", "--config", "{config}"]
+# a --resume the command refuses: its argv on a run of 2 MLE epochs and one
+# discriminator and one semantic-evaluator epoch
+REFUSED_RESUMES = {
+    "pretrain at the last epoch": ["pretrain", *RUN_ARGS, "--epochs", "2", "--resume"],
+    "pretrain past the last epoch": ["pretrain", *RUN_ARGS, "--epochs", "1", "--resume"],
+    "pretrain-d at the last epoch": ["pretrain-d", *RUN_ARGS, "--epochs", "1", "--resume"],
+    "pretrain-se at the last epoch": ["pretrain-se", *RUN_ARGS, "--epochs", "1", "--resume"],
+    "train-gan": TRAIN_GAN + ["--lambda", "0", "--resume"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_RESUMES))
+def test_refused_resume_leaves_the_run_directory_unchanged(case, full_run, data_dir,
+                                                           config_file):
+    paths = {"data": data_dir, "run": full_run, "config": config_file}
+    before = snapshot(full_run)
+    code, err = run_process([arg.format(**paths) for arg in REFUSED_RESUMES[case]])
+    assert code == 2, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: category=usage: "), err
+    assert "--resume" in lines[0]
+    assert snapshot(full_run) == before
+
+
 def test_evaluate_refuses_a_clip_listed_twice(data_dir, tmp_path):
     clip_id = json.loads((data_dir / "evaluation.json").read_text())[0]["clip_id"]
     captions = tmp_path / "twice.jsonl"
@@ -771,17 +841,26 @@ def test_generate_refuses_a_bad_recorded_config(case, pretrained, data_dir, tmp_
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["pretrain-d", "train-gan"])
+@pytest.mark.parametrize("command", ["pretrain-d", "train-gan", "generate"])
 def test_missing_checkpoint_leaves_the_run_directory_unchanged(command, data_dir, config_file,
                                                                tmp_path):
     run_dir = tmp_path / "r2"
     run_dir.mkdir()
-    code, err = run_process([command, "--data", str(data_dir), "--run", str(run_dir),
-                             "--config", str(config_file), "--epochs", "1"])
+    if command == "generate":
+        # generate reads the run's vocabulary before its checkpoint
+        Vocabulary.build([["a", "dog", "barks"]]).save(run_dir / "vocab.txt")
+        argv = ["generate", "--data", str(data_dir), "--run", str(run_dir),
+                "--checkpoint", str(tmp_path / "missing.ckpt")]
+    else:
+        argv = [command, "--data", str(data_dir), "--run", str(run_dir),
+                "--config", str(config_file), "--epochs", "1"]
+    before = snapshot(run_dir)
+    code, err = run_process(argv)
     assert code == EXIT_CODES["checkpoint"], err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: category=checkpoint: "), err
-    assert list(run_dir.iterdir()) == []
+    assert "missing checkpoint" in lines[0]
+    assert snapshot(run_dir) == before
 
 
 def test_checkpoint_with_a_config_hash_still_restores(pretrained, data_dir, tmp_path, capsys):
@@ -794,7 +873,7 @@ def test_checkpoint_with_a_config_hash_still_restores(pretrained, data_dir, tmp_
     restore_model(gen, arrays)
     save_checkpoint(ckpt, gen, dict(meta, config_hash="0123456789abcdef"))
     restored = Generator(GeneratorConfig(**meta["config"]), np.random.default_rng(1))
-    assert cli._restore_into(restored, ckpt, "generator")["config_hash"] == "0123456789abcdef"
+    assert cli._restore_into(restored, ckpt)["config_hash"] == "0123456789abcdef"
     for name, tensor in restored.params.items():
         np.testing.assert_array_equal(tensor.data, arrays[name])
     code, _, err = run(["generate", "--data", str(data_dir), "--run", str(pretrained),

@@ -8,7 +8,7 @@ import pytest
 from capgan import training
 from capgan.corpus import build_vocabulary, epoch_batches, generate_synthetic_corpus
 from capgan.decoding import rollout
-from capgan.metrics import build_doc_freq, cider, ngram_counts
+from capgan.metrics import NMAX, build_doc_freq, cider, ngram_counts
 from capgan.models import (
     Discriminator,
     DiscriminatorConfig,
@@ -172,7 +172,7 @@ def recount_cider(candidate, references, df_table):
         return sum(x * v[g] for g, x in u.items() if g in v) / (nu * nv)
 
     per_order = []
-    for n in range(1, df_table.nmax + 1):
+    for n in range(1, NMAX + 1):
         cand = vector(candidate, n)
         sims = [cosine(cand, vector(ref, n)) for ref in references]
         per_order.append(sum(sims) / len(sims))
