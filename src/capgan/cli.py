@@ -43,7 +43,6 @@ from .models import (
     fits_type,
     load_checkpoint,
     restore_model,
-    save_checkpoint,
 )
 from .seeding import substream
 from .text import EmptyCaptionError, Vocabulary, normalize_and_tokenize
@@ -52,6 +51,7 @@ from .training import (
     TrainConfig,
     TrainingDiverged,
     adversarial_train,
+    check_semantic_batches,
     d_pretrain,
     mle_pretrain,
     semantic_pretrain,
@@ -229,6 +229,9 @@ def _start_epoch(model, path: Path, resume: bool, epochs: int) -> int:
 
 
 def cmd_prepare_data(args) -> int:
+    if args.synthetic and args.import_train:
+        raise CliError("usage", "--synthetic generates a corpus; it cannot run with "
+                                "--import-train")
     if args.import_eval and not args.import_train:
         raise CliError("usage", "--import-eval needs --import-train")
     out_dir = Path(args.out)
@@ -273,11 +276,9 @@ def cmd_pretrain(args) -> int:
         gen, train, evaluation, vocab, config, out_dir=run_dir,
         start_epoch=start_epoch,
     )
-    log.save_jsonl(run_dir / "mle_log.jsonl")
-    last = log.records[-1] if log.records else {}
     print(
         f"mle pretraining done: epochs {start_epoch}..{config.mle_epochs}, "
-        f"final loss {last.get('mle_loss', float('nan')):.4f}"
+        f"final loss {log.records[-1]['mle_loss']:.4f}"
     )
     return 0
 
@@ -297,12 +298,8 @@ def cmd_pretrain_d(args) -> int:
     start_epoch = _start_epoch(d, d_ckpt, args.resume, config.d_pretrain_epochs)
     _save_vocab(vocab, run_dir)
     _write_merged_config(cfg, run_dir)
-    log = d_pretrain(d, gen, train, vocab, config, start_epoch=start_epoch)
-    save_checkpoint(d_ckpt, d, {"epoch": config.d_pretrain_epochs, "seed": cfg["seed"],
-                                "stage": "d-pretrain"})
-    log.save_jsonl(run_dir / "d_log.jsonl")
-    last = log.records[-1] if log.records else {}
-    print(f"discriminator pretraining done: loss {last.get('d_loss', float('nan')):.4f}")
+    log = d_pretrain(d, gen, train, vocab, config, out_dir=run_dir, start_epoch=start_epoch)
+    print(f"discriminator pretraining done: loss {log.records[-1]['d_loss']:.4f}")
     return 0
 
 
@@ -311,6 +308,7 @@ def cmd_pretrain_se(args) -> int:
     config = _config(TrainConfig, cfg)
     run_dir = Path(args.run)
     train, _ = _load_splits(args.data)
+    _checked(check_semantic_batches, train_split=train, config=config)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
     _, _, se_config = _model_configs(vocab, cfg, _data_feat_dim(train))
     se = _build(SemanticEvaluator, se_config, cfg["seed"])
@@ -318,12 +316,9 @@ def cmd_pretrain_se(args) -> int:
     start_epoch = _start_epoch(se, se_ckpt, args.resume, config.se_pretrain_epochs)
     _save_vocab(vocab, run_dir)
     _write_merged_config(cfg, run_dir)
-    log = semantic_pretrain(se, train, vocab, config, cfg["t_max"], start_epoch=start_epoch)
-    save_checkpoint(se_ckpt, se, {"epoch": config.se_pretrain_epochs, "seed": cfg["seed"],
-                                  "stage": "se-pretrain"})
-    log.save_jsonl(run_dir / "se_log.jsonl")
-    last = log.records[-1] if log.records else {}
-    print(f"semantic evaluator pretraining done: loss {last.get('se_loss', float('nan')):.4f}")
+    log = semantic_pretrain(se, train, vocab, config, cfg["t_max"], out_dir=run_dir,
+                            start_epoch=start_epoch)
+    print(f"semantic evaluator pretraining done: loss {log.records[-1]['se_loss']:.4f}")
     return 0
 
 
@@ -375,18 +370,15 @@ def cmd_train_gan(args) -> int:
         gen, d, se = first if i == 0 else restored()
         run_cfg = dict(cfg, lam=config.lam)
         _write_merged_config(run_cfg, out_dir)
-        log, oracles = adversarial_train(
+        log, _ = adversarial_train(
             gen, d, se, train, evaluation, vocab, config, out_dir=out_dir
         )
-        log.save_jsonl(out_dir / "train_log.jsonl")
-        log.save_reward_csv(out_dir / "rewards.csv")
-        last = log.records[-1] if log.records else {}
         note = ""
         if config.lam == 0.0:
             note = " (conventional RL: discriminator and semantic evaluator never queried)"
         print(
             f"{tag}: {config.adversarial_epochs} epochs, "
-            f"mean reward {last.get('mean_reward', float('nan')):.4f}{note}"
+            f"mean reward {log.records[-1]['mean_reward']:.4f}{note}"
         )
     return 0
 

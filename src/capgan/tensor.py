@@ -27,6 +27,7 @@ broadcasts must go through an explicit ``broadcast_to``.
 """
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 
 import numpy as np
@@ -185,66 +186,41 @@ class Tensor:
             return other
         return Tensor(np.asarray(other, dtype=like.dtype))
 
-    def __add__(self, other):
+    def _binary(self, other, forward, grad_self, grad_other) -> "Tensor":
+        """An elementwise node on ``self`` and ``other``, a tensor or a number:
+        ``forward(a, b)`` on the operands' arrays, and ``grad_self(grad, a, b)``
+        and ``grad_other(...)``, each operand's gradient before ``_sum_to_shape``."""
         other = self._wrap(other, self)
         _check_elementwise(self, other)
-        out_data = self.data + other.data
 
         def backward(grad):
+            a, b = self.data, other.data
             if self.requires_grad:
-                self._accumulate(_sum_to_shape(grad, self.shape))
+                self._accumulate(_sum_to_shape(grad_self(grad, a, b), self.shape))
             if other.requires_grad:
-                other._accumulate(_sum_to_shape(grad, other.shape))
+                other._accumulate(_sum_to_shape(grad_other(grad, a, b), other.shape))
 
-        return Tensor._from_op(out_data, (self, other), backward)
+        return Tensor._from_op(forward(self.data, other.data), (self, other), backward)
+
+    def __add__(self, other):
+        return self._binary(other, operator.add, lambda g, a, b: g, lambda g, a, b: g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._wrap(other, self)
-        _check_elementwise(self, other)
-        out_data = self.data - other.data
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(_sum_to_shape(grad, self.shape))
-            if other.requires_grad:
-                other._accumulate(_sum_to_shape(-grad, other.shape))
-
-        return Tensor._from_op(out_data, (self, other), backward)
+        return self._binary(other, operator.sub, lambda g, a, b: g, lambda g, a, b: -g)
 
     def __rsub__(self, other):
         return self._wrap(other, self).__sub__(self)
 
     def __mul__(self, other):
-        other = self._wrap(other, self)
-        _check_elementwise(self, other)
-        out_data = self.data * other.data
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(_sum_to_shape(grad * other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_sum_to_shape(grad * self.data, other.shape))
-
-        return Tensor._from_op(out_data, (self, other), backward)
+        return self._binary(other, operator.mul, lambda g, a, b: g * b, lambda g, a, b: g * a)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._wrap(other, self)
-        _check_elementwise(self, other)
-        out_data = self.data / other.data
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(_sum_to_shape(grad / other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(
-                    _sum_to_shape(-grad * self.data / other.data**2, other.shape)
-                )
-
-        return Tensor._from_op(out_data, (self, other), backward)
+        return self._binary(other, operator.truediv,
+                            lambda g, a, b: g / b, lambda g, a, b: -g * a / b**2)
 
     def __neg__(self):
         def backward(grad):

@@ -23,6 +23,7 @@ from .corpus import DatasetSplit, epoch_batches
 from .decoding import rollout
 from .metrics import DocFreqTable, build_doc_freq, cider, reference_vectors
 from .models import (
+    CheckpointError,
     Discriminator,
     Generator,
     SemanticEvaluator,
@@ -45,6 +46,10 @@ ABLATION_LAMBDA = {"nd": 1.0, "se": 1.0, "le": 0.0}
 # the semantic evaluator's ranking margin
 SE_MARGIN = 0.2
 
+# each stage's log file in its output directory
+LOG_FILES = {"mle": "mle_log.jsonl", "d-pretrain": "d_log.jsonl",
+             "se-pretrain": "se_log.jsonl", "adversarial": "train_log.jsonl"}
+
 
 @dataclass
 class TrainConfig:
@@ -63,6 +68,10 @@ class TrainConfig:
             raise ValueError("lam must be in [0, 1]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        for name in ("mle_epochs", "d_pretrain_epochs", "se_pretrain_epochs",
+                     "adversarial_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.ablation not in (None, *ABLATION_LAMBDA):
@@ -104,6 +113,37 @@ class TrainLog:
             writer.writerow(keys)
             for record in self.records:
                 writer.writerow([record.get(k, "") for k in keys])
+
+
+class StageOutput:
+    """A training stage's log and, with an ``out_dir``, its log file and
+    checkpoints, written there after every epoch. A resumed stage keeps its
+    log file's records of the epochs before ``start_epoch``."""
+
+    def __init__(self, stage: str, out_dir, seed: int, start_epoch: int = 1):
+        self.stage, self.seed, self.log = stage, seed, TrainLog()
+        self.out_dir = Path(out_dir) if out_dir is not None else None
+        if self.out_dir is not None:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            path = self.out_dir / LOG_FILES[stage]
+            if start_epoch > 1 and path.exists():
+                try:
+                    records = map(json.loads, path.read_text(encoding="utf-8").splitlines())
+                    self.log.records = [r for r in records if r["epoch"] < start_epoch]
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise CheckpointError(f"cannot resume from log {path}: {exc!r}") from None
+
+    def end_epoch(self, record: dict, checkpoints) -> None:
+        """Logs ``record``, then writes the log and each ``(file name, model)``
+        checkpoint, stamped with the epoch, the seed and the stage."""
+        self.log.append(**record)
+        if self.out_dir is not None:
+            self.log.save_jsonl(self.out_dir / LOG_FILES[self.stage])
+            if self.stage == "adversarial":
+                self.log.save_reward_csv(self.out_dir / "rewards.csv")
+            meta = {"epoch": record["epoch"], "seed": self.seed, "stage": self.stage}
+            for name, model in checkpoints:
+                save_checkpoint(self.out_dir / name, model, meta)
 
 
 class RewardOracles:
@@ -227,17 +267,14 @@ def mle_pretrain(
     out_dir=None,
     start_epoch: int = 1,
 ) -> TrainLog:
-    """Teacher-forced cross-entropy training; noise held at zero."""
+    """Teacher-forced cross-entropy training; noise held at zero. The best
+    checkpoint follows the highest eval CIDEr in the log, resumed or not."""
     opt = Adam(gen.store.tensors(), lr=config.learning_rate)
     data_rng = substream(config.seed, "mle-data")
     drop_rng = substream(config.seed, "mle-dropout")
-    log = TrainLog()
+    out = StageOutput("mle", out_dir, config.seed, start_epoch)
     df_table = build_doc_freq([r.references for r in train_split.records])
     eval_refs = _eval_references(eval_split, df_table)
-    best_cider = -1.0
-    out_dir = Path(out_dir) if out_dir is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
 
     for epoch in range(start_epoch, config.mle_epochs + 1):
         losses = []
@@ -253,15 +290,12 @@ def mle_pretrain(
         record = {"epoch": epoch, "mle_loss": float(np.mean(losses))}
         if eval_refs:
             record["eval_cider"] = _eval_greedy_cider(gen, eval_split, eval_refs, vocab, df_table)
-        log.append(**record)
-        if out_dir is not None:
-            save_checkpoint(out_dir / "generator_mle_final.ckpt", gen,
-                            {"epoch": epoch, "seed": config.seed, "stage": "mle"})
-            if record.get("eval_cider", 0.0) >= best_cider:
-                best_cider = record.get("eval_cider", 0.0)
-                save_checkpoint(out_dir / "generator_mle_best.ckpt", gen,
-                                {"epoch": epoch, "seed": config.seed, "stage": "mle"})
-    return log
+        best = max((r.get("eval_cider", 0.0) for r in out.log.records), default=-1.0)
+        checkpoints = [("generator_mle_final.ckpt", gen)]
+        if record.get("eval_cider", 0.0) >= best:
+            checkpoints.append(("generator_mle_best.ckpt", gen))
+        out.end_epoch(record, checkpoints)
+    return out.log
 
 
 # -- discriminator ------------------------------------------------------------
@@ -278,18 +312,17 @@ def discriminator_loss(d: Discriminator, real_tokens, real_lengths,
     return loss_real + loss_fake
 
 
-def _sample_fakes(gen: Generator, batch, rng) -> list[list[int]]:
-    z = rng.standard_normal((len(batch.clip_ids), gen.config.noise_dim))
-    seqs, _ = rollout(
+def discriminator_step(d: Discriminator, opt: Adam, gen: Generator, batch,
+                       fake_rng: np.random.Generator) -> float:
+    """One update on ``batch``'s references against captions ``gen`` samples
+    for its clips with ``fake_rng``; returns the loss."""
+    z = fake_rng.standard_normal((len(batch.clip_ids), gen.config.noise_dim))
+    fakes, _ = rollout(
         gen, batch.features, batch.feature_lengths, z, "sample",
-        rng=rng, max_length=gen.config.t_max,
+        rng=fake_rng, max_length=gen.config.t_max,
     )
-    return seqs
-
-
-def discriminator_step(d, opt: Adam, real_tokens, real_lengths,
-                       fake_tokens, fake_lengths) -> float:
-    loss = discriminator_loss(d, real_tokens, real_lengths, fake_tokens, fake_lengths)
+    fake_tokens, fake_lengths = pad_sequences(fakes)
+    loss = discriminator_loss(d, batch.targets, batch.target_lengths, fake_tokens, fake_lengths)
     return _optimize(opt, loss, "discriminator loss")
 
 
@@ -300,27 +333,23 @@ def d_pretrain(
     train_split: DatasetSplit,
     vocab,
     config: TrainConfig,
+    out_dir=None,
     start_epoch: int = 1,
 ) -> TrainLog:
     """Real references vs. captions sampled from the current generator."""
     opt = Adam(d.store.tensors(), lr=config.learning_rate)
     data_rng = substream(config.seed, "d-data")
     fake_rng = substream(config.seed, "d-fakes")
-    log = TrainLog()
+    out = StageOutput("d-pretrain", out_dir, config.seed, start_epoch)
     for epoch in range(start_epoch, config.d_pretrain_epochs + 1):
-        losses = []
-        for batch in epoch_batches(train_split, vocab, config.batch_size, data_rng,
-                                   t_max=gen.config.t_max):
-            real_tokens = batch.targets
-            real_lengths = batch.target_lengths
-            fakes = _sample_fakes(gen, batch, fake_rng)
-            fake_tokens, fake_lengths = pad_sequences(fakes)
-            losses.append(
-                discriminator_step(d, opt, real_tokens, real_lengths,
-                                   fake_tokens, fake_lengths)
-            )
-        log.append(epoch=epoch, d_loss=float(np.mean(losses)))
-    return log
+        losses = [
+            discriminator_step(d, opt, gen, batch, fake_rng)
+            for batch in epoch_batches(train_split, vocab, config.batch_size, data_rng,
+                                       t_max=gen.config.t_max)
+        ]
+        out.end_epoch({"epoch": epoch, "d_loss": float(np.mean(losses))},
+                      [("discriminator_pretrained.ckpt", d)])
+    return out.log
 
 
 def discriminator_accuracy(d, real_seqs, fake_seqs) -> float:
@@ -350,6 +379,15 @@ def semantic_hinge_loss(se: SemanticEvaluator, batch, margin: float) -> Tensor:
     return (audio_anchored + caption_anchored) * (1.0 / denom)
 
 
+def check_semantic_batches(train_split: DatasetSplit, config: TrainConfig) -> None:
+    """Refuses a run in which no batch holds two clips: the hinge loss ranks
+    each clip against the others in its batch."""
+    n_clips = len(train_split.records)
+    if min(n_clips, config.batch_size) < 2:
+        raise ValueError(f"semantic-evaluator pretraining needs 2 clips per batch, got "
+                         f"batch_size {config.batch_size} and {n_clips} train clips")
+
+
 @_quiet_numerics
 def semantic_pretrain(
     se: SemanticEvaluator,
@@ -357,11 +395,13 @@ def semantic_pretrain(
     vocab,
     config: TrainConfig,
     t_max: int,
+    out_dir=None,
     start_epoch: int = 1,
 ) -> TrainLog:
+    check_semantic_batches(train_split, config)
     opt = Adam(se.store.tensors(), lr=config.learning_rate)
     data_rng = substream(config.seed, "se-data")
-    log = TrainLog()
+    out = StageOutput("se-pretrain", out_dir, config.seed, start_epoch)
     for epoch in range(start_epoch, config.se_pretrain_epochs + 1):
         losses = []
         for batch in epoch_batches(train_split, vocab, config.batch_size, data_rng,
@@ -370,8 +410,9 @@ def semantic_pretrain(
                 continue  # hinge loss needs in-batch negatives
             loss = semantic_hinge_loss(se, batch, SE_MARGIN)
             losses.append(_optimize(opt, loss, "semantic loss"))
-        log.append(epoch=epoch, se_loss=float(np.mean(losses)) if losses else 0.0)
-    return log
+        out.end_epoch({"epoch": epoch, "se_loss": float(np.mean(losses))},
+                      [("semantic_evaluator.ckpt", se)])
+    return out.log
 
 
 def semantic_gap(se: SemanticEvaluator, split: DatasetSplit, vocab, t_max: int) -> float:
@@ -473,10 +514,7 @@ def adversarial_train(
     sample_rng = substream(config.seed, "adv-sample")
     records_by_id = {r.clip_id: r for r in train_split.records}
     se_before = {k: v.data.copy() for k, v in se.params.items()}
-    log = TrainLog()
-    out_dir = Path(out_dir) if out_dir is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out = StageOutput("adversarial", out_dir, config.seed)
     train_d = config.lam > 0.0 and config.ablation != "se"
 
     for epoch in range(1, config.adversarial_epochs + 1):
@@ -484,12 +522,7 @@ def adversarial_train(
         for batch in epoch_batches(train_split, vocab, config.batch_size, data_rng,
                                    t_max=gen.config.t_max):
             if train_d:
-                fakes = _sample_fakes(gen, batch, fake_rng)
-                fake_tokens, fake_lengths = pad_sequences(fakes)
-                d_losses.append(
-                    discriminator_step(d, d_opt, batch.targets, batch.target_lengths,
-                                       fake_tokens, fake_lengths)
-                )
+                d_losses.append(discriminator_step(d, d_opt, gen, batch, fake_rng))
             g_loss, breakdowns, batch_advantages = scst_generator_step(
                 gen, gen_opt, batch, records_by_id, oracles, config,
                 z_rng, sample_rng,
@@ -514,16 +547,11 @@ def adversarial_train(
         }
         if eval_refs:
             record["eval_cider"] = _eval_greedy_cider(gen, eval_split, eval_refs, vocab, df_table)
-        log.append(**record)
-        if out_dir is not None:
-            save_checkpoint(out_dir / f"generator_adv_epoch{epoch:03d}.ckpt", gen,
-                            {"epoch": epoch, "seed": config.seed, "stage": "adversarial"})
-            save_checkpoint(out_dir / "generator_adv_final.ckpt", gen,
-                            {"epoch": epoch, "seed": config.seed, "stage": "adversarial"})
-            save_checkpoint(out_dir / "discriminator_adv_final.ckpt", d,
-                            {"epoch": epoch, "seed": config.seed, "stage": "adversarial"})
+        out.end_epoch(record, [(f"generator_adv_epoch{epoch:03d}.ckpt", gen),
+                               ("generator_adv_final.ckpt", gen),
+                               ("discriminator_adv_final.ckpt", d)])
 
     for name, before in se_before.items():
         if not np.array_equal(before, se.params[name].data):
             raise RuntimeError("semantic evaluator changed during adversarial training")
-    return log, oracles
+    return out.log, oracles

@@ -179,7 +179,36 @@ class TestPretrain:
         _, meta = load_checkpoint(pretrained / "generator_mle_final.ckpt")
         assert meta["epoch"] == 4
         log = [json.loads(l) for l in (pretrained / "mle_log.jsonl").read_text().splitlines()]
-        assert [r["epoch"] for r in log] == [3, 4]
+        assert [r["epoch"] for r in log] == [1, 2, 3, 4]
+
+    def test_resume_keeps_the_best_score(self, pretrained, data_dir, config_file, capsys):
+        # an earlier epoch no resumed epoch can beat: the best checkpoint stays
+        log_path = pretrained / "mle_log.jsonl"
+        log = [json.loads(l) for l in log_path.read_text().splitlines()]
+        log[0]["eval_cider"] = 99.0
+        log_path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in log))
+        best = (pretrained / "generator_mle_best.ckpt").read_bytes()
+        code, _, err = run(
+            ["pretrain", "--data", str(data_dir), "--run", str(pretrained),
+             "--config", str(config_file), "--epochs", "3", "--resume"],
+            capsys,
+        )
+        assert code == 0, err
+        assert (pretrained / "generator_mle_best.ckpt").read_bytes() == best
+        resumed = [json.loads(l) for l in log_path.read_text().splitlines()]
+        assert resumed[:2] == log and resumed[2]["epoch"] == 3
+
+    def test_resume_refuses_an_unreadable_log(self, pretrained, data_dir, config_file):
+        log_path = pretrained / "mle_log.jsonl"
+        log_path.write_text(log_path.read_text()[:20])  # cut mid-record
+        final = (pretrained / "generator_mle_final.ckpt").read_bytes()
+        code, err = run_process(["pretrain", "--data", str(data_dir), "--run", str(pretrained),
+                                 "--config", str(config_file), "--epochs", "3", "--resume"])
+        assert code == EXIT_CODES["checkpoint"], err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: category=checkpoint: "), err
+        assert "mle_log.jsonl" in lines[0]
+        assert (pretrained / "generator_mle_final.ckpt").read_bytes() == final
 
     def test_resume_without_checkpoint_fails(self, data_dir, config_file, tmp_path, capsys):
         code, _, err = run(
@@ -223,6 +252,19 @@ class TestPretrainJudges:
         assert code == 0, err
         load_checkpoint(pretrained / "semantic_evaluator.ckpt", expected_kind="semantic")
         assert (pretrained / "se_log.jsonl").exists()
+
+    def test_semantic_resume_keeps_the_log(self, pretrained, data_dir, config_file, capsys):
+        for epochs in (["--epochs", "1"], ["--epochs", "2", "--resume"]):
+            code, _, err = run(
+                ["pretrain-se", "--data", str(data_dir), "--run", str(pretrained),
+                 "--config", str(config_file), *epochs],
+                capsys,
+            )
+            assert code == 0, err
+        log = [json.loads(l) for l in (pretrained / "se_log.jsonl").read_text().splitlines()]
+        assert [r["epoch"] for r in log] == [1, 2]
+        _, meta = load_checkpoint(pretrained / "semantic_evaluator.ckpt")
+        assert meta["epoch"] == 2
 
     def test_train_gan_requires_all_checkpoints(self, pretrained, data_dir, config_file, capsys):
         code, _, err = run(
@@ -403,6 +445,22 @@ REJECTED_VALUES = {
     "prepare-data --import-eval without --import-train": (
         ["prepare-data", "--out", "{tmp}/fresh", "--import-eval", "{data}/evaluation.json"],
         "{tmp}/fresh"),
+    "prepare-data --synthetic --import-train": (
+        ["prepare-data", "--out", "{tmp}/fresh", "--synthetic",
+         "--import-train", "{data}/train.json"], "{tmp}/fresh"),
+    "pretrain --epochs 0": (
+        ["pretrain", "--data", "{data}", "--run", "{tmp}/fresh", "--config", "{config}",
+         "--epochs", "0"], "{tmp}/fresh"),
+    "pretrain-d --epochs 0": (
+        ["pretrain-d", "--data", "{data}", "--run", "{tmp}/fresh", "--config", "{config}",
+         "--epochs", "0"], "{tmp}/fresh"),
+    "pretrain-se --epochs 0": (
+        ["pretrain-se", "--data", "{data}", "--run", "{tmp}/fresh", "--config", "{config}",
+         "--epochs", "0"], "{tmp}/fresh"),
+    "pretrain-se --batch-size 1": (
+        ["pretrain-se", "--data", "{data}", "--run", "{tmp}/fresh", "--config", "{config}",
+         "--batch-size", "1"], "{tmp}/fresh"),
+    "train-gan --epochs 0": (TRAIN_GAN + ["--epochs", "0"], "{run}/gan"),
     "pretrain --batch-size 0": (
         ["pretrain", "--data", "{data}", "--run", "{tmp}/fresh", "--config", "{config}",
          "--batch-size", "0"], "{tmp}/fresh"),

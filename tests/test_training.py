@@ -34,7 +34,6 @@ from capgan.training import (
     d_pretrain,
     discriminator_accuracy,
     discriminator_loss,
-    discriminator_step,
     mle_pretrain,
     scst_generator_step,
     scst_surrogate_loss,
@@ -554,9 +553,14 @@ class TestDiscriminatorTraining:
         fake = rng.integers(4, len(vocab), size=(6, 5))
         fake[:, 0] = 1
         lengths = np.full(6, 5)
-        first = discriminator_step(d, opt, real, lengths, fake, lengths)
+
+        def step():
+            loss = discriminator_loss(d, real, lengths, fake, lengths)
+            return training._optimize(opt, loss, "discriminator loss")
+
+        first = step()
         for _ in range(30):
-            last = discriminator_step(d, opt, real, lengths, fake, lengths)
+            last = step()
         assert last < first
 
     def test_pretrain_separates_real_from_random(self):
@@ -630,6 +634,13 @@ class TestSemanticEvaluatorTraining:
         after = semantic_gap(se, train, vocab, t_max=12)
         assert len(log.records) == 15
         assert after > before
+
+    @pytest.mark.parametrize("clips, batch_size", [(12, 1), (1, 4)])
+    def test_pretrain_refuses_batches_without_negatives(self, clips, batch_size):
+        train, _, vocab, _, _, se = tiny_setup()
+        train = dataclasses.replace(train, records=train.records[:clips])
+        with pytest.raises(ValueError, match="2 clips per batch"):
+            semantic_pretrain(se, train, vocab, tiny_train_config(batch_size=batch_size), 12)
 
     def test_gradients_match_finite_differences(self):
         se = SemanticEvaluator(
