@@ -54,6 +54,7 @@ from .training import (
     check_semantic_batches,
     d_pretrain,
     mle_pretrain,
+    resumed_records,
     semantic_pretrain,
 )
 
@@ -210,10 +211,11 @@ def _restore_into(model, path) -> dict:
     return meta
 
 
-def _start_epoch(model, path: Path, resume: bool, epochs: int) -> int:
+def _start_epoch(model, stage: str, path: Path, resume: bool, epochs: int) -> int:
     """1, or with ``--resume`` one past the epoch of the checkpoint at
     ``path``, restored into ``model``; a checkpoint already at ``epochs``
-    or past it leaves nothing to train and is refused."""
+    or past it leaves nothing to train and is refused, and so is a
+    ``stage`` log beside it that cannot be read, before anything is written."""
     if not resume:
         return 1
     if not path.exists():
@@ -222,6 +224,7 @@ def _start_epoch(model, path: Path, resume: bool, epochs: int) -> int:
     if done >= epochs:
         raise CliError("usage", f"--resume: {path} is at epoch {done}, so --epochs {epochs} "
                                 "leaves nothing to train")
+    resumed_records(stage, path.parent, done + 1)
     return done + 1
 
 
@@ -268,7 +271,7 @@ def cmd_pretrain(args) -> int:
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
     gen_config, _, _ = _model_configs(vocab, cfg, _data_feat_dim(train))
     gen = _build(Generator, gen_config, cfg["seed"])
-    start_epoch = _start_epoch(gen, run_dir / "generator_mle_final.ckpt", args.resume,
+    start_epoch = _start_epoch(gen, "mle", run_dir / "generator_mle_final.ckpt", args.resume,
                                config.mle_epochs)
     _save_vocab(vocab, run_dir)
     _write_merged_config(cfg, run_dir)
@@ -295,7 +298,7 @@ def cmd_pretrain_d(args) -> int:
     _restore_into(gen, gen_ckpt)
     d = _build(Discriminator, d_config, cfg["seed"])
     d_ckpt = run_dir / "discriminator_pretrained.ckpt"
-    start_epoch = _start_epoch(d, d_ckpt, args.resume, config.d_pretrain_epochs)
+    start_epoch = _start_epoch(d, "d-pretrain", d_ckpt, args.resume, config.d_pretrain_epochs)
     _save_vocab(vocab, run_dir)
     _write_merged_config(cfg, run_dir)
     log = d_pretrain(d, gen, train, vocab, config, out_dir=run_dir, start_epoch=start_epoch)
@@ -313,7 +316,8 @@ def cmd_pretrain_se(args) -> int:
     _, _, se_config = _model_configs(vocab, cfg, _data_feat_dim(train))
     se = _build(SemanticEvaluator, se_config, cfg["seed"])
     se_ckpt = run_dir / "semantic_evaluator.ckpt"
-    start_epoch = _start_epoch(se, se_ckpt, args.resume, config.se_pretrain_epochs)
+    start_epoch = _start_epoch(se, "se-pretrain", se_ckpt, args.resume,
+                               config.se_pretrain_epochs)
     _save_vocab(vocab, run_dir)
     _write_merged_config(cfg, run_dir)
     log = semantic_pretrain(se, train, vocab, config, cfg["t_max"], out_dir=run_dir,

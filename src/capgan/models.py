@@ -80,13 +80,11 @@ def _const(array, dtype) -> Tensor:
     return Tensor(np.asarray(array, dtype=dtype))
 
 
-def pad_sequences(seqs: list[list[int]], width: int | None = None):
-    """Token rows padded with 0 to one width: ([B, width] ids, [B] lengths)."""
-    width = width or max(len(s) for s in seqs)
-    tokens = np.zeros((len(seqs), width), dtype=np.int64)
+def pad_sequences(seqs: list[list[int]]):
+    """Token rows padded with 0 to the longest: ([B, T_max] ids, [B] lengths)."""
+    tokens = np.zeros((len(seqs), max(len(s) for s in seqs)), dtype=np.int64)
     lengths = np.zeros(len(seqs), dtype=np.int64)
     for i, seq in enumerate(seqs):
-        seq = seq[:width]
         tokens[i, : len(seq)] = seq
         lengths[i] = len(seq)
     return tokens, lengths
@@ -694,6 +692,8 @@ def load_checkpoint(path, expected_kind: str | None = None) -> tuple[dict, dict]
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         count = int(np.prod(shape)) if shape else 1
         data = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: non-finite values in {name!r}")
         arrays[name] = np.array(data)
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after checkpoint payload")

@@ -11,6 +11,14 @@ gradients accumulate across graphs until zeroed (the optimizer owns
 zeroing). Inside ``no_grad()`` ops record nothing, so inference builds no
 graph.
 
+Nodes with one or two operands come from two builders, one per arity:
+``_unary`` (``-x``, the elementwise functions, the shape ops, ``sum``,
+the softmax family, ``embedding`` and ``cross_entropy``) and ``_binary``
+(the four arithmetic ops). An op states only its forward array and the
+gradient of each operand. ``__getitem__`` and the multi-input kernels
+below write their own backward. Every gradient a node passes on has its
+operand's shape; ``_accumulate`` never broadcasts.
+
 The models' hot paths are single nodes with closed-form backwards:
 ``x @ w`` with a 2-D ``w`` and ``linear`` fold the leading axes into one
 GEMM per product, ``conv1d_k3`` is a width-3 convolution over time,
@@ -131,8 +139,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype.kind not in "fiu":
             raise TypeError(f"unsupported dtype {arr.dtype}")
         if arr.dtype.kind in "iu":
@@ -168,10 +176,7 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            grad = np.array(grad, dtype=self.data.dtype)
-            if grad.shape != self.data.shape:
-                grad = np.broadcast_to(grad, self.data.shape).copy()
-            self.grad = grad
+            self.grad = np.array(grad, dtype=self.data.dtype)
         else:
             self.grad += grad
 
@@ -202,6 +207,15 @@ class Tensor:
 
         return Tensor._from_op(forward(self.data, other.data), (self, other), backward)
 
+    def _unary(self, out_data: np.ndarray, grad_fn) -> "Tensor":
+        """A node on ``self`` alone: ``out_data`` is its forward array, and
+        ``grad_fn(grad)`` the gradient it passes to ``self``, in ``self``'s shape."""
+
+        def backward(grad):
+            self._accumulate(grad_fn(grad))
+
+        return Tensor._from_op(out_data, (self,), backward)
+
     def __add__(self, other):
         return self._binary(other, operator.add, lambda g, a, b: g, lambda g, a, b: g)
 
@@ -223,99 +237,53 @@ class Tensor:
                             lambda g, a, b: g / b, lambda g, a, b: -g * a / b**2)
 
     def __neg__(self):
-        def backward(grad):
-            self._accumulate(-grad)
-
-        return Tensor._from_op(-self.data, (self,), backward)
+        return self._unary(-self.data, operator.neg)
 
     # -- unary functions ------------------------------------------------------
 
     def exp(self):
         out_data = np.exp(self.data)
-
-        def backward(grad):
-            self._accumulate(grad * out_data)
-
-        return Tensor._from_op(out_data, (self,), backward)
+        return self._unary(out_data, lambda g: g * out_data)
 
     def log(self):
         if np.any(self.data <= 0):
             raise DomainError("log requires strictly positive input")
-        out_data = np.log(self.data)
-
-        def backward(grad):
-            self._accumulate(grad / self.data)
-
-        return Tensor._from_op(out_data, (self,), backward)
+        return self._unary(np.log(self.data), lambda g: g / self.data)
 
     def sqrt(self):
         if np.any(self.data < 0):
             raise DomainError("sqrt requires non-negative input")
         out_data = np.sqrt(self.data)
-
-        def backward(grad):
-            self._accumulate(grad * 0.5 / out_data)
-
-        return Tensor._from_op(out_data, (self,), backward)
+        return self._unary(out_data, lambda g: g * 0.5 / out_data)
 
     def sigmoid(self):
         out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad):
-            self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return Tensor._from_op(out_data, (self,), backward)
+        return self._unary(out_data, lambda g: g * out_data * (1.0 - out_data))
 
     def tanh(self):
         out_data = np.tanh(self.data)
-
-        def backward(grad):
-            self._accumulate(grad * (1.0 - out_data**2))
-
-        return Tensor._from_op(out_data, (self,), backward)
+        return self._unary(out_data, lambda g: g * (1.0 - out_data**2))
 
     def relu(self):
-        out_data = np.maximum(self.data, 0.0)
-
-        def backward(grad):
-            self._accumulate(grad * (self.data > 0))
-
-        return Tensor._from_op(out_data, (self,), backward)
+        return self._unary(np.maximum(self.data, 0.0), lambda g: g * (self.data > 0))
 
     # -- shape manipulation ---------------------------------------------------
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        old_shape = self.shape
-        out_data = self.data.reshape(shape)
-
-        def backward(grad):
-            self._accumulate(grad.reshape(old_shape))
-
-        return Tensor._from_op(out_data, (self,), backward)
+        return self._unary(self.data.reshape(shape), lambda g: g.reshape(self.shape))
 
     def transpose(self, *axes):
         if not axes:
             axes = tuple(reversed(range(self.data.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        out_data = self.data.transpose(axes)
-
-        def backward(grad):
-            self._accumulate(grad.transpose(np.argsort(axes)))
-
-        return Tensor._from_op(out_data, (self,), backward)
+        return self._unary(self.data.transpose(axes), lambda g: g.transpose(np.argsort(axes)))
 
     def broadcast_to(self, shape):
-        shape = tuple(shape)
-        old_shape = self.shape
-        out_data = np.broadcast_to(self.data, shape).copy()
-
-        def backward(grad):
-            self._accumulate(_sum_to_shape(grad, old_shape))
-
-        return Tensor._from_op(out_data, (self,), backward)
+        return self._unary(np.broadcast_to(self.data, tuple(shape)).copy(),
+                           lambda g: _sum_to_shape(g, self.shape))
 
     def __getitem__(self, index):
         out_data = self.data[index]
@@ -340,15 +308,12 @@ class Tensor:
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(grad):
-            g = np.asarray(grad)
+        def grad_fn(grad):
             if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
+                grad = np.expand_dims(grad, axis)
+            return np.broadcast_to(grad, self.shape)
 
-        return Tensor._from_op(np.asarray(out_data), (self,), backward)
+        return self._unary(np.asarray(self.data.sum(axis=axis, keepdims=keepdims)), grad_fn)
 
     def mean(self, axis=None, keepdims: bool = False):
         count = self.data.size if axis is None else self.data.shape[axis]
@@ -391,20 +356,16 @@ class Tensor:
         e = np.exp(shifted)
         out_data = e / e.sum(axis=axis, keepdims=True)
 
-        def backward(grad):
+        def grad_fn(grad):
             inner = (grad * out_data).sum(axis=axis, keepdims=True)
-            self._accumulate(out_data * (grad - inner))
+            return out_data * (grad - inner)
 
-        return Tensor._from_op(out_data, (self,), backward)
+        return self._unary(out_data, grad_fn)
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
         out_data = log_softmax(self.data, axis)
-
-        def backward(grad):
-            soft = np.exp(out_data)
-            self._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True))
-
-        return Tensor._from_op(out_data, (self,), backward)
+        return self._unary(
+            out_data, lambda g: g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
 
     # -- autodiff -------------------------------------------------------------
 
@@ -652,14 +613,13 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError("token id outside embedding table")
-    out_data = table.data[ids]
 
-    def backward(grad):
+    def grad_fn(grad):
         full = np.zeros_like(table.data)
         np.add.at(full, ids, grad)
-        table._accumulate(full)
+        return full
 
-    return Tensor._from_op(out_data, (table,), backward)
+    return table._unary(table.data[ids], grad_fn)
 
 
 def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
@@ -689,13 +649,13 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     picked = np.take_along_axis(log_probs, targets[..., None], axis=-1)[..., 0]
     out_data = np.asarray(-(picked * mask).sum() / n_kept)
 
-    def backward(grad):
+    def grad_fn(grad):
         soft = np.exp(log_probs)
         onehot = np.zeros_like(soft)
         np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
-        logits._accumulate(grad * (soft - onehot) * (mask / n_kept)[..., None])
+        return grad * (soft - onehot) * (mask / n_kept)[..., None]
 
-    return Tensor._from_op(out_data, (logits,), backward)
+    return logits._unary(out_data, grad_fn)
 
 
 def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):

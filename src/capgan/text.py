@@ -33,10 +33,11 @@ class Vocabulary:
     """Bijective token <-> id map with fixed reserved ids 0..3."""
 
     id_to_token: list[str]
-    token_to_id: dict[str, int] = field(repr=False)
+    token_to_id: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         assert self.id_to_token[:4] == RESERVED
+        self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
 
     @classmethod
     def build(cls, corpus: list[list[str]], min_count: int = 1) -> "Vocabulary":
@@ -51,8 +52,7 @@ class Vocabulary:
             (tok for tok, c in counts.items() if c >= min_count),
             key=lambda tok: (-counts[tok], tok),
         )
-        id_to_token = RESERVED + kept
-        return cls(id_to_token, {tok: i for i, tok in enumerate(id_to_token)})
+        return cls(RESERVED + kept)
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -80,5 +80,4 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         tokens = Path(path).read_text(encoding="utf-8").splitlines()
-        id_to_token = RESERVED + [t for t in tokens if t]
-        return cls(id_to_token, {tok: i for i, tok in enumerate(id_to_token)})
+        return cls(RESERVED + [t for t in tokens if t])

@@ -115,6 +115,20 @@ class TrainLog:
                 writer.writerow([record.get(k, "") for k in keys])
 
 
+def resumed_records(stage: str, out_dir, start_epoch: int) -> list[dict]:
+    """The records of the epochs before ``start_epoch`` in ``stage``'s log
+    file in ``out_dir``; none when the stage starts at epoch 1 or has no
+    log file. A log that cannot be read is a ``CheckpointError``."""
+    path = Path(out_dir) / LOG_FILES[stage]
+    if start_epoch <= 1 or not path.exists():
+        return []
+    try:
+        records = map(json.loads, path.read_text(encoding="utf-8").splitlines())
+        return [r for r in records if r["epoch"] < start_epoch]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"cannot resume from log {path}: {exc!r}") from None
+
+
 class StageOutput:
     """A training stage's log and, with an ``out_dir``, its log file and
     checkpoints, written there after every epoch. A resumed stage keeps its
@@ -125,13 +139,7 @@ class StageOutput:
         self.out_dir = Path(out_dir) if out_dir is not None else None
         if self.out_dir is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
-            path = self.out_dir / LOG_FILES[stage]
-            if start_epoch > 1 and path.exists():
-                try:
-                    records = map(json.loads, path.read_text(encoding="utf-8").splitlines())
-                    self.log.records = [r for r in records if r["epoch"] < start_epoch]
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise CheckpointError(f"cannot resume from log {path}: {exc!r}") from None
+            self.log.records = resumed_records(stage, self.out_dir, start_epoch)
 
     def end_epoch(self, record: dict, checkpoints) -> None:
         """Logs ``record``, then writes the log and each ``(file name, model)``

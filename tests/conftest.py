@@ -29,6 +29,7 @@ def finite_difference(fn, params, eps=1e-5):
 def assert_grads_close(params, fd_grads, rtol=1e-4):
     for p, fd in zip(params, fd_grads):
         got = p.grad if p.grad is not None else np.zeros_like(p.data)
+        assert got.shape == fd.shape, f"gradient shape {got.shape}, operand {fd.shape}"
         denom = np.maximum(np.abs(fd), 1e-6)
         rel = np.abs(got - fd) / denom
         assert rel.max() < rtol, f"gradient mismatch: max rel err {rel.max():.3g}"

@@ -201,14 +201,15 @@ class TestPretrain:
     def test_resume_refuses_an_unreadable_log(self, pretrained, data_dir, config_file):
         log_path = pretrained / "mle_log.jsonl"
         log_path.write_text(log_path.read_text()[:20])  # cut mid-record
-        final = (pretrained / "generator_mle_final.ckpt").read_bytes()
+        before = snapshot(pretrained)
         code, err = run_process(["pretrain", "--data", str(data_dir), "--run", str(pretrained),
                                  "--config", str(config_file), "--epochs", "3", "--resume"])
         assert code == EXIT_CODES["checkpoint"], err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: category=checkpoint: "), err
         assert "mle_log.jsonl" in lines[0]
-        assert (pretrained / "generator_mle_final.ckpt").read_bytes() == final
+        # no checkpoint, log, vocabulary or config.yaml written
+        assert snapshot(pretrained) == before
 
     def test_resume_without_checkpoint_fails(self, data_dir, config_file, tmp_path, capsys):
         code, _, err = run(
@@ -919,6 +920,34 @@ def test_missing_checkpoint_leaves_the_run_directory_unchanged(command, data_dir
     assert len(lines) == 1 and lines[0].startswith("error: category=checkpoint: "), err
     assert "missing checkpoint" in lines[0]
     assert snapshot(run_dir) == before
+
+
+# a command that reads the run's MLE generator checkpoint, in its argv
+READS_THE_GENERATOR = {
+    "generate": ["generate", "--data", "{data}", "--run", "{run}", "--checkpoint", "{ckpt}"],
+    "pretrain-d --generator": ["pretrain-d", *RUN_ARGS, "--epochs", "1", "--generator", "{ckpt}"],
+    "train-gan": TRAIN_GAN,
+    "pretrain --resume": ["pretrain", *RUN_ARGS, "--epochs", "3", "--resume"],
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("command", sorted(READS_THE_GENERATOR))
+def test_non_finite_checkpoint_is_refused(command, value, full_run, data_dir, config_file):
+    ckpt = full_run / "generator_mle_final.ckpt"
+    arrays, meta = load_checkpoint(ckpt, "generator")
+    gen = Generator(GeneratorConfig(**meta["config"]), np.random.default_rng(0))
+    restore_model(gen, arrays)
+    gen.params["dec.out.b"].data[0] = value
+    save_checkpoint(ckpt, gen, meta)
+    paths = {"data": data_dir, "run": full_run, "config": config_file, "ckpt": ckpt}
+    before = snapshot(full_run)
+    code, err = run_process([arg.format(**paths) for arg in READS_THE_GENERATOR[command]])
+    assert code == EXIT_CODES["checkpoint"], err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: category=checkpoint: "), err
+    assert "non-finite" in lines[0] and "dec.out.b" in lines[0]
+    assert snapshot(full_run) == before
 
 
 def test_checkpoint_with_a_config_hash_still_restores(pretrained, data_dir, tmp_path, capsys):

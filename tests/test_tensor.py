@@ -225,10 +225,15 @@ class TestElementwise:
         out = Tensor(np.ones((3, 4))) * 2.0
         assert out.data.sum() == 24.0
 
-    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "exp", "tanh", "relu", "sqrt"])
+    @pytest.mark.parametrize("op", [
+        "add", "sub", "mul", "div", "neg", "exp", "log", "sigmoid", "tanh", "relu", "sqrt",
+        "log_softmax", "sum_axis0", "sum_axis1_keepdims", "mean_axis0",
+    ])
     def test_gradients(self, op, rng):
         x = param(rng, 4, 3)
         y = Tensor(np.abs(rng.standard_normal((4, 3))) + 0.5, requires_grad=True)
+        # weights, so a reduced axis or a softmax row gets an uneven gradient
+        w = rng.standard_normal((4, 3))
         fns = {
             "add": (lambda: (x + y).sum(), lambda: (x.data + y.data).sum()),
             "sub": (lambda: (x - y).sum(), lambda: (x.data - y.data).sum()),
@@ -238,6 +243,18 @@ class TestElementwise:
             "tanh": (lambda: x.tanh().sum(), lambda: np.tanh(x.data).sum()),
             "relu": (lambda: x.relu().sum(), lambda: np.maximum(x.data, 0).sum()),
             "sqrt": (lambda: y.sqrt().sum(), lambda: np.sqrt(y.data).sum()),
+            "neg": (lambda: (-x * Tensor(w)).sum(), lambda: (-x.data * w).sum()),
+            "log": (lambda: y.log().sum(), lambda: np.log(y.data).sum()),
+            "sigmoid": (lambda: x.sigmoid().sum(), lambda: (1 / (1 + np.exp(-x.data))).sum()),
+            "log_softmax": (lambda: (x.log_softmax() * Tensor(w)).sum(),
+                            lambda: ((x.data - np.log(np.exp(x.data).sum(axis=-1, keepdims=True)))
+                                     * w).sum()),
+            "sum_axis0": (lambda: (x.sum(axis=0) * Tensor(w[0])).sum(),
+                          lambda: (x.data.sum(axis=0) * w[0]).sum()),
+            "sum_axis1_keepdims": (lambda: (x.sum(axis=1, keepdims=True) * Tensor(w[:, :1])).sum(),
+                                   lambda: (x.data.sum(axis=1, keepdims=True) * w[:, :1]).sum()),
+            "mean_axis0": (lambda: (x.mean(axis=0) * Tensor(w[0])).sum(),
+                           lambda: (x.data.mean(axis=0) * w[0]).sum()),
         }
         forward, numeric = fns[op]
         forward().backward()

@@ -358,7 +358,10 @@ def full_width(batch, width):
 
 def full_width_surrogate(gen, batch, z, sampled, advantages, width):
     """The SCST surrogate with samples padded to ``width``, as it was."""
-    tokens, lengths = pad_sequences(sampled, width=width)
+    tokens = np.zeros((len(sampled), width), dtype=np.int64)
+    for i, seq in enumerate(sampled):
+        tokens[i, : len(seq)] = seq
+    lengths = np.array([len(seq) for seq in sampled])
     targets = tokens[:, 1:]
     mask = (np.arange(targets.shape[1])[None, :] < (lengths - 1)[:, None]).astype(float)
     logits = gen.forward(batch.features, batch.feature_lengths, z, tokens[:, :-1])
