@@ -45,11 +45,11 @@ from .models import (
     restore_model,
 )
 from .seeding import substream
+from .tensor import Diverged, quiet_numerics
 from .text import EmptyCaptionError, Vocabulary, normalize_and_tokenize
 from .training import (
     ABLATION_LAMBDA,
     TrainConfig,
-    TrainingDiverged,
     adversarial_train,
     check_semantic_batches,
     d_pretrain,
@@ -387,6 +387,7 @@ def cmd_train_gan(args) -> int:
     return 0
 
 
+@quiet_numerics
 def cmd_generate(args) -> int:
     run_dir = Path(args.run)
     vocab_path = run_dir / "vocab.txt"
@@ -553,7 +554,7 @@ def main(argv=None) -> int:
         category, message = "corpus", str(exc)
     except CheckpointError as exc:
         category, message = "checkpoint", str(exc)
-    except TrainingDiverged as exc:
+    except Diverged as exc:
         category, message = "diverged", str(exc)
     except FileNotFoundError as exc:
         category, message = "usage", str(exc)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .models import pad_frames, pad_sequences
 from .seeding import substream
-from .text import Vocabulary, normalize_and_tokenize
+from .text import EmptyCaptionError, Vocabulary, normalize_and_tokenize
 
 FEATURE_MAGIC = b"DCFEAT01"
 N_REFERENCES = 5
@@ -114,17 +114,20 @@ def load_dataset(manifest_path, name: str = "train") -> DatasetSplit:
         missing = [k for k in MANIFEST_KEYS if not isinstance(entry, dict) or k not in entry]
         if missing:
             raise CorpusError(f"{manifest_path} entry {i}: no {', '.join(missing)}")
-        clip_id = entry["clip_id"]
-        feature_path = manifest_path.parent / entry["feature_file"]
+        clip_id, feature_file, captions = (
+            entry["clip_id"], entry["feature_file"], entry["captions"])
+        if not isinstance(feature_file, str):
+            raise CorpusError(f"clip {clip_id!r}: feature_file must be a string")
+        if not (isinstance(captions, list) and all(isinstance(c, str) for c in captions)):
+            raise CorpusError(f"clip {clip_id!r}: captions must be a list of strings")
+        feature_path = manifest_path.parent / feature_file
         if not feature_path.exists():
             raise CorpusError(f"clip {clip_id!r}: missing feature file {feature_path}")
         features = read_features(feature_path)
-        if len(entry["captions"]) != N_REFERENCES:
-            raise CorpusError(
-                f"clip {clip_id!r}: expected {N_REFERENCES} captions, "
-                f"got {len(entry['captions'])}"
-            )
-        references = [normalize_and_tokenize(c) for c in entry["captions"]]
+        try:
+            references = [normalize_and_tokenize(c) for c in captions]
+        except EmptyCaptionError as exc:
+            raise CorpusError(f"clip {clip_id!r}: {exc}") from None
         records.append(ClipRecord(clip_id, features, references))
     split = DatasetSplit(name, records)
     split.validate()
@@ -149,7 +152,8 @@ def save_dataset(split: DatasetSplit, out_dir, manifest_name: str | None = None)
             }
         )
     manifest = out_dir / (manifest_name or f"{split.name}.json")
-    manifest.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    manifest.write_text(json.dumps(entries, indent=2, sort_keys=True, allow_nan=False) + "\n",
+                        encoding="utf-8")
     return manifest
 
 

@@ -5,10 +5,11 @@ from one beam search.
 
 Both decoders work on any model exposing ``encode(features, feat_lengths,
 z)`` and ``step_logits(features, feat_lengths, z, prefix, memory=...,
-cache=...)``. A decode encodes its clips once (``rollout`` skips even that
-when the caller passes the encoder memory), records no autodiff graph,
-and feeds ``step_logits`` only the newest position of each prefix, along
-with one ``DecodeCache`` per decode. The generator's step runs on arrays
+cache=...)``, which returns a new logits array on every call. A decode
+encodes its clips once (``rollout`` skips even that when the caller passes
+the encoder memory), records no autodiff graph, and feeds ``step_logits``
+only the newest position of each prefix, along with one ``DecodeCache``
+per decode. The generator's step runs on arrays
 and keeps in that cache the cross-attention keys/values and frame mask of
 the memory, built on the first step, and every position's self-attention
 keys/values (beam search reorders those as hypotheses are kept, repeated
@@ -35,9 +36,10 @@ neither enter a settled group's top ``n_best`` nor tie with it, so the
 stop returns exactly what the full-length search returns.
 
 Sequences are token-id lists that start with <sos> and end with <eos>
-unless the length cap cut them off. Every caption carries at least one
-content word: <eos> is forbidden as the first emission so downstream
-consumers never see an empty caption.
+unless the length cap cut them off. Both decoders pick tokens under one
+rule, ``next_log_probs``: <pad> and <sos> are never emitted, and <eos> is
+forbidden as the first emission, so every caption carries at least one
+content word. Non-finite logits stop the decode with ``Diverged``.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import DecodeCache
-from .tensor import log_softmax, no_grad
+from .tensor import Diverged, log_softmax, no_grad
 from .text import EOS, PAD, SOS
 
 
@@ -65,12 +67,18 @@ class DecodeConfig:
             raise ValueError("n_captions must be >= 1")
 
 
-def _forbid_markers(logits: np.ndarray) -> np.ndarray:
-    # pad and sos are never legal continuations
-    out = logits.copy()
-    out[..., PAD] = -1e9
-    out[..., SOS] = -1e9
-    return out
+def next_log_probs(logits: np.ndarray, step: int) -> np.ndarray:
+    """Each row's next-token log-probs at decode ``step`` from its
+    ``logits`` [B, vocab], which are overwritten: <pad> and <sos> are never
+    emitted, and <eos> not at step 0. Non-finite logits are refused with
+    ``Diverged``."""
+    if not np.isfinite(logits).all():
+        raise Diverged(f"decoder logits became non-finite at step {step}")
+    logits[..., PAD] = -1e9
+    logits[..., SOS] = -1e9
+    if step == 0:
+        logits[..., EOS] = -1e9  # minimum caption length of one word
+    return log_softmax(logits)
 
 
 def rollout(
@@ -110,12 +118,9 @@ def rollout(
         for step in range(max_length + 1):  # content tokens plus a final eos slot
             if not alive.any():
                 break
-            logits = _forbid_markers(model.step_logits(
+            logp = next_log_probs(model.step_logits(
                 features, feat_lengths, z, prefix[:, -1:], memory=memory, cache=cache
-            ))
-            if step == 0:
-                logits[..., EOS] = -1e9  # minimum caption length of one word
-            logp = log_softmax(logits)
+            ), step)
             if mode == "greedy":
                 chosen = logp.argmax(axis=-1)
             else:
@@ -174,14 +179,13 @@ def beam_decode(model, features, feat_lengths, z, *, beam_size: int, max_length:
         memory = model.encode(features, feat_lengths, z)
         cache = DecodeCache()
         for step in range(max_length + 1):
-            logits = _forbid_markers(model.step_logits(
+            logp = next_log_probs(model.step_logits(
                 features, feat_lengths, z, live[:, -1:], memory=memory, cache=cache
-            ))
+            ), step)
             if step == 0:
-                logits[..., EOS] = -1e9  # minimum caption length of one word
-                totals = np.zeros(groups, dtype=logits.dtype)  # log-prob per live row
-            vocab = logits.shape[1]
-            candidates = (totals[:, None] + log_softmax(logits)).reshape(groups, width * vocab)
+                totals = np.zeros(groups, dtype=logp.dtype)  # log-prob per live row
+            vocab = logp.shape[1]
+            candidates = (totals[:, None] + logp).reshape(groups, width * vocab)
             # best first by mean log-prob, per group, ties in (row, token)
             # order. Each row has one <eos> candidate, so the walk below
             # passes at most beam_size + width candidates of its group.
@@ -292,10 +296,11 @@ def generate_diverse_set(model, features, feat_lengths, config: DecodeConfig,
 
 
 def write_captions(path, rows: list[dict]) -> None:
-    """JSON-lines: {clip_id, captions: [str], scores: [float]}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    """JSON-lines: {clip_id, captions: [str], scores: [float]}. A row
+    that is not strict JSON (a NaN score) is a ValueError, and nothing is
+    written."""
+    lines = [json.dumps(row, sort_keys=True, allow_nan=False) + "\n" for row in rows]
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def read_captions(path) -> list[dict]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 # n-gram counting is plain Python; the benchmark's machine block reports
 # this name
@@ -233,16 +233,20 @@ def div_n(captions_per_clip, n: int) -> float:
 
 @dataclass
 class MetricReport:
-    """Table-style metric summary plus a per-clip breakdown.
+    """Table-style metric summary plus a per-clip breakdown; each field but
+    ``per_clip`` is a key of the JSON report, under its own name.
 
-    Accuracy metrics are reported under two protocols: ``top1`` scores
-    only the first caption per clip; ``all`` scores every generated
-    caption against the clip's references.
+    Accuracy metrics are reported under two protocols: ``bleu_n`` and
+    ``cider`` score only the first caption per clip (top-1); the ``_all``
+    fields score every generated caption against the clip's references.
     """
 
-    bleu: dict  # {"bleu_1".."bleu_4": float} top-1 protocol
+    bleu_1: float
+    bleu_2: float
+    bleu_3: float
+    bleu_4: float
     bleu_4_all: float
-    cider_top1: float
+    cider: float
     cider_all: float
     spider: None  # SPICE is out of scope, so SPIDEr is not computed
     vocab_size: int
@@ -254,32 +258,17 @@ class MetricReport:
     per_clip: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "bleu_1": self.bleu["bleu_1"],
-            "bleu_2": self.bleu["bleu_2"],
-            "bleu_3": self.bleu["bleu_3"],
-            "bleu_4": self.bleu["bleu_4"],
-            "bleu_4_all": self.bleu_4_all,
-            "cider": self.cider_top1,
-            "cider_all": self.cider_all,
-            "spider": None,
-            "vocab_size": self.vocab_size,
-            "mbleu_4": self.mbleu_4,
-            "div_1": self.div_1,
-            "div_2": self.div_2,
-            "n_clips": self.n_clips,
-            "smoothing": self.smoothing,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_clip"}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def to_table(self) -> str:
         # column order mirrors the accuracy-then-diversity reporting layout
         headers = ["BLEU_4", "CIDEr", "SPIDEr", "vocab size", "mBLEU_4", "div-1", "div-2"]
         values = [
-            f"{self.bleu['bleu_4']:.3f}",
-            f"{self.cider_top1:.3f}",
+            f"{self.bleu_4:.3f}",
+            f"{self.cider:.3f}",
             "n/a",
             str(self.vocab_size),
             f"{self.mbleu_4:.3f}",
@@ -343,9 +332,9 @@ def evaluate_captions(generated: dict, references: dict) -> MetricReport:
         ))
 
     return MetricReport(
-        bleu={f"bleu_{n}": _bleu(top1_stats, n) for n in range(1, 5)},
+        **{f"bleu_{n}": _bleu(top1_stats, n) for n in range(1, 5)},
         bleu_4_all=_bleu(all_stats, 4),
-        cider_top1=sum(row[1] for row in per_clip) / len(clip_ids),
+        cider=sum(row[1] for row in per_clip) / len(clip_ids),
         cider_all=sum(ciders) / len(ciders),
         spider=None,
         vocab_size=vocab_size(caption for c in clip_ids for caption in generated[c]),

@@ -174,8 +174,31 @@ def gru_final_hidden(xs: Tensor, lengths: np.ndarray, p: GRUParams, d_hidden: in
     alive = np.arange(t_steps)[None, :] < np.asarray(lengths)[:, None]
     h = _const(np.zeros((batch, d_hidden)), xs.dtype)
     for t in range(t_steps):
-        h = gru_cell(x_proj[:, t, :], h, p.u_r, p.u_u, p.u_h, alive[:, t, None])
+        h = gru_cell(x_proj, t, h, p.u_r, p.u_u, p.u_h, alive[:, t, None])
     return h
+
+
+# -- audio trunk --------------------------------------------------------------
+
+
+def add_audio_trunk(store: ParamStore, prefix: str, d_in: int, d_hidden: int) -> None:
+    """Registers an audio trunk's input projection ``{prefix}.in`` and
+    width-3 convolution ``{prefix}.conv``."""
+    store.add(f"{prefix}.in.w", (d_in, d_hidden))
+    store.zeros(f"{prefix}.in.b", (d_hidden,))
+    for tag in ("l", "c", "r"):
+        store.add(f"{prefix}.conv.w_{tag}", (d_hidden, d_hidden))
+    store.zeros(f"{prefix}.conv.b", (d_hidden,))
+
+
+def audio_trunk(features: np.ndarray, params: dict, prefix: str, dtype) -> Tensor:
+    """The trunk ``add_audio_trunk`` registered under ``prefix``:
+    [B, F, d_in] features -> relu(conv(relu(input projection))) [B, F, d_hidden]."""
+    def p(name):
+        return params[f"{prefix}.{name}"]
+
+    h = linear(_const(features, dtype), p("in.w"), p("in.b")).relu()
+    return conv1d_k3(h, p("conv.w_l"), p("conv.w_c"), p("conv.w_r"), p("conv.b")).relu()
 
 
 # -- positions ----------------------------------------------------------------
@@ -256,11 +279,7 @@ class Generator:
         store = ParamStore(rng, dtype)
         c = config
 
-        store.add("enc.in.w", (c.feat_dim, c.d_model))
-        store.zeros("enc.in.b", (c.d_model,))
-        for tag in ("l", "c", "r"):
-            store.add(f"enc.conv.w_{tag}", (c.d_model, c.d_model))
-        store.zeros("enc.conv.b", (c.d_model,))
+        add_audio_trunk(store, "enc", c.feat_dim, c.d_model)
         store.add("noise.w", (c.d_model + c.noise_dim, c.d_model))
         store.zeros("noise.b", (c.d_model,))
 
@@ -297,11 +316,7 @@ class Generator:
         output is repeated for each noise row before the noise merge.
         """
         p = self.params
-        x = _const(features, self.dtype)
-        h = linear(x, p["enc.in.w"], p["enc.in.b"]).relu()
-        h = conv1d_k3(
-            h, p["enc.conv.w_l"], p["enc.conv.w_c"], p["enc.conv.w_r"], p["enc.conv.b"]
-        ).relu()
+        h = audio_trunk(features, p, "enc", self.dtype)
         batch, frames = len(z), h.shape[1]
         if h.shape[0] != batch:
             h = h.broadcast_to((batch, frames, self.config.d_model))
@@ -564,11 +579,7 @@ class SemanticEvaluator:
         self.dtype = np.dtype(dtype)
         store = ParamStore(rng, dtype)
         c = config
-        store.add("audio.in.w", (c.feat_dim, c.hidden_dim))
-        store.zeros("audio.in.b", (c.hidden_dim,))
-        for tag in ("l", "c", "r"):
-            store.add(f"audio.conv.w_{tag}", (c.hidden_dim, c.hidden_dim))
-        store.zeros("audio.conv.b", (c.hidden_dim,))
+        add_audio_trunk(store, "audio", c.feat_dim, c.hidden_dim)
         store.add("audio.out.w", (c.hidden_dim, c.out_dim))
         store.zeros("audio.out.b", (c.out_dim,))
         store.add("text.embed", (c.vocab_size, c.embed_dim))
@@ -580,12 +591,8 @@ class SemanticEvaluator:
 
     def embed_audio(self, features: np.ndarray, feat_lengths: np.ndarray) -> Tensor:
         p = self.params
-        x = _const(features, self.dtype)
-        h = linear(x, p["audio.in.w"], p["audio.in.b"]).relu()
-        h = conv1d_k3(
-            h, p["audio.conv.w_l"], p["audio.conv.w_c"], p["audio.conv.w_r"], p["audio.conv.b"]
-        ).relu()
-        batch, frames, hidden = h.shape
+        h = audio_trunk(features, p, "audio", self.dtype)
+        frames = h.shape[1]
         alive = np.arange(frames)[None, :] < np.asarray(feat_lengths)[:, None]
         mask = _const(alive.astype(float)[:, :, None], self.dtype)
         pooled = (h * mask.broadcast_to(h.shape)).sum(axis=1)
@@ -623,7 +630,7 @@ def save_checkpoint(path, model, metadata: dict | None = None) -> None:
     """Binary checkpoint: magic, version, kind tag, metadata JSON, entries."""
     metadata = dict(metadata or {})
     metadata.setdefault("config", asdict(model.config))
-    meta_blob = json.dumps(metadata, sort_keys=True).encode()
+    meta_blob = json.dumps(metadata, sort_keys=True, allow_nan=False).encode()
     kind_blob = model.kind.encode()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)

@@ -12,12 +12,12 @@ zeroing). Inside ``no_grad()`` ops record nothing, so inference builds no
 graph.
 
 Nodes with one or two operands come from two builders, one per arity:
-``_unary`` (``-x``, the elementwise functions, the shape ops, ``sum``,
-the softmax family, ``embedding`` and ``cross_entropy``) and ``_binary``
-(the four arithmetic ops). An op states only its forward array and the
-gradient of each operand. ``__getitem__`` and the multi-input kernels
-below write their own backward. Every gradient a node passes on has its
-operand's shape; ``_accumulate`` never broadcasts.
+``_unary`` (``-x``, the elementwise functions, the shape ops and
+``__getitem__``, ``sum``, the softmax family, ``embedding`` and
+``cross_entropy``) and ``_binary`` (the four arithmetic ops). An op
+states only its forward array and the gradient of each operand. The
+multi-input kernels below write their own backward. Every gradient a node
+passes on has its operand's shape; ``_accumulate`` never broadcasts.
 
 The models' hot paths are single nodes with closed-form backwards:
 ``x @ w`` with a 2-D ``w`` and ``linear`` fold the leading axes into one
@@ -35,6 +35,7 @@ broadcasts must go through an explicit ``broadcast_to``.
 """
 from __future__ import annotations
 
+import functools
 import operator
 from contextlib import contextmanager
 
@@ -45,6 +46,8 @@ __all__ = [
     "no_grad",
     "DimensionError",
     "DomainError",
+    "Diverged",
+    "quiet_numerics",
     "concat",
     "embedding",
     "linear",
@@ -94,6 +97,20 @@ class DomainError(ValueError):
     """Input value outside an op's mathematical domain."""
 
 
+class Diverged(RuntimeError):
+    """A loss or a decoder's logits became non-finite."""
+
+
+def quiet_numerics(run):
+    """``run`` with numpy's floating-point warnings off, so a value that
+    overflows is reported once, by the non-finite check that refuses it."""
+    @functools.wraps(run)
+    def quiet(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return run(*args, **kwargs)
+    return quiet
+
+
 def _sum_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the original operand shape."""
     while grad.ndim > len(shape):
@@ -102,18 +119,6 @@ def _sum_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
-
-
-def _is_basic_index(index) -> bool:
-    """Only slices, ints, None and Ellipsis: numpy's basic indexing."""
-    items = index if isinstance(index, tuple) else (index,)
-    return all(
-        item is None
-        or item is Ellipsis
-        or isinstance(item, slice)
-        or (isinstance(item, (int, np.integer)) and not isinstance(item, bool))
-        for item in items
-    )
 
 
 def _check_elementwise(a: "Tensor", b: "Tensor") -> None:
@@ -286,24 +291,12 @@ class Tensor:
                            lambda g: _sum_to_shape(g, self.shape))
 
     def __getitem__(self, index):
-        out_data = self.data[index]
-        if not isinstance(out_data, np.ndarray):
-            out_data = np.asarray(out_data)
+        def grad_fn(grad):
+            full = np.zeros_like(self.data)
+            np.add.at(full, index, grad)
+            return full
 
-        basic = _is_basic_index(index)
-
-        def backward(grad):
-            if basic:
-                # slices and ints select each element at most once
-                if self.grad is None:
-                    self.grad = np.zeros_like(self.data)
-                self.grad[index] += grad
-            else:
-                full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
-                self._accumulate(full)
-
-        return Tensor._from_op(out_data, (self,), backward)
+        return self._unary(np.asarray(self.data[index]), grad_fn)
 
     # -- reductions -----------------------------------------------------------
 
@@ -568,21 +561,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
     return Tensor._from_op(out_data, (q, k, v), backward)
 
 
-def gru_cell(x_proj: Tensor, h_prev: Tensor, u_r: Tensor, u_u: Tensor, u_h: Tensor,
+def gru_cell(x_proj: Tensor, t: int, h_prev: Tensor, u_r: Tensor, u_u: Tensor, u_h: Tensor,
              alive: np.ndarray) -> Tensor:
-    """One GRU step as one node.
+    """GRU step ``t`` as one node.
 
-    ``x_proj`` [B, 3H] holds the step's reset, update and candidate input
-    projections (biases included); ``u_*`` [H, H] are the recurrent
-    weights. Rows where ``alive`` [B, 1] is False keep ``h_prev``.
+    ``x_proj`` [B, T, 3H] holds every step's reset, update and candidate
+    input projections (biases included); the node reads step ``t`` and
+    passes its gradient into slice ``t`` of ``x_proj.grad``. ``u_*`` [H, H]
+    are the recurrent weights. Rows where ``alive`` [B, 1] is False keep
+    ``h_prev``.
     """
     h = h_prev.data
     hid = h.shape[-1]
-    if x_proj.shape != (h.shape[0], 3 * hid):
+    if x_proj.data.ndim != 3 or (x_proj.shape[0], x_proj.shape[2]) != (h.shape[0], 3 * hid):
         raise DimensionError(
-            f"gru_cell needs x_proj [B, 3H] for h_prev [B, H], got {x_proj.shape}, {h.shape}"
+            f"gru_cell needs x_proj [B, T, 3H] for h_prev [B, H], got {x_proj.shape}, {h.shape}"
         )
-    xp = x_proj.data
+    xp = x_proj.data[:, t]
     r = 1.0 / (1.0 + np.exp(-(xp[:, :hid] + h @ u_r.data)))
     u = 1.0 / (1.0 + np.exp(-(xp[:, hid : 2 * hid] + h @ u_u.data)))
     rh = r * h
@@ -596,7 +591,9 @@ def gru_cell(x_proj: Tensor, h_prev: Tensor, u_r: Tensor, u_u: Tensor, u_h: Tens
         d_rh = d_c @ u_h.data.T
         d_r = d_rh * h * r * (1.0 - r)
         if x_proj.requires_grad:
-            x_proj._accumulate(np.concatenate([d_r, d_u, d_c], axis=1))
+            if x_proj.grad is None:
+                x_proj.grad = np.zeros_like(x_proj.data)
+            x_proj.grad[:, t] += np.concatenate([d_r, d_u, d_c], axis=1)
         if h_prev.requires_grad:
             dh = g * (1.0 - u) + d_rh * r + d_r @ u_r.data.T + d_u @ u_u.data.T
             dh += np.where(alive, 0.0, grad)

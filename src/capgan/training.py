@@ -12,7 +12,6 @@ their token probabilities up.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,11 +31,7 @@ from .models import (
     save_checkpoint,
 )
 from .seeding import substream
-from .tensor import Adam, Tensor, cross_entropy, no_grad
-
-
-class TrainingDiverged(RuntimeError):
-    pass
+from .tensor import Adam, Diverged, Tensor, cross_entropy, no_grad, quiet_numerics
 
 
 # the lam each ablation pins, so its reward is exactly one term:
@@ -102,9 +97,8 @@ class TrainLog:
         self.records.append(record)
 
     def save_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        lines = [json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in self.records]
+        Path(path).write_text("".join(lines), encoding="utf-8")
 
     def save_reward_csv(self, path) -> None:
         keys = ["epoch", "mean_n", "mean_s", "mean_c", "mean_reward"]
@@ -217,21 +211,11 @@ def _optimize(opt: Adam, loss: Tensor, what: str) -> float:
     update into the next forward."""
     value = loss.item()
     if not np.isfinite(value):
-        raise TrainingDiverged(f"{what} became non-finite ({value})")
+        raise Diverged(f"{what} became non-finite ({value})")
     loss.backward()
     opt.step()
     opt.zero_grad()
     return value
-
-
-def _quiet_numerics(loop):
-    """Runs a training loop with numpy's floating-point warnings off, so a
-    diverging run is reported once, by ``_optimize``'s non-finite check."""
-    @functools.wraps(loop)
-    def run(*args, **kwargs):
-        with np.errstate(all="ignore"):
-            return loop(*args, **kwargs)
-    return run
 
 
 # -- MLE pretraining ----------------------------------------------------------
@@ -265,7 +249,7 @@ def _eval_references(split: DatasetSplit | None, df_table) -> list:
     return [reference_vectors(r.references, df_table) for r in records]
 
 
-@_quiet_numerics
+@quiet_numerics
 def mle_pretrain(
     gen: Generator,
     train_split: DatasetSplit,
@@ -334,7 +318,7 @@ def discriminator_step(d: Discriminator, opt: Adam, gen: Generator, batch,
     return _optimize(opt, loss, "discriminator loss")
 
 
-@_quiet_numerics
+@quiet_numerics
 def d_pretrain(
     d: Discriminator,
     gen: Generator,
@@ -396,7 +380,7 @@ def check_semantic_batches(train_split: DatasetSplit, config: TrainConfig) -> No
                          f"batch_size {config.batch_size} and {n_clips} train clips")
 
 
-@_quiet_numerics
+@quiet_numerics
 def semantic_pretrain(
     se: SemanticEvaluator,
     train_split: DatasetSplit,
@@ -496,7 +480,7 @@ def scst_generator_step(
 # -- adversarial loop ---------------------------------------------------------
 
 
-@_quiet_numerics
+@quiet_numerics
 def adversarial_train(
     gen: Generator,
     d: Discriminator,

@@ -735,6 +735,14 @@ def _without(key):
     return edit
 
 
+def _with_first(key, value):
+    def edit(text):
+        entries = json.loads(text)
+        entries[0][key] = value
+        return json.dumps(entries)
+    return edit
+
+
 # a malformed input: the command that reads it, the caption file's text or
 # an edit of the train manifest, the category it fails with, what the line names
 MALFORMED_INPUTS = {
@@ -748,6 +756,14 @@ MALFORMED_INPUTS = {
     "manifest entry without feature_file": (
         "pretrain", _without("feature_file"), "corpus", "feature_file"),
     "manifest entry without captions": ("pretrain", _without("captions"), "corpus", "captions"),
+    "manifest caption without words": (
+        "pretrain", _with_first("captions", ["!!!", "a", "b", "c", "d"]), "corpus", "clip_0000"),
+    "manifest caption not a string": (
+        "pretrain", _with_first("captions", [7, "a", "b", "c", "d"]), "corpus", "clip_0000"),
+    "manifest captions a string": (
+        "pretrain", _with_first("captions", "abcde"), "corpus", "clip_0000"),
+    "manifest feature_file not a string": (
+        "pretrain", _with_first("feature_file", 7), "corpus", "clip_0000"),
 }
 
 
@@ -771,6 +787,33 @@ def test_malformed_input_is_one_error_line(case, data_dir, config_file, tmp_path
     assert len(lines) == 1 and lines[0].startswith(f"error: category={category}: "), err
     assert named in lines[0]
     assert not unwritten.exists()
+
+
+# a command that reads the train manifest besides pretrain (see MALFORMED_INPUTS),
+# then the path it must not write
+READS_THE_TRAIN_MANIFEST = {
+    "evaluate --split train": (
+        ["evaluate", "--captions", "{tmp}/captions.jsonl", "--data", "{data}", "--split", "train",
+         "--out-json", "{tmp}/report.json"], "{tmp}/report.json"),
+    "prepare-data --import-train": (
+        ["prepare-data", "--out", "{tmp}/fresh", "--import-train", "{data}/train.json"],
+        "{tmp}/fresh"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(READS_THE_TRAIN_MANIFEST))
+def test_manifest_caption_without_words_is_a_corpus_error(command, data_dir, tmp_path):
+    bad = _bad_manifest(data_dir, tmp_path, _with_first("captions", ["!!!", "a", "b", "c", "d"]))
+    (tmp_path / "captions.jsonl").write_text(
+        json.dumps({"clip_id": "clip_0000", "captions": ["a dog barks"]}) + "\n")
+    argv, unwritten = READS_THE_TRAIN_MANIFEST[command]
+    paths = {"tmp": tmp_path, "data": bad}
+    code, err = run_process([arg.format(**paths) for arg in argv])
+    assert code == EXIT_CODES["corpus"], err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: category=corpus: "), err
+    assert "clip_0000" in lines[0]
+    assert not Path(unwritten.format(**paths)).exists()
 
 
 @pytest.fixture
@@ -948,6 +991,24 @@ def test_non_finite_checkpoint_is_refused(command, value, full_run, data_dir, co
     assert len(lines) == 1 and lines[0].startswith("error: category=checkpoint: "), err
     assert "non-finite" in lines[0] and "dec.out.b" in lines[0]
     assert snapshot(full_run) == before
+
+
+def test_generate_refuses_logits_that_overflow(pretrained, data_dir, tmp_path):
+    """A finite checkpoint whose output weights are all 3e38: the logits
+    overflow, and the decode stops before a caption file is written."""
+    ckpt = tmp_path / "overflow.ckpt"
+    arrays, meta = load_checkpoint(pretrained / "generator_mle_final.ckpt", "generator")
+    gen = Generator(GeneratorConfig(**meta["config"]), np.random.default_rng(0))
+    restore_model(gen, arrays)
+    gen.params["dec.out.w"].data[...] = 3e38
+    save_checkpoint(ckpt, gen, meta)
+    out = tmp_path / "captions.jsonl"
+    code, err = run_process(["generate", "--data", str(data_dir), "--run", str(pretrained),
+                             "--checkpoint", str(ckpt), "--out", str(out)])
+    assert code == EXIT_CODES["diverged"], err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: category=diverged: "), err
+    assert not out.exists()
 
 
 def test_checkpoint_with_a_config_hash_still_restores(pretrained, data_dir, tmp_path, capsys):

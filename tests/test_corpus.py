@@ -78,6 +78,26 @@ class TestLoader:
         with pytest.raises(CorpusError, match="clip_0000"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize(
+        ("key", "value", "named"),
+        [
+            ("captions", ["!!!", "a", "b", "c", "d"], "empty after normalization"),
+            ("captions", [7, "a", "b", "c", "d"], "list of strings"),
+            ("captions", "abcde", "list of strings"),
+            ("feature_file", 7, "feature_file must be a string"),
+        ],
+        ids=["caption without words", "caption not a string", "captions a string",
+             "feature_file not a string"],
+    )
+    def test_bad_entry_value_names_the_clip(self, key, value, named, tmp_path):
+        train, _ = small_corpus(n_clips=10)
+        manifest = save_dataset(DatasetSplit("train", train.records[:1]), tmp_path)
+        entries = json.loads(manifest.read_text())
+        entries[0][key] = value
+        manifest.write_text(json.dumps(entries))
+        with pytest.raises(CorpusError, match=f"clip_0000.*{named}"):
+            load_dataset(manifest)
+
     def test_nan_features(self, tmp_path):
         train, _ = small_corpus(n_clips=10)
         record = train.records[0]

@@ -7,7 +7,6 @@ import pytest
 from capgan import decoding
 from capgan.decoding import (
     DecodeConfig,
-    _forbid_markers,
     beam_decode,
     generate_diverse_set,
     read_captions,
@@ -15,7 +14,7 @@ from capgan.decoding import (
     write_captions,
 )
 from capgan.models import DecodeCache
-from capgan.tensor import log_softmax, no_grad
+from capgan.tensor import Diverged, log_softmax, no_grad
 from capgan.text import EOS, PAD, SOS
 
 from test_models import default_generator, tiny_generator, tiny_inputs
@@ -58,6 +57,15 @@ class NoisyToyModel(ToyModel):
         return super().step_logits(features, feat_lengths, z, prefix) * scale
 
 
+def forbid_markers(logits: np.ndarray) -> np.ndarray:
+    """The decoders' marker rule, restated: a copy of ``logits`` in which
+    <pad> and <sos> can never be emitted."""
+    out = logits.copy()
+    out[..., PAD] = -1e9
+    out[..., SOS] = -1e9
+    return out
+
+
 def toy_inputs(batch=1):
     return np.zeros((batch, 1, 1)), np.ones(batch, dtype=int), np.zeros((batch, 2))
 
@@ -88,7 +96,7 @@ def reference_greedy(model, features, feat_lengths, z, max_length):
     for step in range(max_length + 1):
         if not alive.any():
             break
-        logits = _forbid_markers(model.step_logits(features, feat_lengths, z, prefix))
+        logits = forbid_markers(model.step_logits(features, feat_lengths, z, prefix))
         if step == 0:
             logits[..., EOS] = -1e9
         chosen = np.where(alive, log_softmax(logits).argmax(axis=-1), PAD)
@@ -107,7 +115,7 @@ def reference_beam(model, features, feat_lengths, z, beam_size, max_length):
             break
         prefix = np.array([tokens for tokens, _ in live], dtype=np.int64)
         n_live = len(live)
-        logits = _forbid_markers(model.step_logits(
+        logits = forbid_markers(model.step_logits(
             np.repeat(features, n_live, axis=0), np.repeat(feat_lengths, n_live, axis=0),
             np.repeat(z, n_live, axis=0), prefix,
         ))
@@ -139,7 +147,7 @@ def single_group_beam(model, features, feat_lengths, z, beam_size, max_length):
         memory = model.encode(features, feat_lengths, z)
         cache = DecodeCache()
         for step in range(max_length + 1):
-            logits = _forbid_markers(model.step_logits(
+            logits = forbid_markers(model.step_logits(
                 features, feat_lengths, z, live[:, -1:], memory=memory, cache=cache
             ))
             if step == 0:
@@ -171,7 +179,7 @@ def full_length_beam(model, features, feat_lengths, z, beam_size, max_length, n_
         memory = model.encode(features, feat_lengths, z)
         cache = DecodeCache()
         for step in range(max_length + 1):
-            logits = _forbid_markers(model.step_logits(
+            logits = forbid_markers(model.step_logits(
                 features, feat_lengths, z, live[:, -1:], memory=memory, cache=cache
             ))
             if step == 0:
@@ -576,7 +584,7 @@ class TestBoundedRanking:
         # the first step ranks the <sos> row's content candidates (its <eos>
         # is forbidden) with a cut at beam_size + 1: tied keys straddle it,
         # distinct ones do not
-        first = _forbid_markers(model.tables[SOS])
+        first = forbid_markers(model.tables[SOS])
         first[EOS] = NEG
         keys = np.sort(-log_softmax(first))
         assert (keys[beam_size] == keys[beam_size + 1]) == tied
@@ -695,6 +703,23 @@ class TestDiverseSet:
         assert s1 == s2
 
 
+class TestNonFiniteLogits:
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("decoder", ["greedy", "sample", "beam"])
+    def test_refused(self, decoder, value):
+        # finite at the first step; every row's second step holds the value
+        tables = {1: [NEG, NEG, NEG, 1.0, 0.5, 0.2]}
+        tables.update({k: [NEG, NEG, 0.0, value, 0.0, 0.0] for k in (3, 4, 5)})
+        model = ToyModel(tables)
+        features, lens, z = toy_inputs()
+        with pytest.raises(Diverged, match="non-finite at step 1"):
+            if decoder == "beam":
+                beam_decode(model, features, lens, z, beam_size=2, max_length=5, n_best=1)
+            else:
+                rollout(model, features, lens, z, decoder, rng=np.random.default_rng(0),
+                        max_length=5)
+
+
 class TestCaptionFiles:
     def test_round_trip_byte_identical(self, tmp_path):
         rows = [
@@ -705,3 +730,11 @@ class TestCaptionFiles:
         write_captions(p1, rows)
         write_captions(p2, read_captions(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_refuses_a_nan_score(self, tmp_path):
+        path = tmp_path / "captions.jsonl"
+        rows = [{"clip_id": "c1", "captions": ["a dog barks"], "scores": [-0.5]},
+                {"clip_id": "c2", "captions": ["wind blows"], "scores": [float("nan")]}]
+        with pytest.raises(ValueError):
+            write_captions(path, rows)
+        assert not path.exists()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -194,6 +196,13 @@ class TestReport:
         table = report.to_table()
         assert table.splitlines()[0].split() == [
             "BLEU_4", "CIDEr", "SPIDEr", "vocab", "size", "mBLEU_4", "div-1", "div-2",
+        ]
+
+    def test_json_keys(self):
+        report = evaluate_captions({"c1": [["a", "dog"]]}, {"c1": [["a", "dog"]]})
+        assert sorted(json.loads(report.to_json())) == [
+            "bleu_1", "bleu_2", "bleu_3", "bleu_4", "bleu_4_all", "cider", "cider_all",
+            "div_1", "div_2", "mbleu_4", "n_clips", "smoothing", "spider", "vocab_size",
         ]
 
     def test_clip_reorder_invariant(self):

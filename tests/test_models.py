@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -37,6 +38,7 @@ from capgan.tensor import (
     linear,
     no_grad,
 )
+from capgan.seeding import substream
 from capgan.text import EOS, PAD
 
 from conftest import assert_grads_close, finite_difference
@@ -68,7 +70,8 @@ def default_generator(seed=0):
 def gru_step(x, h_prev, p):
     """One GRU step from the raw input x [B, d_in], every row alive."""
     alive = np.ones((x.shape[0], 1), dtype=bool)
-    return gru_cell(gru_inputs(x, p), h_prev, p.u_r, p.u_u, p.u_h, alive)
+    return gru_cell(gru_inputs(x.reshape(x.shape[0], 1, -1), p), 0, h_prev, p.u_r, p.u_u, p.u_h,
+                    alive)
 
 
 class TestGRUCell:
@@ -106,6 +109,21 @@ class TestGRUCell:
         (out * out).sum().backward()
         fd = finite_difference(loss, store.tensors())
         assert_grads_close(store.tensors(), fd)
+
+    def test_step_gradient_lands_in_its_slice(self):
+        rng = np.random.default_rng(8)
+        store = ParamStore(rng, np.float64)
+        p = GRUParams.create(store, "g", 3, 4)
+        x_proj = Tensor(rng.standard_normal((2, 3, 12)), requires_grad=True)
+        h_prev = Tensor(rng.standard_normal((2, 4)))
+        w = Tensor(rng.standard_normal((2, 4)))
+        alive = np.array([[True], [True]])
+        (gru_cell(x_proj, 1, h_prev, p.u_r, p.u_u, p.u_h, alive) * w).sum().backward()
+        # the same step on a projection of that one step
+        alone = Tensor(x_proj.data[:, 1:2].copy(), requires_grad=True)
+        (gru_cell(alone, 0, h_prev, p.u_r, p.u_u, p.u_h, alive) * w).sum().backward()
+        assert x_proj.grad[:, 1].tobytes() == alone.grad[:, 0].tobytes()
+        assert not x_proj.grad[:, [0, 2]].any()
 
 
 def reference_gru_final_hidden(xs: Tensor, lengths, p: GRUParams, d_hidden: int) -> Tensor:
@@ -167,9 +185,9 @@ class TestHoistedGRU:
 
     def test_finished_rows_keep_their_state(self):
         _, p, xs, _ = _gru_setup(np.float64, 3, 4, [2, 2])
-        x_proj = gru_inputs(xs, p)[:, 0, :]
+        x_proj = gru_inputs(xs, p)
         h_prev = Tensor(np.arange(8.0).reshape(2, 4), requires_grad=True)
-        out = gru_cell(x_proj, h_prev, p.u_r, p.u_u, p.u_h, np.array([[True], [False]]))
+        out = gru_cell(x_proj, 0, h_prev, p.u_r, p.u_u, p.u_h, np.array([[True], [False]]))
         np.testing.assert_array_equal(out.data[1], h_prev.data[1])
         out.sum().backward()
         np.testing.assert_array_equal(h_prev.grad[1], np.ones(4))
@@ -178,8 +196,9 @@ class TestHoistedGRU:
         for t in (p.u_r, p.u_u, p.u_h):
             t.zero_grad()
         # a backward releases its graph, so the second one projects the inputs again
-        x_proj = gru_inputs(xs, p)[:, 0, :]
-        gru_cell(x_proj[:1], h_prev[:1], p.u_r, p.u_u, p.u_h, np.array([[True]])).sum().backward()
+        x_proj = gru_inputs(xs, p)
+        gru_cell(x_proj[:1], 0, h_prev[:1], p.u_r, p.u_u, p.u_h,
+                 np.array([[True]])).sum().backward()
         for got, alone in zip(with_dead_row, (p.u_r.grad, p.u_u.grad, p.u_h.grad)):
             np.testing.assert_allclose(got, alone, rtol=1e-12, atol=1e-15)
 
@@ -742,7 +761,29 @@ class TestSemanticEvaluator:
         assert_grads_close(params, fd, rtol=1e-3)
 
 
+# sha256 of each kind's fresh default-size model (vocab_size 50), built from
+# its seed-0 init stream and written by save_checkpoint: pins parameter
+# names, registration order, shapes and init draws
+FRESH_CHECKPOINT_SHA256 = {
+    "generator": "fb6b6deeb04ae3bacce83054e2f535f822a3f23e067450288722e6b8c5d6c7f0",
+    "discriminator": "655596619189a049b202f2c352f04397354703bb7edeef688631eb8eabe9ca71",
+    "semantic": "80fec4af59a8af124435bc2aef420d1f58ae6d165eb9fbf63eb3372795ad28f2",
+}
+
+
 class TestCheckpoints:
+    @pytest.mark.parametrize(
+        ("cls", "config_cls"),
+        [(Generator, GeneratorConfig), (Discriminator, DiscriminatorConfig),
+         (SemanticEvaluator, SemanticEvaluatorConfig)],
+        ids=lambda c: c.__name__,
+    )
+    def test_fresh_model_bytes_are_pinned(self, cls, config_cls, tmp_path):
+        model = cls(config_cls(vocab_size=50), substream(0, f"{cls.kind}-init"))
+        path = tmp_path / "fresh.ckpt"
+        save_checkpoint(path, model)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == FRESH_CHECKPOINT_SHA256[cls.kind]
+
     def test_generator_round_trip_identical_forward(self, tmp_path):
         gen = tiny_generator(dtype=np.float32)
         rng = np.random.default_rng(0)

@@ -10,7 +10,6 @@ from capgan.tensor import (
     DimensionError,
     DomainError,
     Tensor,
-    _is_basic_index,
     attention,
     concat,
     cross_entropy,
@@ -550,7 +549,6 @@ class TestGetitemBackward:
     @pytest.mark.parametrize("name", sorted(BASIC_INDICES))
     def test_basic_index_bit_identical_to_add_at(self, name, rng):
         index = BASIC_INDICES[name]
-        assert _is_basic_index(index)
         x = param(rng, 5, 3)
         g = rng.standard_normal(x.data[index].shape)
         (x[index] * Tensor(g)).sum().backward()
@@ -578,7 +576,6 @@ class TestGetitemBackward:
         ids=["diagonal", "repeated rows", "list", "bool mask"],
     )
     def test_advanced_index_accumulates_through_add_at(self, index, rng):
-        assert not _is_basic_index(index)
         x = param(rng, 3, 3)
         g = rng.standard_normal(x.data[index].shape)
         (x[index] * Tensor(g)).sum().backward()

@@ -20,14 +20,13 @@ from capgan.models import (
     pad_sequences,
     restore_model,
 )
-from capgan.tensor import Adam, Tensor, cross_entropy
+from capgan.tensor import Adam, Diverged, Tensor, cross_entropy
 from capgan.text import EOS, SOS
 from capgan.training import (
     RewardBreakdown,
     RewardOracles,
     TrainConfig,
     TrainLog,
-    TrainingDiverged,
     _eval_greedy_cider,
     _eval_references,
     adversarial_train,
@@ -711,7 +710,7 @@ class TestMLEPretrain:
         train, _, vocab, gen, _, _ = tiny_setup()
         gen.params["dec.out.w"].data[...] = np.inf
         config = tiny_train_config(mle_epochs=1)
-        with pytest.raises(TrainingDiverged):
+        with pytest.raises(Diverged):
             mle_pretrain(gen, train, None, vocab, config)
 
 
