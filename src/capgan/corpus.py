@@ -116,6 +116,9 @@ def load_dataset(manifest_path, name: str = "train") -> DatasetSplit:
             raise CorpusError(f"{manifest_path} entry {i}: no {', '.join(missing)}")
         clip_id, feature_file, captions = (
             entry["clip_id"], entry["feature_file"], entry["captions"])
+        if not isinstance(clip_id, str):
+            raise CorpusError(f"{manifest_path} entry {i}: clip_id must be a string, "
+                              f"got {clip_id!r}")
         if not isinstance(feature_file, str):
             raise CorpusError(f"clip {clip_id!r}: feature_file must be a string")
         if not (isinstance(captions, list) and all(isinstance(c, str) for c in captions)):

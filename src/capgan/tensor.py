@@ -1,15 +1,50 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Small numpy-backed engine, just large enough for the three caption models.
-Each differentiable op records its inputs and a backward closure on the
-output node; ``backward()`` topologically sorts the recorded graph and
-visits every node exactly once, accumulating gradients into leaves that
-have ``requires_grad`` set. Each node drops its closure and its parents
-once it has passed its gradient on, so the graph's saved arrays are freed
-during the walk and a graph can be backpropagated only once. Leaf
-gradients accumulate across graphs until zeroed (the optimizer owns
-zeroing). Inside ``no_grad()`` ops record nothing, so inference builds no
-graph.
+A ``Tensor`` holds an array, ``data``; a tensor that needs a gradient also
+holds a node, the graph's record of it. A leaf's node holds the gradient
+that the leaf reads as ``.grad``. Each differentiable op gives its output a
+node that links the nodes of its operands and holds a backward closure.
+
+A node keeps only the arrays its backward reads. It links nodes, never
+tensors, so an array that no backward reads is freed during the forward,
+as soon as the model code drops it: residual sums, the inputs of a ReLU,
+the outputs of projections that feed only an add or a head merge. What
+each op's node saves:
+
+    op                                 saves
+    ---------------------------------  --------------------------------------
+    + - (negation too), reshape,       shapes, axes and indices only
+    transpose, broadcast_to, sum,
+    mean, concat, indexing
+    * and /                            the other operand, only when this
+                                       operand's gradient is needed; / also
+                                       saves both for the divisor's gradient
+    x @ w, linear                      x when w needs a gradient, w when x does
+    conv1d_k3                          its input and the three weights
+    relu, exp, sqrt, sigmoid, tanh,    their output (relu's ``out > 0`` is
+    softmax, log_softmax               ``x > 0`` for every x, -0.0 and NaN too)
+    log                                its input
+    attention                          q, k, v, the softmax and the dropout
+    layer_norm                         xhat, the inverse std and the gain
+    gru_cell                           h_prev, the gates, the candidate,
+                                       ``r * h_prev`` and the recurrent weights
+    embedding, cross_entropy           the ids; the log-softmax and targets
+
+Just before ``backward()`` in the first SCST step of the benchmark's
+seed-1 ``adv-rl`` workload (batch 32), the arrays reachable from the loss,
+parameters excluded, total 17.7 MB, where a graph that kept every op's
+output held 25.7 MB; in the first MLE step (batch 8), 4.3 MB against
+6.0 MB. On a 2-CPU x86-64 Linux box (numpy 2.4, one BLAS thread),
+``adv-rl``'s ``peak_rss_mb`` fell from a median of 78.4 to 73.0 MB.
+
+``backward()`` topologically sorts the nodes and visits each exactly once,
+accumulating gradients into the leaves' nodes. Each node drops its
+closure and its parents once it has passed its gradient on, so the saved
+arrays are freed during the walk and a graph can be backpropagated only
+once. Leaf gradients accumulate across graphs until zeroed (the optimizer
+owns zeroing). Inside ``no_grad()`` ops record nothing, so inference builds
+no graph.
 
 Nodes with one or two operands come from two builders, one per arity:
 ``_unary`` (``-x``, the elementwise functions, the shape ops and
@@ -17,7 +52,7 @@ Nodes with one or two operands come from two builders, one per arity:
 ``cross_entropy``) and ``_binary`` (the four arithmetic ops). An op
 states only its forward array and the gradient of each operand. The
 multi-input kernels below write their own backward. Every gradient a node
-passes on has its operand's shape; ``_accumulate`` never broadcasts.
+passes on has its operand's shape; ``_Node.accumulate`` never broadcasts.
 
 The models' hot paths are single nodes with closed-form backwards:
 ``x @ w`` with a 2-D ``w`` and ``linear`` fold the leading axes into one
@@ -134,15 +169,48 @@ def _released(grad) -> None:
     raise RuntimeError("this graph was already backpropagated; build it again")
 
 
-class Tensor:
-    """A dense array node in the autodiff graph.
+class _Node:
+    """The graph's record of a tensor that needs a gradient.
 
-    ``data`` is row-major; ``grad`` is allocated on demand and always
-    matches ``data``'s shape. Nodes created by ops carry a backward
-    closure and references to their parents; leaves carry neither.
+    ``grad`` is the gradient accumulated so far, in the tensor's ``dtype``.
+    An op's node also holds ``parents``, the nodes of its operands that need
+    a gradient, and ``backward``, which passes each of them its share; a
+    leaf's node holds neither.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
+    __slots__ = ("grad", "dtype", "backward", "parents")
+
+    def __init__(self, dtype, backward=None, parents=()):
+        self.grad = None
+        self.dtype = dtype
+        self.backward = backward
+        self.parents = parents
+
+    def accumulate(self, grad: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = np.array(grad, dtype=self.dtype)
+        else:
+            self.grad += grad
+
+
+def _nodes(*tensors) -> tuple:
+    """The node of each operand (None may stand for an absent one), or None
+    where it needs no gradient; all None inside ``no_grad``."""
+    if not _grad_enabled:
+        return (None,) * len(tensors)
+    return tuple(None if t is None else t._node for t in tensors)
+
+
+class Tensor:
+    """A dense array, with a node in the autodiff graph when it needs a
+    gradient.
+
+    ``data`` is row-major; ``grad`` is allocated on demand and always
+    matches ``data``'s shape. The graph holds nodes, not tensors: an op's
+    output tensor can be dropped while its node still passes gradients.
+    """
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -151,22 +219,32 @@ class Tensor:
         if arr.dtype.kind in "iu":
             arr = arr.astype(np.float64)
         self.data = arr
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._backward = None
-        self._prev = ()
+        self._node = _Node(arr.dtype) if requires_grad else None
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def _from_op(cls, data: np.ndarray, parents, backward) -> "Tensor":
+    def _from_op(cls, data: np.ndarray, nodes, backward) -> "Tensor":
+        """An op's output: it gets a node when any of the operands' ``nodes``
+        (from ``_nodes``) is not None, and ``backward`` then becomes its
+        closure."""
         out = cls.__new__(cls)
         out.data = data
-        out.grad = None
-        out._prev = tuple(p for p in parents if p.requires_grad) if _grad_enabled else ()
-        out.requires_grad = bool(out._prev)
-        out._backward = backward if out.requires_grad else None
+        parents = tuple(n for n in nodes if n is not None)
+        out._node = _Node(data.dtype, backward, parents) if parents else None
         return out
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self._node.grad = value
 
     @property
     def shape(self) -> tuple:
@@ -179,14 +257,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype)
-        else:
-            self.grad += grad
-
     def zero_grad(self) -> None:
-        self.grad = None
+        if self._node is not None:
+            self._node.grad = None
 
     # -- elementwise ----------------------------------------------------------
 
@@ -196,30 +269,40 @@ class Tensor:
             return other
         return Tensor(np.asarray(other, dtype=like.dtype))
 
-    def _binary(self, other, forward, grad_self, grad_other) -> "Tensor":
+    def _binary(self, other, forward, grad_self, grad_other, reads=("", "")) -> "Tensor":
         """An elementwise node on ``self`` and ``other``, a tensor or a number:
         ``forward(a, b)`` on the operands' arrays, and ``grad_self(grad, a, b)``
-        and ``grad_other(...)``, each operand's gradient before ``_sum_to_shape``."""
+        and ``grad_other(...)``, each operand's gradient before ``_sum_to_shape``.
+        ``reads`` names the arrays ("a", "b") each of the two gradients reads;
+        the node saves those of the gradients it will pass, and the
+        gradients get None for the others."""
         other = self._wrap(other, self)
         _check_elementwise(self, other)
+        a_node, b_node = _nodes(self, other)
+        read = (reads[0] if a_node is not None else "") + (reads[1] if b_node is not None else "")
+        a = self.data if "a" in read else None
+        b = other.data if "b" in read else None
+        a_shape, b_shape = self.shape, other.shape
 
         def backward(grad):
-            a, b = self.data, other.data
-            if self.requires_grad:
-                self._accumulate(_sum_to_shape(grad_self(grad, a, b), self.shape))
-            if other.requires_grad:
-                other._accumulate(_sum_to_shape(grad_other(grad, a, b), other.shape))
+            if a_node is not None:
+                a_node.accumulate(_sum_to_shape(grad_self(grad, a, b), a_shape))
+            if b_node is not None:
+                b_node.accumulate(_sum_to_shape(grad_other(grad, a, b), b_shape))
 
-        return Tensor._from_op(forward(self.data, other.data), (self, other), backward)
+        return Tensor._from_op(forward(self.data, other.data), (a_node, b_node), backward)
 
     def _unary(self, out_data: np.ndarray, grad_fn) -> "Tensor":
         """A node on ``self`` alone: ``out_data`` is its forward array, and
-        ``grad_fn(grad)`` the gradient it passes to ``self``, in ``self``'s shape."""
+        ``grad_fn(grad)`` the gradient it passes to ``self``, in ``self``'s
+        shape. ``grad_fn`` holds the node's saved arrays, so it must not
+        refer to ``self``."""
+        node, = _nodes(self)
 
         def backward(grad):
-            self._accumulate(grad_fn(grad))
+            node.accumulate(grad_fn(grad))
 
-        return Tensor._from_op(out_data, (self,), backward)
+        return Tensor._from_op(out_data, (node,), backward)
 
     def __add__(self, other):
         return self._binary(other, operator.add, lambda g, a, b: g, lambda g, a, b: g)
@@ -233,13 +316,15 @@ class Tensor:
         return self._wrap(other, self).__sub__(self)
 
     def __mul__(self, other):
-        return self._binary(other, operator.mul, lambda g, a, b: g * b, lambda g, a, b: g * a)
+        return self._binary(other, operator.mul, lambda g, a, b: g * b, lambda g, a, b: g * a,
+                            reads=("b", "a"))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         return self._binary(other, operator.truediv,
-                            lambda g, a, b: g / b, lambda g, a, b: -g * a / b**2)
+                            lambda g, a, b: g / b, lambda g, a, b: -g * a / b**2,
+                            reads=("b", "ab"))
 
     def __neg__(self):
         return self._unary(-self.data, operator.neg)
@@ -251,9 +336,10 @@ class Tensor:
         return self._unary(out_data, lambda g: g * out_data)
 
     def log(self):
-        if np.any(self.data <= 0):
+        x = self.data
+        if np.any(x <= 0):
             raise DomainError("log requires strictly positive input")
-        return self._unary(np.log(self.data), lambda g: g / self.data)
+        return self._unary(np.log(x), lambda g: g / x)
 
     def sqrt(self):
         if np.any(self.data < 0):
@@ -270,14 +356,18 @@ class Tensor:
         return self._unary(out_data, lambda g: g * (1.0 - out_data**2))
 
     def relu(self):
-        return self._unary(np.maximum(self.data, 0.0), lambda g: g * (self.data > 0))
+        # out > 0 exactly where x > 0 (NaN and -0.0 included), so the node
+        # saves the output, which the next op usually reads anyway
+        out_data = np.maximum(self.data, 0.0)
+        return self._unary(out_data, lambda g: g * (out_data > 0))
 
     # -- shape manipulation ---------------------------------------------------
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        return self._unary(self.data.reshape(shape), lambda g: g.reshape(self.shape))
+        own = self.shape
+        return self._unary(self.data.reshape(shape), lambda g: g.reshape(own))
 
     def transpose(self, *axes):
         if not axes:
@@ -287,12 +377,15 @@ class Tensor:
         return self._unary(self.data.transpose(axes), lambda g: g.transpose(np.argsort(axes)))
 
     def broadcast_to(self, shape):
+        own = self.shape
         return self._unary(np.broadcast_to(self.data, tuple(shape)).copy(),
-                           lambda g: _sum_to_shape(g, self.shape))
+                           lambda g: _sum_to_shape(g, own))
 
     def __getitem__(self, index):
+        own, dtype = self.shape, self.dtype
+
         def grad_fn(grad):
-            full = np.zeros_like(self.data)
+            full = np.zeros(own, dtype=dtype)
             np.add.at(full, index, grad)
             return full
 
@@ -301,10 +394,12 @@ class Tensor:
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
+        own = self.shape
+
         def grad_fn(grad):
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis)
-            return np.broadcast_to(grad, self.shape)
+            return np.broadcast_to(grad, own)
 
         return self._unary(np.asarray(self.data.sum(axis=axis, keepdims=keepdims)), grad_fn)
 
@@ -325,20 +420,22 @@ class Tensor:
         if other.data.ndim == 2:
             return _folded_matmul(self, other, None)
         out_data = np.matmul(self.data, other.data)
+        a_node, b_node = _nodes(self, other)
+        a = self.data if b_node is not None else None
+        b = other.data if a_node is not None else None
+        a_shape, b_shape = self.shape, other.shape
 
         def backward(grad):
-            a, b = self.data, other.data
-            if a.ndim == 1:
-                a = a[None, :]
             g = grad if grad.ndim >= 2 else grad[None, :]
-            if self.requires_grad:
+            if a_node is not None:
                 da = np.matmul(g, np.swapaxes(b, -1, -2))
-                self._accumulate(_sum_to_shape(da, self.shape))
-            if other.requires_grad:
-                db = np.matmul(np.swapaxes(a, -1, -2), g)
-                other._accumulate(_sum_to_shape(db, other.shape))
+                a_node.accumulate(_sum_to_shape(da, a_shape))
+            if b_node is not None:
+                a2 = a[None, :] if a.ndim == 1 else a
+                db = np.matmul(np.swapaxes(a2, -1, -2), g)
+                b_node.accumulate(_sum_to_shape(db, b_shape))
 
-        return Tensor._from_op(out_data, (self, other), backward)
+        return Tensor._from_op(out_data, (a_node, b_node), backward)
 
     __matmul__ = matmul
 
@@ -368,13 +465,17 @@ class Tensor:
         Each node is released once it has passed its gradient on: its
         closure and parent links go, and with them the arrays they saved.
         A second ``backward()`` through a released node raises before any
-        gradient is touched.
+        gradient is touched. A root that needs no gradient has nothing to
+        backpropagate.
         """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar root")
-        topo: list[Tensor | None] = []
+        root = self._node
+        if root is None:
+            return
+        topo: list[_Node | None] = []
         seen: set[int] = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -382,20 +483,20 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
-            if node._backward is _released:
+            if node.backward is _released:
                 _released(None)
             seen.add(id(node))
             stack.append((node, True))
-            for parent in node._prev:
+            for parent in node.parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self._accumulate(np.ones_like(self.data))
+        root.accumulate(np.ones_like(self.data))
         for i in range(len(topo) - 1, -1, -1):
             node, topo[i] = topo[i], None  # the walk keeps no visited node alive
-            if node._backward is not None:
-                node._backward(node.grad)
-                node._backward, node._prev = _released, ()
-                if node is not self:
+            if node.backward is not None:
+                node.backward(node.grad)
+                node.backward, node.parents = _released, ()
+                if node is not root:
                     node.grad = None  # interior grads are transient
 
     def __repr__(self) -> str:
@@ -410,15 +511,16 @@ def concat(tensors, axis: int = 0) -> Tensor:
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    nodes = _nodes(*tensors)
 
     def backward(grad):
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for node, start, stop in zip(nodes, offsets[:-1], offsets[1:]):
+            if node is not None:
                 index = [slice(None)] * grad.ndim
                 index[axis] = slice(start, stop)
-                t._accumulate(grad[tuple(index)])
+                node.accumulate(grad[tuple(index)])
 
-    return Tensor._from_op(out_data, tensors, backward)
+    return Tensor._from_op(out_data, nodes, backward)
 
 
 def linear_kernel(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -432,20 +534,24 @@ def linear_kernel(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> 
 
 def _folded_matmul(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     """``x[..., d] @ w[d, e] (+ b[e])`` as one node: one GEMM forward and
-    one per gradient."""
+    one per gradient. Saves ``x`` when ``w`` needs a gradient and ``w``
+    when ``x`` does."""
+    x_node, w_node, b_node = _nodes(x, w, b)
+    x_data = x.data if w_node is not None else None
+    w_data = w.data if x_node is not None else None
+    x_shape, (d_in, d_out) = x.shape, w.shape
 
     def backward(grad):
-        g2 = grad.reshape(-1, w.shape[1])
-        if x.requires_grad:
-            x._accumulate((g2 @ w.data.T).reshape(x.shape))
-        if w.requires_grad:
-            w._accumulate(x.data.reshape(-1, x.shape[-1]).T @ g2)
-        if b is not None and b.requires_grad:
-            b._accumulate(g2.sum(axis=0))
+        g2 = grad.reshape(-1, d_out)
+        if x_node is not None:
+            x_node.accumulate((g2 @ w_data.T).reshape(x_shape))
+        if w_node is not None:
+            w_node.accumulate(x_data.reshape(-1, d_in).T @ g2)
+        if b_node is not None:
+            b_node.accumulate(g2.sum(axis=0))
 
-    parents = (x, w) if b is None else (x, w, b)
     out_data = linear_kernel(x.data, w.data, None if b is None else b.data)
-    return Tensor._from_op(out_data, parents, backward)
+    return Tensor._from_op(out_data, (x_node, w_node, b_node), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -476,7 +582,7 @@ def conv1d_k3(x: Tensor, w_left: Tensor, w_center: Tensor, w_right: Tensor,
     Each tap is one GEMM over all B*T rows, added into the output one step
     over, in the order center (with bias), left, right. The backward
     rebuilds the shifted, zero-padded inputs for the side taps' weight
-    gradients; the node keeps no array of its own.
+    gradients from the saved input; the node keeps no array of its own.
     """
     d_out = w_center.shape[-1]
     if x.data.ndim != 3 or b.shape != (d_out,) or any(
@@ -494,22 +600,27 @@ def conv1d_k3(x: Tensor, w_left: Tensor, w_center: Tensor, w_right: Tensor,
         out[:, 1:] += (x2 @ w_left.data).reshape(out.shape)[:, :-1]
         out[:, :-1] += (x2 @ w_right.data).reshape(out.shape)[:, 1:]
 
+    nodes = _nodes(x, w_left, w_center, w_right, b)
+    x_node, left_node, center_node, right_node, b_node = nodes
+    x_data, x_shape = x.data, x.shape
+    left, center, right = w_left.data, w_center.data, w_right.data
+
     def backward(grad):
         g2 = grad.reshape(-1, d_out)
-        if x.requires_grad:
-            dx = (g2 @ w_center.data.T).reshape(x.shape)
-            dx[:, :-1] += (g2 @ w_left.data.T).reshape(x.shape)[:, 1:]
-            dx[:, 1:] += (g2 @ w_right.data.T).reshape(x.shape)[:, :-1]
-            x._accumulate(dx)
-        if w_center.requires_grad:
-            w_center._accumulate(x.data.reshape(-1, d_in).T @ g2)
-        for w, step in ((w_left, 1), (w_right, -1)):
-            if w.requires_grad:
-                w._accumulate(_shifted(x.data, step).reshape(-1, d_in).T @ g2)
-        if b.requires_grad:
-            b._accumulate(g2.sum(axis=0))
+        if x_node is not None:
+            dx = (g2 @ center.T).reshape(x_shape)
+            dx[:, :-1] += (g2 @ left.T).reshape(x_shape)[:, 1:]
+            dx[:, 1:] += (g2 @ right.T).reshape(x_shape)[:, :-1]
+            x_node.accumulate(dx)
+        if center_node is not None:
+            center_node.accumulate(x_data.reshape(-1, d_in).T @ g2)
+        for w_node, step in ((left_node, 1), (right_node, -1)):
+            if w_node is not None:
+                w_node.accumulate(_shifted(x_data, step).reshape(-1, d_in).T @ g2)
+        if b_node is not None:
+            b_node.accumulate(g2.sum(axis=0))
 
-    return Tensor._from_op(out, (x, w_left, w_center, w_right, b), backward)
+    return Tensor._from_op(out, nodes, backward)
 
 
 def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray,
@@ -541,24 +652,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
         )
     out_data, probs = attention_kernel(q.data, k.data, v.data, mask, drop)
     scale = 1.0 / float(np.sqrt(q.shape[-1]))
+    q_data, k_data, v_data = q.data, k.data, v.data
+    nodes = q_node, k_node, v_node = _nodes(q, k, v)
 
     def backward(grad):
-        if v.requires_grad:
+        if v_node is not None:
             weights = probs if drop is None else probs * drop
-            v._accumulate(np.matmul(np.swapaxes(weights, -1, -2), grad))
-        if not (q.requires_grad or k.requires_grad):
+            v_node.accumulate(np.matmul(np.swapaxes(weights, -1, -2), grad))
+        if q_node is None and k_node is None:
             return
-        d_probs = np.matmul(grad, np.swapaxes(v.data, -1, -2))
+        d_probs = np.matmul(grad, np.swapaxes(v_data, -1, -2))
         if drop is not None:
             d_probs *= drop
         d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
         d_scores *= scale
-        if q.requires_grad:
-            q._accumulate(np.matmul(d_scores, k.data))
-        if k.requires_grad:
-            k._accumulate(np.matmul(np.swapaxes(d_scores, -1, -2), q.data))
+        if q_node is not None:
+            q_node.accumulate(np.matmul(d_scores, k_data))
+        if k_node is not None:
+            k_node.accumulate(np.matmul(np.swapaxes(d_scores, -1, -2), q_data))
 
-    return Tensor._from_op(out_data, (q, k, v), backward)
+    return Tensor._from_op(out_data, nodes, backward)
 
 
 def gru_cell(x_proj: Tensor, t: int, h_prev: Tensor, u_r: Tensor, u_u: Tensor, u_h: Tensor,
@@ -567,7 +680,7 @@ def gru_cell(x_proj: Tensor, t: int, h_prev: Tensor, u_r: Tensor, u_u: Tensor, u
 
     ``x_proj`` [B, T, 3H] holds every step's reset, update and candidate
     input projections (biases included); the node reads step ``t`` and
-    passes its gradient into slice ``t`` of ``x_proj.grad``. ``u_*`` [H, H]
+    passes its gradient into slice ``t`` of ``x_proj``'s gradient. ``u_*`` [H, H]
     are the recurrent weights. Rows where ``alive`` [B, 1] is False keep
     ``h_prev``.
     """
@@ -583,26 +696,29 @@ def gru_cell(x_proj: Tensor, t: int, h_prev: Tensor, u_r: Tensor, u_u: Tensor, u
     rh = r * h
     c = np.tanh(xp[:, 2 * hid :] + rh @ u_h.data)
     out_data = np.where(alive, (1.0 - u) * h + u * c, h)
+    nodes = x_node, h_node, r_node, u_node, c_node = _nodes(x_proj, h_prev, u_r, u_u, u_h)
+    x_shape = x_proj.shape
+    w_r, w_u, w_h = u_r.data, u_u.data, u_h.data
 
     def backward(grad):
         g = np.where(alive, grad, 0.0)
         d_c = g * u * (1.0 - c * c)
         d_u = g * (c - h) * u * (1.0 - u)
-        d_rh = d_c @ u_h.data.T
+        d_rh = d_c @ w_h.T
         d_r = d_rh * h * r * (1.0 - r)
-        if x_proj.requires_grad:
-            if x_proj.grad is None:
-                x_proj.grad = np.zeros_like(x_proj.data)
-            x_proj.grad[:, t] += np.concatenate([d_r, d_u, d_c], axis=1)
-        if h_prev.requires_grad:
-            dh = g * (1.0 - u) + d_rh * r + d_r @ u_r.data.T + d_u @ u_u.data.T
+        if x_node is not None:
+            if x_node.grad is None:
+                x_node.grad = np.zeros(x_shape, dtype=x_node.dtype)
+            x_node.grad[:, t] += np.concatenate([d_r, d_u, d_c], axis=1)
+        if h_node is not None:
+            dh = g * (1.0 - u) + d_rh * r + d_r @ w_r.T + d_u @ w_u.T
             dh += np.where(alive, 0.0, grad)
-            h_prev._accumulate(dh)
-        for w, d_gate, inp in ((u_r, d_r, h), (u_u, d_u, h), (u_h, d_c, rh)):
-            if w.requires_grad:
-                w._accumulate(inp.T @ d_gate)
+            h_node.accumulate(dh)
+        for w_node, d_gate, inp in ((r_node, d_r, h), (u_node, d_u, h), (c_node, d_c, rh)):
+            if w_node is not None:
+                w_node.accumulate(inp.T @ d_gate)
 
-    return Tensor._from_op(out_data, (x_proj, h_prev, u_r, u_u, u_h), backward)
+    return Tensor._from_op(out_data, nodes, backward)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -610,9 +726,10 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError("token id outside embedding table")
+    own, dtype = table.shape, table.dtype
 
     def grad_fn(grad):
-        full = np.zeros_like(table.data)
+        full = np.zeros(own, dtype=dtype)
         np.add.at(full, ids, grad)
         return full
 
@@ -673,22 +790,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError("layer_norm gain/bias must match the last axis")
     d = x.shape[-1]
     out_data, xhat, inv_std = layer_norm_kernel(x.data, gain.data, bias.data)
+    nodes = x_node, gain_node, bias_node = _nodes(x, gain, bias)
+    gain_data = gain.data
 
     def backward(grad):
-        if gain.requires_grad:
-            gain._accumulate((grad * xhat).reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            bias._accumulate(grad.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            dxhat = grad * gain.data
+        if gain_node is not None:
+            gain_node.accumulate((grad * xhat).reshape(-1, d).sum(axis=0))
+        if bias_node is not None:
+            bias_node.accumulate(grad.reshape(-1, d).sum(axis=0))
+        if x_node is not None:
+            dxhat = grad * gain_data
             dx = (
                 dxhat
                 - dxhat.mean(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
             ) * inv_std
-            x._accumulate(dx)
+            x_node.accumulate(dx)
 
-    return Tensor._from_op(out_data, (x, gain, bias), backward)
+    return Tensor._from_op(out_data, nodes, backward)
 
 
 class Adam:

@@ -1011,6 +1011,23 @@ def test_generate_refuses_logits_that_overflow(pretrained, data_dir, tmp_path):
     assert not out.exists()
 
 
+def test_generate_refuses_a_clip_id_that_is_not_a_string(pretrained, data_dir, tmp_path):
+    """A manifest clip_id of 7 is refused before any caption is written,
+    rather than copied into the caption file for ``evaluate`` to reject."""
+    bad = tmp_path / "bad_data"
+    shutil.copytree(data_dir, bad)
+    manifest = bad / "evaluation.json"
+    manifest.write_text(_with_first("clip_id", 7)(manifest.read_text()))
+    out = tmp_path / "captions.jsonl"
+    code, err = run_process(["generate", "--data", str(bad), "--run", str(pretrained),
+                             "--n", "2", "--beam-size", "2", "--out", str(out)])
+    assert code == EXIT_CODES["corpus"], err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: category=corpus: "), err
+    assert "entry 0: clip_id must be a string" in lines[0]
+    assert not out.exists()
+
+
 def test_checkpoint_with_a_config_hash_still_restores(pretrained, data_dir, tmp_path, capsys):
     """Checkpoints once recorded a ``config_hash`` beside their config; one
     that still carries it restores, and new ones leave it out."""

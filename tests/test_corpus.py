@@ -98,6 +98,15 @@ class TestLoader:
         with pytest.raises(CorpusError, match=f"clip_0000.*{named}"):
             load_dataset(manifest)
 
+    def test_clip_id_not_a_string_names_the_entry(self, tmp_path):
+        train, _ = small_corpus(n_clips=10)
+        manifest = save_dataset(DatasetSplit("train", train.records[:2]), tmp_path)
+        entries = json.loads(manifest.read_text())
+        entries[1]["clip_id"] = 7
+        manifest.write_text(json.dumps(entries))
+        with pytest.raises(CorpusError, match="entry 1: clip_id must be a string, got 7"):
+            load_dataset(manifest)
+
     def test_nan_features(self, tmp_path):
         train, _ = small_corpus(n_clips=10)
         record = train.records[0]

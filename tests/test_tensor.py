@@ -260,6 +260,14 @@ class TestElementwise:
         fd = finite_difference(lambda: float(numeric()), [x, y])
         assert_grads_close([x, y], fd)
 
+    def test_relu_gradient_is_the_input_mask(self):
+        # the node saves relu's output; out > 0 must select what x > 0 does
+        x = np.array([-1.0, -0.0, 0.0, np.nan, 2.0])
+        g = np.array([3.0, 5.0, 7.0, 11.0, 13.0])
+        leaf = Tensor(x, requires_grad=True)
+        (leaf.relu() * Tensor(g)).sum().backward()
+        assert leaf.grad.tobytes() == (g * (x > 0)).tobytes()
+
 
 class TestSoftmax:
     def test_uniform(self):
@@ -380,8 +388,7 @@ class TestNoGrad:
             ]
         for out in outs:
             assert out.requires_grad is False
-            assert out._prev == ()
-            assert out._backward is None
+            assert out._node is None  # no parents, no backward closure
 
     def test_restored_after_exception(self, rng):
         x = param(rng, 2)
@@ -389,7 +396,7 @@ class TestNoGrad:
             with no_grad():
                 raise RuntimeError("inside")
         out = x * 3.0
-        assert out.requires_grad and out._prev == (x,)
+        assert out.requires_grad and out._node.parents == (x._node,)
 
     def test_nested_restores_outer_mode(self, rng):
         x = param(rng, 2)
@@ -435,6 +442,40 @@ class TestRelease:
         fd = finite_difference(lambda: float((np.tanh(x.data @ w.data) ** 2).sum()), [x, w])
         assert_grads_close([x, w], fd)
 
+    def test_forward_frees_the_arrays_no_backward_reads(self, rng):
+        # residual add, linear -> relu, attention: of the arrays below only
+        # the projection input is read by a gradient formula
+        x, w1, b1 = param(rng, 2, 3, 4), param(rng, 4, 4), param(rng, 4)
+        wq, wk, wv, wo = (param(rng, 4, 4) for _ in range(4))
+        mask = np.zeros((1, 1, 1, 3))
+
+        def forward(refs=None):
+            def heads(t):
+                return t.reshape(2, 3, 2, 2).transpose(0, 2, 1, 3)
+
+            pre = linear(x, w1, b1)
+            h = pre.relu()
+            att = attention(heads(h @ wq), heads(h @ wk), heads(h @ wv), mask)
+            out = att.transpose(0, 2, 1, 3).reshape(2, 3, 4) @ wo
+            res = x + out
+            if refs is not None:
+                refs.update(pre=weakref.ref(pre.data), att=weakref.ref(att.data),
+                            out=weakref.ref(out.data), res=weakref.ref(res.data),
+                            h=weakref.ref(h.data))
+            return res.tanh().sum()
+
+        refs = {}
+        loss = forward(refs)
+        assert refs["pre"]() is None, "pre-ReLU array kept"
+        assert refs["att"]() is None, "attention output kept"
+        assert refs["out"]() is None, "output projection kept"
+        assert refs["res"]() is None, "residual sum kept"
+        assert refs["h"]() is not None, "matmul input freed before its backward"
+        loss.backward()
+        params = [x, w1, b1, wq, wk, wv, wo]
+        fd = finite_difference(lambda: forward().item(), params)
+        assert_grads_close(params, fd)
+
     def test_second_backward_raises_and_leaves_gradients(self, rng):
         x = param(rng, 3)
         y = x * 2.0
@@ -460,15 +501,15 @@ class TestRelease:
             return ((a + b) * Tensor(c)).sum() + other.sum()
 
         loss = forward(a, b)
-        s = loss._prev[0]._prev[0]._prev[0]  # the a + b node
+        s = loss._node.parents[0].parents[0].parents[0]  # the a + b node
         shared = []
-        real = s._backward
+        real = s.backward
 
         def spy(grad):
             shared.append((grad, grad.copy()))
             real(grad)
 
-        s._backward = spy
+        s.backward = spy
         loss.backward()
         (array, before), = shared
         np.testing.assert_array_equal(array, before)
