@@ -12,6 +12,7 @@ shared space scored by cosine similarity.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import typing
 from dataclasses import asdict, dataclass, fields
@@ -25,6 +26,7 @@ from .tensor import (
     attention,
     attention_kernel,
     concat,
+    concat_linear,
     conv1d_k3,
     embedding,
     gru_cell,
@@ -312,18 +314,12 @@ class Generator:
         """[B, F, feat_dim] + noise [B, noise_dim] -> memory [B, F, d_model].
 
         One clip [1, F, feat_dim] with noise [G, noise_dim] gives G memories:
-        the z-free trunk (input projection and conv) runs once, and its
-        output is repeated for each noise row before the noise merge.
+        the z-free trunk (input projection and conv) runs once, and the
+        noise merge repeats its output for each noise row.
         """
         p = self.params
         h = audio_trunk(features, p, "enc", self.dtype)
-        batch, frames = len(z), h.shape[1]
-        if h.shape[0] != batch:
-            h = h.broadcast_to((batch, frames, self.config.d_model))
-        z_t = _const(np.asarray(z, dtype=self.dtype)[:, None, :], self.dtype)
-        z_b = z_t.broadcast_to((batch, frames, self.config.noise_dim))
-        merged = concat([h, z_b], axis=2)
-        return linear(merged, p["noise.w"], p["noise.b"])
+        return concat_linear(h, np.asarray(z, dtype=self.dtype), p["noise.w"], p["noise.b"])
 
     def _heads(self, x):
         """[B, T, d_model] -> [B, n_heads, T, d_head], of a Tensor or an array."""
@@ -627,28 +623,39 @@ class SemanticEvaluator:
 
 
 def save_checkpoint(path, model, metadata: dict | None = None) -> None:
-    """Binary checkpoint: magic, version, kind tag, metadata JSON, entries."""
+    """Binary checkpoint: magic, version, kind tag, metadata JSON, entries.
+
+    Written to a temporary file in the same directory and then renamed over
+    ``path``, so a write that fails part way leaves the old checkpoint whole.
+    """
     metadata = dict(metadata or {})
     metadata.setdefault("config", asdict(model.config))
     meta_blob = json.dumps(metadata, sort_keys=True, allow_nan=False).encode()
     kind_blob = model.kind.encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<H", len(kind_blob)))
-        fh.write(kind_blob)
-        fh.write(struct.pack("<I", len(meta_blob)))
-        fh.write(meta_blob)
-        params = model.params
-        fh.write(struct.pack("<I", len(params)))
-        for name, tensor in params.items():
-            name_blob = name.encode()
-            payload = np.ascontiguousarray(tensor.data, dtype="<f4")
-            fh.write(struct.pack("<H", len(name_blob)))
-            fh.write(name_blob)
-            fh.write(struct.pack("<B", payload.ndim))
-            fh.write(struct.pack(f"<{payload.ndim}I", *payload.shape))
-            fh.write(payload.tobytes())
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<H", len(kind_blob)))
+            fh.write(kind_blob)
+            fh.write(struct.pack("<I", len(meta_blob)))
+            fh.write(meta_blob)
+            params = model.params
+            fh.write(struct.pack("<I", len(params)))
+            for name, tensor in params.items():
+                name_blob = name.encode()
+                payload = np.ascontiguousarray(tensor.data, dtype="<f4")
+                fh.write(struct.pack("<H", len(name_blob)))
+                fh.write(name_blob)
+                fh.write(struct.pack("<B", payload.ndim))
+                fh.write(struct.pack(f"<{payload.ndim}I", *payload.shape))
+                fh.write(payload.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path, expected_kind: str | None = None) -> tuple[dict, dict]:

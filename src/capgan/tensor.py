@@ -21,6 +21,8 @@ each op's node saves:
                                        operand's gradient is needed; / also
                                        saves both for the divisor's gradient
     x @ w, linear                      x when w needs a gradient, w when x does
+    concat_linear                      x and z when w needs a gradient, w when
+                                       x does; never their concatenation
     conv1d_k3                          its input and the three weights
     relu, exp, sqrt, sigmoid, tanh,    their output (relu's ``out > 0`` is
     softmax, log_softmax               ``x > 0`` for every x, -0.0 and NaN too)
@@ -31,12 +33,24 @@ each op's node saves:
                                        ``r * h_prev`` and the recurrent weights
     embedding, cross_entropy           the ids; the log-softmax and targets
 
+The backward allocates little beside the graph. ``_Node.accumulate``
+copies a first gradient, since the array may be shared: the incoming
+gradient, its views and slices, whatever ``+``/``reshape``/``concat``
+pass on. The GEMM nodes, ``conv1d_k3`` and ``attention`` compute each
+gradient into a new array that nothing else holds and hand it over with
+``_Node.accumulate_fresh``, which adopts it as a first gradient; a later
+contribution adds into it. ``attention`` forms d_scores in d_probs's
+buffer.
+
 Just before ``backward()`` in the first SCST step of the benchmark's
 seed-1 ``adv-rl`` workload (batch 32), the arrays reachable from the loss,
-parameters excluded, total 17.7 MB, where a graph that kept every op's
-output held 25.7 MB; in the first MLE step (batch 8), 4.3 MB against
-6.0 MB. On a 2-CPU x86-64 Linux box (numpy 2.4, one BLAS thread),
-``adv-rl``'s ``peak_rss_mb`` fell from a median of 78.4 to 73.0 MB.
+parameters excluded, total 16.1 MB (17.7 MB while the noise merge kept its
+concatenation; 25.7 MB for a graph that kept every op's output); in the
+first MLE step (batch 8), 4.0 MB. What that SCST step allocates peaks at
+18.0 MB, against 21.0 MB with every first gradient copied, d_scores built
+through temporaries and the concatenation kept. On a 2-CPU x86-64 Linux
+box (numpy 2.4, one BLAS thread), ``adv-rl``'s ``peak_rss_mb`` fell from a
+median of 73.0 to 68.2 MB with that.
 
 ``backward()`` topologically sorts the nodes and visits each exactly once,
 accumulating gradients into the leaves' nodes. Each node drops its
@@ -56,7 +70,8 @@ passes on has its operand's shape; ``_Node.accumulate`` never broadcasts.
 
 The models' hot paths are single nodes with closed-form backwards:
 ``x @ w`` with a 2-D ``w`` and ``linear`` fold the leading axes into one
-GEMM per product, ``conv1d_k3`` is a width-3 convolution over time,
+GEMM per product, ``concat_linear`` is the encoder's noise merge,
+``conv1d_k3`` is a width-3 convolution over time,
 ``attention`` keeps its softmax for the backward, and ``gru_cell`` is one
 recurrent step. Scales stay Python floats, so float32 data is never
 upcast. The forwards of ``linear``/``x @ w``, ``attention`` and
@@ -84,6 +99,7 @@ __all__ = [
     "Diverged",
     "quiet_numerics",
     "concat",
+    "concat_linear",
     "embedding",
     "linear",
     "linear_kernel",
@@ -187,10 +203,22 @@ class _Node:
         self.parents = parents
 
     def accumulate(self, grad: np.ndarray) -> None:
+        """Adds ``grad``; a first gradient is copied, since ``grad`` may be
+        shared (an incoming gradient, its views and slices, or an array of
+        another dtype)."""
         if self.grad is None:
             self.grad = np.array(grad, dtype=self.dtype)
         else:
             self.grad += grad
+
+    def accumulate_fresh(self, grad: np.ndarray) -> None:
+        """``accumulate`` for an array the caller has just allocated and
+        keeps no other reference to: a first gradient of the node's dtype
+        is adopted, not copied."""
+        if self.grad is None and grad.dtype == self.dtype:
+            self.grad = grad
+        else:
+            self.accumulate(grad)
 
 
 def _nodes(*tensors) -> tuple:
@@ -544,9 +572,9 @@ def _folded_matmul(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     def backward(grad):
         g2 = grad.reshape(-1, d_out)
         if x_node is not None:
-            x_node.accumulate((g2 @ w_data.T).reshape(x_shape))
+            x_node.accumulate_fresh((g2 @ w_data.T).reshape(x_shape))
         if w_node is not None:
-            w_node.accumulate(x_data.reshape(-1, d_in).T @ g2)
+            w_node.accumulate_fresh(x_data.reshape(-1, d_in).T @ g2)
         if b_node is not None:
             b_node.accumulate(g2.sum(axis=0))
 
@@ -561,6 +589,49 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"linear needs x[..., d], w[d, e], b[e], got {x.shape}, {w.shape}, {b.shape}"
         )
     return _folded_matmul(x, w, b)
+
+
+def concat_linear(x: Tensor, z: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+    """``linear(concat([x, z], axis=2), w, b)`` as one node, where x [1 or B,
+    F, d] is repeated to z's B rows and each constant row z[i] [n] is
+    repeated over the F frames.
+
+    The node keeps x and z, not their [B, F, d + n] concatenation: the
+    backward rebuilds that for w's gradient. x's gradient is the first d
+    columns of the concatenation's gradient, summed over the repeats when x
+    has one row.
+    """
+    (x_rows, frames, d_x), batch = x.shape, len(z)
+    d_z, d_out = z.shape[-1], w.shape[-1]
+    if (z.ndim != 2 or x_rows not in (1, batch)
+            or w.shape != (d_x + d_z, d_out) or b.shape != (d_out,)):
+        raise DimensionError(
+            f"concat_linear needs x[1 or B, F, d], z[B, n], w[d + n, e] and b[e], got "
+            f"{x.shape}, {z.shape}, {w.shape}, {b.shape}"
+        )
+
+    def merged(x_data):
+        return np.concatenate([np.broadcast_to(x_data, (batch, frames, d_x)),
+                               np.broadcast_to(z[:, None, :], (batch, frames, d_z))], axis=2)
+
+    nodes = x_node, w_node, b_node = _nodes(x, w, b)
+    x_data = x.data if w_node is not None else None
+    w_data = w.data if x_node is not None else None
+
+    def backward(grad):
+        g2 = grad.reshape(-1, d_out)
+        if x_node is not None:
+            dx = (g2 @ w_data.T).reshape(batch, frames, d_x + d_z)[..., :d_x]
+            if x_rows != batch:
+                x_node.accumulate_fresh(dx.sum(axis=0, keepdims=True))
+            else:
+                x_node.accumulate(dx)
+        if w_node is not None:
+            w_node.accumulate_fresh(merged(x_data).reshape(-1, d_x + d_z).T @ g2)
+        if b_node is not None:
+            b_node.accumulate(g2.sum(axis=0))
+
+    return Tensor._from_op(linear_kernel(merged(x.data), w.data, b.data), nodes, backward)
 
 
 def _shifted(x: np.ndarray, step: int) -> np.ndarray:
@@ -611,12 +682,12 @@ def conv1d_k3(x: Tensor, w_left: Tensor, w_center: Tensor, w_right: Tensor,
             dx = (g2 @ center.T).reshape(x_shape)
             dx[:, :-1] += (g2 @ left.T).reshape(x_shape)[:, 1:]
             dx[:, 1:] += (g2 @ right.T).reshape(x_shape)[:, :-1]
-            x_node.accumulate(dx)
+            x_node.accumulate_fresh(dx)
         if center_node is not None:
-            center_node.accumulate(x_data.reshape(-1, d_in).T @ g2)
+            center_node.accumulate_fresh(x_data.reshape(-1, d_in).T @ g2)
         for w_node, step in ((left_node, 1), (right_node, -1)):
             if w_node is not None:
-                w_node.accumulate(_shifted(x_data, step).reshape(-1, d_in).T @ g2)
+                w_node.accumulate_fresh(_shifted(x_data, step).reshape(-1, d_in).T @ g2)
         if b_node is not None:
             b_node.accumulate(g2.sum(axis=0))
 
@@ -658,18 +729,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
     def backward(grad):
         if v_node is not None:
             weights = probs if drop is None else probs * drop
-            v_node.accumulate(np.matmul(np.swapaxes(weights, -1, -2), grad))
+            v_node.accumulate_fresh(np.matmul(np.swapaxes(weights, -1, -2), grad))
         if q_node is None and k_node is None:
             return
-        d_probs = np.matmul(grad, np.swapaxes(v_data, -1, -2))
+        # d_probs, turned in its own buffer into
+        # d_scores = probs * (d_probs - sum(d_probs * probs)) * scale
+        d_scores = np.matmul(grad, np.swapaxes(v_data, -1, -2))
         if drop is not None:
-            d_probs *= drop
-        d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
+            d_scores *= drop
+        d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
+        d_scores *= probs
         d_scores *= scale
         if q_node is not None:
-            q_node.accumulate(np.matmul(d_scores, k_data))
+            q_node.accumulate_fresh(np.matmul(d_scores, k_data))
         if k_node is not None:
-            k_node.accumulate(np.matmul(np.swapaxes(d_scores, -1, -2), q_data))
+            k_node.accumulate_fresh(np.matmul(np.swapaxes(d_scores, -1, -2), q_data))
 
     return Tensor._from_op(out_data, nodes, backward)
 

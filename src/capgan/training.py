@@ -12,6 +12,7 @@ their token probabilities up.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -480,6 +481,14 @@ def scst_generator_step(
 # -- adversarial loop ---------------------------------------------------------
 
 
+def _digests(model) -> dict:
+    """Each parameter's shape, dtype and SHA-256 of its bytes: what a frozen
+    model is checked against, without a copy of its parameters."""
+    return {name: (p.data.shape, p.data.dtype.str,
+                   hashlib.sha256(np.ascontiguousarray(p.data)).digest())
+            for name, p in model.params.items()}
+
+
 @quiet_numerics
 def adversarial_train(
     gen: Generator,
@@ -498,16 +507,16 @@ def adversarial_train(
     df_table = build_doc_freq([r.references for r in train_split.records])
     oracles = RewardOracles(d, se, df_table, vocab)
     eval_refs = _eval_references(eval_split, df_table)
+    train_d = config.lam > 0.0 and config.ablation != "se"
     gen_opt = Adam(gen.store.tensors(), lr=config.learning_rate)
-    d_opt = Adam(d.store.tensors(), lr=config.learning_rate)
+    d_opt = Adam(d.store.tensors(), lr=config.learning_rate) if train_d else None
     data_rng = substream(config.seed, "adv-data")
     fake_rng = substream(config.seed, "adv-fakes")
     z_rng = substream(config.seed, "adv-z")
     sample_rng = substream(config.seed, "adv-sample")
     records_by_id = {r.clip_id: r for r in train_split.records}
-    se_before = {k: v.data.copy() for k, v in se.params.items()}
+    se_before = _digests(se)
     out = StageOutput("adversarial", out_dir, config.seed)
-    train_d = config.lam > 0.0 and config.ablation != "se"
 
     for epoch in range(1, config.adversarial_epochs + 1):
         d_losses, g_losses, rewards, advantages = [], [], [], []
@@ -543,7 +552,6 @@ def adversarial_train(
                                ("generator_adv_final.ckpt", gen),
                                ("discriminator_adv_final.ckpt", d)])
 
-    for name, before in se_before.items():
-        if not np.array_equal(before, se.params[name].data):
-            raise RuntimeError("semantic evaluator changed during adversarial training")
+    if _digests(se) != se_before:
+        raise RuntimeError("semantic evaluator changed during adversarial training")
     return out.log, oracles

@@ -1,10 +1,12 @@
 import hashlib
+import os
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from capgan import models
+from capgan import models, tensor
 from capgan.models import (
     CheckpointError,
     DecodeCache,
@@ -408,6 +410,92 @@ class TestGroupedEncode:
         np.testing.assert_array_equal(grouped, per_row)
 
 
+def concat_then_linear(gen, h, z):
+    """The noise merge as ``broadcast_to`` -> ``concat`` -> ``linear``, the
+    composition whose node kept the [B, F, d_model + noise_dim]
+    concatenation: the trunk output ``h`` is repeated to z's rows when it
+    has one, and each noise row over the frames."""
+    batch, frames = len(z), h.shape[1]
+    if h.shape[0] != batch:
+        h = h.broadcast_to((batch, frames, gen.config.d_model))
+    z_t = Tensor(np.asarray(z, dtype=gen.dtype)[:, None, :])
+    z_b = z_t.broadcast_to((batch, frames, gen.config.noise_dim))
+    return linear(concat([h, z_b], axis=2), gen.params["noise.w"], gen.params["noise.b"])
+
+
+MERGE_CASES = {"a clip per row": 3, "one clip, 3 noise rows": 1}
+
+
+def merge_inputs(gen, clips, seed=17):
+    rng = np.random.default_rng(seed)
+    c = gen.config
+    features = rng.standard_normal((clips, 6, c.feat_dim))
+    lengths = np.full(clips, 6) if clips == 1 else np.array([6, 4, 6])
+    z = rng.standard_normal((3, c.noise_dim))
+    weight = rng.standard_normal((3, 6, c.d_model)).astype(gen.dtype)
+    return features, lengths, z, weight
+
+
+def merge_params(gen):
+    return [p for name, p in gen.params.items() if name.startswith(("noise.", "enc."))]
+
+
+class TestNoiseMerge:
+    """The encoder's noise merge is one node that keeps the trunk output and
+    the noise rows, not their concatenation."""
+
+    @pytest.mark.parametrize("clips", MERGE_CASES.values(), ids=MERGE_CASES.keys())
+    def test_concatenation_freed_before_backward(self, clips, monkeypatch):
+        gen = default_generator(seed=2)
+        features, lengths, z, weight = merge_inputs(gen, clips)
+        merged = []
+        real = tensor.linear_kernel
+
+        def spy(x, w, b=None):
+            if x.shape[-1] == gen.config.d_model + gen.config.noise_dim:
+                merged.append(weakref.ref(x))
+            return real(x, w, b)
+
+        monkeypatch.setattr(tensor, "linear_kernel", spy)
+        loss = (gen.encode(features, lengths, z) * Tensor(weight)).sum()
+        assert len(merged) == 1 and merged[0]() is None, "noise-merge concatenation kept"
+        loss.backward()
+        assert all(p.grad is not None for p in merge_params(gen))
+
+    @pytest.mark.parametrize("clips", MERGE_CASES.values(), ids=MERGE_CASES.keys())
+    def test_bit_identical_to_concat_then_linear(self, clips):
+        gen = default_generator(seed=2)
+        features, lengths, z, weight = merge_inputs(gen, clips)
+        params = merge_params(gen)
+
+        def run(encode):
+            for p in params:
+                p.zero_grad()
+            out = encode()
+            (out * Tensor(weight)).sum().backward()
+            return [out.data] + [p.grad.copy() for p in params]
+
+        got = run(lambda: gen.encode(features, lengths, z))
+        want = run(lambda: concat_then_linear(
+            gen, models.audio_trunk(features, gen.params, "enc", gen.dtype), z))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.float32
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("clips", MERGE_CASES.values(), ids=MERGE_CASES.keys())
+    def test_gradients_match_finite_differences(self, clips):
+        gen = tiny_generator()
+        features, lengths, z, weight = merge_inputs(gen, clips)
+        params = merge_params(gen)
+
+        def loss():
+            return (gen.encode(features, lengths, z) * Tensor(weight)).sum()
+
+        loss().backward()
+        fd = finite_difference(lambda: loss().item(), params)
+        assert_grads_close(params, fd)
+
+
 class ReferenceCache:
     """The decode cache of ``reference_cached_step``: ``Tensor`` keys/values."""
 
@@ -807,6 +895,43 @@ class TestCheckpoints:
         restore_model(fresh, arrays)
         save_checkpoint(p2, fresh, meta)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_leaves_the_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "gen.ckpt"
+        old = tiny_generator(dtype=np.float32)
+        save_checkpoint(path, old, {"epoch": 1})
+        before = path.read_bytes()
+
+        class FullDisk:
+            """A file that takes half a checkpoint's bytes, then fails part
+            way into a parameter's payload."""
+
+            def __init__(self, fh):
+                self.fh, self.budget = fh, len(before) // 2
+
+            def write(self, data):
+                if len(data) > self.budget:
+                    self.fh.write(bytes(data)[: self.budget])
+                    raise OSError(28, "No space left on device")
+                self.budget -= len(data)
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(models, "open", lambda p, mode: FullDisk(open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, tiny_generator(dtype=np.float32, seed=7), {"epoch": 2})
+        assert os.listdir(tmp_path) == ["gen.ckpt"]
+        assert path.read_bytes() == before
+        arrays, meta = load_checkpoint(path, expected_kind="generator")
+        assert meta["epoch"] == 1
+        for name, p in old.params.items():
+            np.testing.assert_array_equal(arrays[name], p.data)
 
     def test_load_closes_file(self, tmp_path):
         path = tmp_path / "gen.ckpt"

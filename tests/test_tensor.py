@@ -11,7 +11,9 @@ from capgan.tensor import (
     DomainError,
     Tensor,
     attention,
+    attention_kernel,
     concat,
+    conv1d_k3,
     cross_entropy,
     embedding,
     layer_norm,
@@ -76,6 +78,30 @@ def reference_attention(q: Tensor, k: Tensor, v: Tensor, mask, drop) -> Tensor:
     if drop is not None:
         weights = weights * Tensor(drop)
     return weights @ v
+
+
+def f32(rng, *shape):
+    return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+
+
+def rows(a):
+    """``a`` [..., d] as the [N, d] rows of a folded GEMM."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def unfused_attention_grads(q, k, v, mask, drop, grad):
+    """(dq, dk, dv) of ``attention`` for the output gradient ``grad``, with
+    d_scores built through separate temporaries, as before the backward
+    formed it in d_probs's buffer."""
+    _, probs = attention_kernel(q, k, v, mask, drop)
+    weights = probs if drop is None else probs * drop
+    dv = np.matmul(np.swapaxes(weights, -1, -2), grad)
+    d_probs = np.matmul(grad, np.swapaxes(v, -1, -2))
+    if drop is not None:
+        d_probs *= drop
+    d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
+    d_scores *= 1.0 / float(np.sqrt(q.shape[-1]))
+    return np.matmul(d_scores, k), np.matmul(np.swapaxes(d_scores, -1, -2), q), dv
 
 
 def _grads_of(make_out, inputs, weight):
@@ -190,6 +216,24 @@ class TestAttention:
         v_changed[2, :, 1:] += 100.0  # row 2 sees only its first key
         out_changed = attention(q, k, Tensor(v_changed), mask).data
         np.testing.assert_array_equal(out[2], out_changed[2])
+
+    @pytest.mark.parametrize("dropped", [False, True], ids=["no dropout", "dropout"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["no mask", "frame mask"])
+    def test_gradients_bit_identical_to_the_three_temporary_formula(self, masked, dropped, rng):
+        # head width 6: a scale of 1/sqrt(6) rounds, so the order of the
+        # products shows in the bits
+        q, k, v = (f32(rng, 3, 2, t, 6) for t in (3, 5, 5))
+        alive = np.arange(5)[None, :] < np.array([5, 3, 1])[:, None]
+        mask = np.where(alive | (not masked), 0.0, -1e9).astype(np.float32)[:, None, None, :]
+        drop = None
+        if dropped:
+            drop = ((rng.random((3, 2, 3, 5)) < 0.7) / 0.7).astype(np.float32)
+        c = rng.standard_normal(q.shape).astype(np.float32)
+        _, grads = _grads_of(lambda: attention(q, k, v, mask, drop), [q, k, v], c)
+        want = unfused_attention_grads(q.data, k.data, v.data, mask, drop, c)
+        for got, ref in zip(grads, want):
+            assert got.dtype == ref.dtype == np.float32
+            assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("kv_batch", [1, 2])
     def test_key_batch_must_match(self, kv_batch, rng):
@@ -515,6 +559,83 @@ class TestRelease:
         np.testing.assert_array_equal(array, before)
         fd = finite_difference(lambda: forward(a, b).item(), [a, b])
         assert_grads_close([a, b], fd)
+
+
+class TestHandedGradients:
+    """The GEMM, convolution and attention nodes hand their freshly computed
+    gradients to the receiving node as its first gradient, without a copy.
+    A second contribution then adds into that array, so it must belong to
+    no other node. Each case gives some node two or three contributions;
+    every gradient must equal its numpy formula bit for bit (a sum of two
+    terms does not depend on their order)."""
+
+    @staticmethod
+    def _assert_bits(tensors, wants):
+        for t, want in zip(tensors, wants):
+            assert t.grad.dtype == want.dtype == np.float32
+            assert t.grad.tobytes() == want.tobytes()
+
+    def test_one_weight_in_two_products(self, rng):
+        a, b, w = f32(rng, 3, 5, 4), f32(rng, 6, 4), f32(rng, 4, 3)
+        ca, cb = f32(rng, 3, 5, 3).data, f32(rng, 6, 3).data
+        (((a @ w) * Tensor(ca)).sum() + ((b @ w) * Tensor(cb)).sum()).backward()
+        self._assert_bits([a, b, w], [
+            (rows(ca) @ w.data.T).reshape(a.shape),
+            cb @ w.data.T,
+            rows(a.data).T @ rows(ca) + b.data.T @ cb,
+        ])
+
+    def test_one_activation_read_by_two_products(self, rng):
+        x, w0, w1, w2 = f32(rng, 2, 5, 4), f32(rng, 4, 6), f32(rng, 6, 3), f32(rng, 6, 2)
+        c1, c2 = f32(rng, 2, 5, 3).data, f32(rng, 2, 5, 2).data
+        h = x @ w0
+        (((h @ w1) * Tensor(c1)).sum() + ((h @ w2) * Tensor(c2)).sum()).backward()
+        h2 = rows(x.data) @ w0.data
+        dh = rows(c1) @ w1.data.T + rows(c2) @ w2.data.T
+        self._assert_bits([x, w0, w1, w2], [
+            (dh @ w0.data.T).reshape(x.shape),
+            rows(x.data).T @ dh,
+            h2.T @ rows(c1),
+            h2.T @ rows(c2),
+        ])
+
+    def test_convolution_input_also_read_by_a_linear(self, rng):
+        x = f32(rng, 2, 5, 4)
+        w_l, w_c, w_r, w_lin = (f32(rng, 4, 3) for _ in range(4))
+        b, b_lin = f32(rng, 3), f32(rng, 3)
+        c1, c2 = f32(rng, 2, 5, 3).data, f32(rng, 2, 5, 3).data
+        conv = conv1d_k3(x, w_l, w_c, w_r, b)
+        ((conv * Tensor(c1)).sum() + (linear(x, w_lin, b_lin) * Tensor(c2)).sum()).backward()
+        g = rows(c1)
+        dx_conv = (g @ w_c.data.T).reshape(x.shape)
+        dx_conv[:, :-1] += (g @ w_l.data.T).reshape(x.shape)[:, 1:]
+        dx_conv[:, 1:] += (g @ w_r.data.T).reshape(x.shape)[:, :-1]
+        left, right = np.zeros_like(x.data), np.zeros_like(x.data)
+        left[:, 1:], right[:, :-1] = x.data[:, :-1], x.data[:, 1:]
+        self._assert_bits([x, w_l, w_c, w_r, w_lin], [
+            dx_conv + (rows(c2) @ w_lin.data.T).reshape(x.shape),
+            rows(left).T @ g,
+            rows(x.data).T @ g,
+            rows(right).T @ g,
+            rows(x.data).T @ rows(c2),
+        ])
+
+    @pytest.mark.parametrize("case", ATTENTION_CASES)
+    def test_self_attention_on_one_input(self, case, rng):
+        x = f32(rng, 3, 2, 5, 4)
+        if case == "causal":
+            mask = np.triu(np.full((5, 5), -1e9, dtype=np.float32), k=1)
+        else:
+            alive = np.arange(5)[None, :] < np.array([5, 3, 1])[:, None]
+            mask = np.where(alive, 0.0, -1e9).astype(np.float32)[:, None, None, :]
+        drop = None
+        if case == "dropout":
+            drop = ((rng.random((3, 2, 5, 5)) < 0.7) / 0.7).astype(np.float32)
+        c = rng.standard_normal(x.shape).astype(np.float32)
+        (attention(x, x, x, mask, drop) * Tensor(c)).sum().backward()
+        dq, dk, dv = unfused_attention_grads(x.data, x.data, x.data, mask, drop, c)
+        # the node passes v's gradient first, then q's, then k's
+        self._assert_bits([x], [dv + dq + dk])
 
 
 class TestShapeOps:

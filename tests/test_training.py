@@ -848,15 +848,40 @@ class TestAdversarial:
         assert np.isfinite(record["adv_mean"]) and record["adv_std"] >= 0.0
         assert 0.0 <= record["adv_pos_frac"] <= 1.0
 
-    def test_lambda_zero_is_pure_rl(self):
+    def test_lambda_zero_is_pure_rl(self, monkeypatch):
         train, _, vocab, gen, d, se = tiny_setup()
         config = tiny_train_config(lam=0.0, adversarial_epochs=1)
         d_before = {k: v.data.copy() for k, v in d.params.items()}
+        optimized = []
+        real_adam = training.Adam
+
+        def spy(params, lr):
+            optimized.append({id(p) for p in params})
+            return real_adam(params, lr)
+
+        monkeypatch.setattr(training, "Adam", spy)
         log, oracles = adversarial_train(gen, d, se, train, None, vocab, config)
         assert oracles.d_queries == 0 and oracles.se_queries == 0
         assert log.records[0]["d_loss"] is None
+        # one optimizer, the generator's: none is built for the discriminator
+        assert optimized == [{id(p) for p in gen.store.tensors()}]
         for name, before in d_before.items():
-            np.testing.assert_array_equal(before, d.params[name].data)
+            assert before.tobytes() == d.params[name].data.tobytes()
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_semantic_evaluator_changed_during_the_run_is_refused(self, lam, monkeypatch):
+        train, _, vocab, gen, d, se = tiny_setup()
+        real_step = training.scst_generator_step
+
+        def step_that_nudges_se(*args, **kwargs):
+            out = real_step(*args, **kwargs)
+            se.params["audio.out.w"].data[0, 0] += 1e-6
+            return out
+
+        monkeypatch.setattr(training, "scst_generator_step", step_that_nudges_se)
+        with pytest.raises(RuntimeError, match="semantic evaluator changed"):
+            adversarial_train(gen, d, se, train, None, vocab,
+                              tiny_train_config(lam=lam, adversarial_epochs=1))
 
     def test_generator_step_leaves_discriminator_alone(self):
         train, _, vocab, gen, d, se = tiny_setup()
