@@ -193,9 +193,10 @@ def _model_configs(vocab, cfg: dict, feat_dim: int) -> tuple:
     )
 
 
-def _build(cls, config, seed: int):
-    """A fresh ``cls`` model, initialized from its kind's substream of ``seed``."""
-    return cls(config, substream(seed, f"{cls.kind}-init"))
+def _build(cls, config, seed: int | None):
+    """A fresh ``cls`` model, initialized from its kind's substream of
+    ``seed``; with no seed, all zeros, for a checkpoint to overwrite."""
+    return cls(config, None if seed is None else substream(seed, f"{cls.kind}-init"))
 
 
 def _restore_into(model, path) -> dict:
@@ -294,7 +295,7 @@ def cmd_pretrain_d(args) -> int:
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
     gen_config, d_config, _ = _model_configs(vocab, cfg, _data_feat_dim(train))
     gen_ckpt = Path(args.generator) if args.generator else run_dir / "generator_mle_final.ckpt"
-    gen = _build(Generator, gen_config, cfg["seed"])
+    gen = _build(Generator, gen_config, None)
     _restore_into(gen, gen_ckpt)
     d = _build(Discriminator, d_config, cfg["seed"])
     d_ckpt = run_dir / "discriminator_pretrained.ckpt"
@@ -357,9 +358,9 @@ def cmd_train_gan(args) -> int:
     se_ckpt = Path(args.semantic) if args.semantic else run_dir / "semantic_evaluator.ckpt"
 
     def restored():
-        gen = _build(Generator, gen_config, cfg["seed"])
-        d = _build(Discriminator, d_config, cfg["seed"])
-        se = _build(SemanticEvaluator, se_config, cfg["seed"])
+        gen = _build(Generator, gen_config, None)
+        d = _build(Discriminator, d_config, None)
+        se = _build(SemanticEvaluator, se_config, None)
         for model, path in ((gen, gen_ckpt), (d, d_ckpt), (se, se_ckpt)):
             _restore_into(model, path)
         return gen, d, se
@@ -396,7 +397,7 @@ def cmd_generate(args) -> int:
     vocab = Vocabulary.load(vocab_path)
     ckpt = Path(args.checkpoint) if args.checkpoint else run_dir / "generator_mle_final.ckpt"
     arrays, meta = load_checkpoint(ckpt, expected_kind=Generator.kind)
-    gen = _build(Generator, config_from_checkpoint(GeneratorConfig, meta, ckpt), 0)
+    gen = _build(Generator, config_from_checkpoint(GeneratorConfig, meta, ckpt), None)
     restore_model(gen, arrays)
     split = _load_split(args.data, args.split)
     decode = _checked(DecodeConfig, beam_size=args.beam_size, n_captions=args.n)

@@ -173,15 +173,19 @@ def reference_vectors(references, df_table: DocFreqTable) -> list:
     return _reference_vectors([_count(ref) for ref in references], df_table)
 
 
-def cider(candidate, references, df_table: DocFreqTable, ref_vectors: list | None = None) -> float:
+def cider(candidate, references, df_table: DocFreqTable, ref_vectors: list | None = None,
+          counts: list | None = None) -> float:
     """TF-IDF n-gram cosine consensus, averaged over orders and references,
     scaled to [0, 10]. ``ref_vectors`` are the references'
-    ``reference_vectors``, if the caller has them already."""
+    ``reference_vectors`` and ``counts`` the candidate's count tables
+    (``_count``), if the caller has them already."""
     if ref_vectors is None:
         ref_vectors = reference_vectors(references, df_table)
+    if counts is None:
+        counts = _count(candidate)
     per_order = []
     for n, refs in enumerate(ref_vectors, start=1):
-        cand_vec = _tfidf_vector(ngram_counts(candidate, n), df_table, n)
+        cand_vec = _tfidf_vector(counts[n - 1], df_table, n)
         nu = _norm(cand_vec)
         sims = [_cosine(cand_vec, nu, vec, nv) for vec, nv in refs]
         per_order.append(sum(sims) / len(sims))
@@ -320,7 +324,8 @@ def evaluate_captions(generated: dict, references: dict) -> MetricReport:
         top1_stats.append(stats[0])
         all_stats.extend(stats)
         ref_vecs = _reference_vectors(ref_tables[c], df_table)
-        clip_ciders = [cider(caption, references[c], df_table, ref_vecs) for caption in captions]
+        clip_ciders = [cider(caption, references[c], df_table, ref_vecs, counts)
+                       for caption, counts in zip(captions, tables)]
         ciders.extend(clip_ciders)
         words = sum(lengths)
         per_clip.append((

@@ -52,13 +52,16 @@ class CheckpointError(ValueError):
 class ParamStore:
     """Ordered named parameters shared by all three models."""
 
-    def __init__(self, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator | None, dtype=np.float32):
         self.rng = rng
         self.dtype = dtype
         self._params: dict[str, Tensor] = {}
 
     def add(self, name: str, shape) -> Tensor:
-        """Normal init scaled by 1/sqrt(fan-in), the first dimension."""
+        """Normal init scaled by 1/sqrt(fan-in), the first dimension; zeros
+        without an ``rng``, for a model that a checkpoint will overwrite."""
+        if self.rng is None:
+            return self.zeros(name, shape)
         return self._register(name, self.rng.standard_normal(shape) * (1.0 / np.sqrt(shape[0])))
 
     def zeros(self, name: str, shape) -> Tensor:
@@ -249,12 +252,12 @@ class DecodeCache:
     """What one decode keeps across its steps, as arrays.
 
     ``cross`` holds each decoder layer's cross-attention keys/values
-    [G, H, F, d_head], projected from the encoder memory on the first step,
+    [G, F, d_model], projected from the encoder memory on the first step,
     and ``frame_mask`` the additive mask [G or 1, 1, 1, F] of the memory's
     padded frames; both are per clip or per noise group, never per row.
     ``self_kv`` holds each layer's self-attention keys/values
-    [B, H, length, d_head] for the ``length`` positions seen so far, one row
-    per hypothesis.
+    [B, length, d_model] for the ``length`` positions seen so far, one row
+    per hypothesis. ``attention`` splits them into heads.
     """
 
     def __init__(self):
@@ -321,16 +324,6 @@ class Generator:
         h = audio_trunk(features, p, "enc", self.dtype)
         return concat_linear(h, np.asarray(z, dtype=self.dtype), p["noise.w"], p["noise.b"])
 
-    def _heads(self, x):
-        """[B, T, d_model] -> [B, n_heads, T, d_head], of a Tensor or an array."""
-        c = self.config
-        batch, t_len, _ = x.shape
-        return x.reshape(batch, t_len, c.n_heads, c.d_model // c.n_heads).transpose(0, 2, 1, 3)
-
-    def _merge_heads(self, x):
-        """[B, n_heads, T, d_head] -> [B, T, d_model], of a Tensor or an array."""
-        return x.transpose(0, 2, 1, 3).reshape(x.shape[0], x.shape[2], self.config.d_model)
-
     def _causal_mask(self, t_new: int, start: int) -> np.ndarray:
         """Additive mask [t_new, start + t_new] of the positions after
         ``start`` over every position up to them."""
@@ -349,25 +342,21 @@ class Generator:
 
     def _keys_values(self, x: Tensor, layer: int, block: str) -> tuple[Tensor, Tensor]:
         p = self.params
-        return (
-            self._heads(x @ p[f"dec.{layer}.{block}.k"]),
-            self._heads(x @ p[f"dec.{layer}.{block}.v"]),
-        )
+        return x @ p[f"dec.{layer}.{block}.k"], x @ p[f"dec.{layer}.{block}.v"]
 
     def _attention(self, x, keys, values, mask_np, layer, block, drop_rng):
-        """Multi-head attention of queries from x over per-head keys/values."""
+        """Multi-head attention of queries from x over keys/values [B, Tk, d_model]."""
         p = self.params
         c = self.config
         batch, t_q, _ = x.shape
-        qh = self._heads(x @ p[f"dec.{layer}.{block}.q"])
-        t_k, t_full = keys.shape[2], c.t_max + 1
+        q = x @ p[f"dec.{layer}.{block}.q"]
+        t_k, t_full = keys.shape[1], c.t_max + 1
         drop = dropout_mask(
             (batch, c.n_heads, t_q, t_k),
             (batch, c.n_heads, t_full, t_full if block == "self" else t_k),
             c.dropout, drop_rng, self.dtype.type,
         )
-        out = attention(qh, keys, values, mask_np, drop)
-        return self._merge_heads(out) @ p[f"dec.{layer}.{block}.o"]
+        return attention(q, keys, values, c.n_heads, mask_np, drop) @ p[f"dec.{layer}.{block}.o"]
 
     def forward(
         self,
@@ -456,10 +445,7 @@ class Generator:
                     memory = self.encode(features, feat_lengths, z)
             memory = memory.data if isinstance(memory, Tensor) else memory
             cache.cross = [
-                tuple(
-                    self._heads(linear_kernel(memory, p[f"dec.{layer}.cross.{proj}"]))
-                    for proj in ("k", "v")
-                )
+                tuple(linear_kernel(memory, p[f"dec.{layer}.cross.{proj}"]) for proj in ("k", "v"))
                 for layer in range(c.n_layers)
             ]
             cache.frame_mask = self._frame_mask(feat_lengths, memory.shape[1])
@@ -470,20 +456,19 @@ class Generator:
 
         def attend(x, keys, values, mask, layer, block):
             w = f"dec.{layer}.{block}"
-            qh = self._heads(linear_kernel(x.reshape(len(keys), -1, c.d_model), p[f"{w}.q"]))
-            out, _ = attention_kernel(qh, keys, values, mask)
-            return linear_kernel(self._merge_heads(out), p[f"{w}.o"]).reshape(x.shape)
+            q = linear_kernel(x.reshape(len(keys), -1, c.d_model), p[f"{w}.q"])
+            out, _ = attention_kernel(q, keys, values, c.n_heads, mask)
+            return linear_kernel(out, p[f"{w}.o"]).reshape(x.shape)
 
         x = p["dec.embed"][tokens] + self._positions[start : start + t_new]
         for layer in range(c.n_layers):
             xn = norm(x, f"dec.{layer}.n1")
-            kv = tuple(self._heads(linear_kernel(xn, p[f"dec.{layer}.self.{proj}"]))
-                       for proj in ("k", "v"))
+            kv = tuple(linear_kernel(xn, p[f"dec.{layer}.self.{proj}"]) for proj in ("k", "v"))
             if layer == len(cache.self_kv):
                 cache.self_kv.append(kv)
             else:
                 cache.self_kv[layer] = tuple(
-                    np.concatenate([old, new], axis=2) for old, new in zip(cache.self_kv[layer], kv)
+                    np.concatenate([old, new], axis=1) for old, new in zip(cache.self_kv[layer], kv)
                 )
             x = x + attend(xn, *cache.self_kv[layer], causal, layer, "self")
             x = x + attend(norm(x, f"dec.{layer}.n2"), *cache.cross[layer], cache.frame_mask,

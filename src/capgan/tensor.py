@@ -9,8 +9,8 @@ node that links the nodes of its operands and holds a backward closure.
 A node keeps only the arrays its backward reads. It links nodes, never
 tensors, so an array that no backward reads is freed during the forward,
 as soon as the model code drops it: residual sums, the inputs of a ReLU,
-the outputs of projections that feed only an add or a head merge. What
-each op's node saves:
+the outputs of projections that feed only an add. What each op's node
+saves:
 
     op                                 saves
     ---------------------------------  --------------------------------------
@@ -27,30 +27,24 @@ each op's node saves:
     relu, exp, sqrt, sigmoid, tanh,    their output (relu's ``out > 0`` is
     softmax, log_softmax               ``x > 0`` for every x, -0.0 and NaN too)
     log                                its input
-    attention                          q, k, v, the softmax and the dropout
+    attention                          q, k, v [B, T, d], the softmax and the
+                                       dropout
     layer_norm                         xhat, the inverse std and the gain
     gru_cell                           h_prev, the gates, the candidate,
                                        ``r * h_prev`` and the recurrent weights
     embedding, cross_entropy           the ids; the log-softmax and targets
 
-The backward allocates little beside the graph. ``_Node.accumulate``
-copies a first gradient, since the array may be shared: the incoming
-gradient, its views and slices, whatever ``+``/``reshape``/``concat``
-pass on. The GEMM nodes, ``conv1d_k3`` and ``attention`` compute each
-gradient into a new array that nothing else holds and hand it over with
-``_Node.accumulate_fresh``, which adopts it as a first gradient; a later
-contribution adds into it. ``attention`` forms d_scores in d_probs's
+The backward allocates little beside the graph (README, "Training
+memory", gives the sizes). ``_Node.accumulate`` copies a first gradient,
+since the array may be shared: the incoming gradient, its views and
+slices, whatever ``+``/``reshape``/``concat`` pass on. The GEMM nodes,
+``conv1d_k3`` and ``attention`` compute each gradient into a new array
+that nothing else holds and hand it over with ``_Node.accumulate_fresh``,
+which adopts it as a first gradient; a later contribution adds into it.
+``attention`` splits its [B, T, d] operands into heads as views, writes
+each head product (its output, dq, dk, dv) through the head view of a new
+[B, T, d] array, so no merge copy is made, and forms d_scores in d_probs's
 buffer.
-
-Just before ``backward()`` in the first SCST step of the benchmark's
-seed-1 ``adv-rl`` workload (batch 32), the arrays reachable from the loss,
-parameters excluded, total 16.1 MB (17.7 MB while the noise merge kept its
-concatenation; 25.7 MB for a graph that kept every op's output); in the
-first MLE step (batch 8), 4.0 MB. What that SCST step allocates peaks at
-18.0 MB, against 21.0 MB with every first gradient copied, d_scores built
-through temporaries and the concatenation kept. On a 2-CPU x86-64 Linux
-box (numpy 2.4, one BLAS thread), ``adv-rl``'s ``peak_rss_mb`` fell from a
-median of 73.0 to 68.2 MB with that.
 
 ``backward()`` topologically sorts the nodes and visits each exactly once,
 accumulating gradients into the leaves' nodes. Each node drops its
@@ -72,7 +66,8 @@ The models' hot paths are single nodes with closed-form backwards:
 ``x @ w`` with a 2-D ``w`` and ``linear`` fold the leading axes into one
 GEMM per product, ``concat_linear`` is the encoder's noise merge,
 ``conv1d_k3`` is a width-3 convolution over time,
-``attention`` keeps its softmax for the backward, and ``gru_cell`` is one
+``attention`` is multi-head over [B, T, d] and keeps its softmax for the
+backward, and ``gru_cell`` is one
 recurrent step. Scales stay Python floats, so float32 data is never
 upcast. The forwards of ``linear``/``x @ w``, ``attention`` and
 ``layer_norm`` are array kernels (``linear_kernel``, ``attention_kernel``,
@@ -694,56 +689,70 @@ def conv1d_k3(x: Tensor, w_left: Tensor, w_center: Tensor, w_right: Tensor,
     return Tensor._from_op(out, nodes, backward)
 
 
-def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray,
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """The [B, H, T, d / H] view of x [B, T, d]'s heads."""
+    return x.reshape(*x.shape[:2], n_heads, -1).transpose(0, 2, 1, 3)
+
+
+def _merged_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` [B, H, T, w], written through the head view of a new [B, T, H * w] array."""
+    out = np.empty((a.shape[0], a.shape[2], a.shape[1] * b.shape[-1]), np.result_type(a, b))
+    np.matmul(a, b, out=_heads(out, a.shape[1]))
+    return out
+
+
+def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, mask: np.ndarray,
                      drop: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``dropout(softmax(q k^T / sqrt(d) + mask)) v`` on arrays, the forward
-    of ``attention``: returns the output and the softmax before dropout."""
-    scores = np.matmul(q, np.swapaxes(k, -1, -2))
-    scores *= 1.0 / float(np.sqrt(q.shape[-1]))
+    """``dropout(softmax(q k^T / sqrt(d_head) + mask)) v`` per head on
+    arrays, the forward of ``attention``: returns the output [B, Tq, d] and
+    the softmax [B, H, Tq, Tk] before dropout."""
+    qh = _heads(q, n_heads)
+    scores = np.matmul(qh, np.swapaxes(_heads(k, n_heads), -1, -2))
+    scores *= 1.0 / float(np.sqrt(qh.shape[-1]))
     scores += mask
     scores -= scores.max(axis=-1, keepdims=True)
     probs = np.exp(scores)
     probs /= probs.sum(axis=-1, keepdims=True)
-    return np.matmul(probs if drop is None else probs * drop, v), probs
+    return _merged_matmul(probs if drop is None else probs * drop, _heads(v, n_heads)), probs
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray,
               drop: np.ndarray | None = None) -> Tensor:
-    """``dropout(softmax(q k^T / sqrt(d) + mask)) v`` over the last two axes,
-    as one node whose backward reuses the saved softmax.
+    """Multi-head ``dropout(softmax(q k^T / sqrt(d_head) + mask)) v`` as one
+    node whose backward reuses the saved softmax.
 
-    q is [B, H, Tq, d]; k and v are [B, H, Tk, d]. ``mask`` is additive and
-    broadcasts to the scores [B, H, Tq, Tk]; ``drop`` is a multiplier of
-    that shape (0, or 1/keep).
+    q is [B, Tq, d]; k and v are [B, Tk, d], d a multiple of ``n_heads``.
+    ``mask`` is additive and broadcasts to the scores [B, n_heads, Tq, Tk];
+    ``drop`` is a multiplier of that shape (0, or 1/keep).
     """
-    if k.shape != v.shape or k.shape != (*q.shape[:2], k.shape[2], q.shape[3]):
-        raise DimensionError(
-            f"attention needs matching batch, heads and widths, got {q.shape}, {k.shape}, "
-            f"{v.shape}"
-        )
-    out_data, probs = attention_kernel(q.data, k.data, v.data, mask, drop)
-    scale = 1.0 / float(np.sqrt(q.shape[-1]))
-    q_data, k_data, v_data = q.data, k.data, v.data
+    if ({q.data.ndim, k.data.ndim} != {3} or k.shape != v.shape
+            or k.shape[::2] != q.shape[::2] or q.shape[2] % n_heads):
+        raise DimensionError(f"attention needs q [B, Tq, d], k and v [B, Tk, d], d divisible "
+                             f"by {n_heads} heads, got {q.shape}, {k.shape}, {v.shape}")
+    out_data, probs = attention_kernel(q.data, k.data, v.data, n_heads, mask, drop)
+    qh, kh, vh = (_heads(t.data, n_heads) for t in (q, k, v))
+    scale = 1.0 / float(np.sqrt(qh.shape[-1]))
     nodes = q_node, k_node, v_node = _nodes(q, k, v)
 
     def backward(grad):
+        gh = _heads(grad, n_heads)
         if v_node is not None:
             weights = probs if drop is None else probs * drop
-            v_node.accumulate_fresh(np.matmul(np.swapaxes(weights, -1, -2), grad))
+            v_node.accumulate_fresh(_merged_matmul(np.swapaxes(weights, -1, -2), gh))
         if q_node is None and k_node is None:
             return
         # d_probs, turned in its own buffer into
         # d_scores = probs * (d_probs - sum(d_probs * probs)) * scale
-        d_scores = np.matmul(grad, np.swapaxes(v_data, -1, -2))
+        d_scores = np.matmul(gh, np.swapaxes(vh, -1, -2))
         if drop is not None:
             d_scores *= drop
         d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
         d_scores *= probs
         d_scores *= scale
         if q_node is not None:
-            q_node.accumulate_fresh(np.matmul(d_scores, k_data))
+            q_node.accumulate_fresh(_merged_matmul(d_scores, kh))
         if k_node is not None:
-            k_node.accumulate_fresh(np.matmul(np.swapaxes(d_scores, -1, -2), q_data))
+            k_node.accumulate_fresh(_merged_matmul(np.swapaxes(d_scores, -1, -2), qh))
 
     return Tensor._from_op(out_data, nodes, backward)
 

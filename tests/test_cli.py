@@ -355,6 +355,30 @@ class TestTrainGan:
         assert merged["lam"] == 0.0
 
 
+@pytest.mark.parametrize(("command", "fresh"), [
+    ("pretrain-d", ["discriminator-init"]), ("train-gan", []), ("generate", []),
+])
+def test_restored_models_skip_their_init_draws(command, fresh, full_run, data_dir, config_file,
+                                               tmp_path, capsys, monkeypatch):
+    # a model that a checkpoint overwrites draws nothing from its init stream
+    drawn = []
+    real = cli.substream
+
+    def spy(seed, name):
+        drawn.append(name)
+        return real(seed, name)
+
+    monkeypatch.setattr(cli, "substream", spy)
+    argv = [command, "--data", str(data_dir), "--run", str(full_run)]
+    if command == "generate":
+        argv += ["--n", "2", "--out", str(tmp_path / "captions.jsonl")]
+    else:
+        argv += ["--config", str(config_file), "--epochs", "1"]
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    assert [name for name in drawn if name.endswith("-init")] == fresh
+
+
 class TestGenerateEvaluate:
     def test_generate_and_evaluate(self, pretrained, data_dir, tmp_path, capsys):
         out_file = tmp_path / "captions.jsonl"

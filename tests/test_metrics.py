@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from capgan import metrics
 from capgan.metrics import (
     build_doc_freq,
     cider,
@@ -282,6 +283,25 @@ def composed_report(generated, references):
         n_clips=len(clip_ids),
     )
     return fields, rows
+
+
+def test_evaluate_counts_each_caption_and_reference_once(monkeypatch):
+    calls = []
+    count = metrics.ngram_counts
+
+    def spy(seq, n):
+        calls.append((tuple(seq), n))
+        return count(seq, n)
+
+    monkeypatch.setattr(metrics, "ngram_counts", spy)
+    generated = {"c0": [["a", "dog"], ["the", "cat", "falls"]], "c1": [["rain", "falls"]]}
+    references = {"c0": [["a", "dog", "barks"], ["the", "dog"]],
+                  "c1": [["rain", "falls", "softly"]]}
+    report = evaluate_captions(generated, references)
+    # orders 1-4 of 3 captions and 3 references, each counted once
+    assert len(calls) == len(set(calls)) == 4 * (3 + 3)
+    assert report.per_clip[1][1] == cider(["rain", "falls"], references["c1"],
+                                         build_doc_freq(list(references.values())))
 
 
 @settings(max_examples=150, deadline=None)

@@ -31,7 +31,6 @@ from capgan.tensor import (
     DimensionError,
     DomainError,
     Tensor,
-    attention,
     concat,
     cross_entropy,
     embedding,
@@ -205,7 +204,62 @@ class TestHoistedGRU:
             np.testing.assert_allclose(got, alone, rtol=1e-12, atol=1e-15)
 
 
+def graph_nodes(root: Tensor) -> list:
+    """Every node of the graph that ends at ``root``, leaves included."""
+    seen, stack = {}, [root._node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parents)
+    return list(seen.values())
+
+
+def op_of(node) -> str:
+    """The op that built a node, named by its backward closure."""
+    return "leaf" if node.backward is None else node.backward.__qualname__.split(".<locals>")[0]
+
+
 class TestGenerator:
+    def test_taped_forward_node_count(self):
+        # 2 layers: each attention is one node over its q, k and v
+        # projections, with no head split or merge nodes around it
+        gen = default_generator()
+        c = gen.config
+        rng = np.random.default_rng(8)
+        features, feat_lengths, z, tokens = tiny_inputs(
+            rng, batch=8, frames=63, feat_dim=c.feat_dim, noise_dim=c.noise_dim, t=14,
+            vocab=c.vocab_size)
+        logits = gen.forward(features, feat_lengths, z, tokens, drop_rng=np.random.default_rng(0))
+        loss = cross_entropy(logits, rng.integers(0, c.vocab_size, size=tokens.shape))
+        assert c.n_layers == 2 and len(graph_nodes(loss)) == 100
+
+    def test_attention_gradients_reach_the_projections_uncopied(self, monkeypatch):
+        # each attention node hands dq, dk and dv over to the q, k and v
+        # projection nodes as their first gradients: no copy on the way
+        gen = tiny_generator(dtype=np.float32, n_layers=2)
+        features, feat_lengths, z, tokens = tiny_inputs(np.random.default_rng(7), t=5)
+        loss = cross_entropy(gen.forward(features, feat_lengths, z, tokens), tokens)
+        projections = set()
+        for node in graph_nodes(loss):
+            if op_of(node) == "attention":
+                for parent in node.parents:
+                    while op_of(parent) == "Tensor._unary":  # a reshape or transpose
+                        parent, = parent.parents
+                    assert op_of(parent) == "_folded_matmul"
+                    projections.add(id(parent))
+        assert len(projections) == 2 * 2 * 3  # layers, self and cross, q/k/v
+        copied = []
+        accumulate = tensor._Node.accumulate
+
+        def spy(node, grad):
+            copied.append(id(node))
+            accumulate(node, grad)
+
+        monkeypatch.setattr(tensor._Node, "accumulate", spy)
+        loss.backward()
+        assert copied and not projections & set(copied)
+
     def test_noise_changes_logits(self):
         gen = tiny_generator()
         rng = np.random.default_rng(1)
@@ -511,8 +565,9 @@ class ReferenceCache:
 def reference_cached_step(gen, features, feat_lengths, z, tokens, memory, cache):
     """Logits [B, t, vocab] of the positions after ``cache.length``, built
     from ``Tensor`` ops under ``no_grad``: the cached decode step as it ran
-    before it moved onto arrays. A memory of G rows serves B = G * n rows,
-    each group's n rows attending as one query block."""
+    before it moved onto arrays, with attention composed of the head split,
+    scores, mask, softmax, ``@ v`` and head merge. A memory of G rows serves
+    B = G * n rows, each group's n rows attending as one query block."""
     c, p = gen.config, gen.params
 
     def heads(x):
@@ -520,14 +575,17 @@ def reference_cached_step(gen, features, feat_lengths, z, tokens, memory, cache)
         return x.reshape(batch, t_len, c.n_heads, c.d_model // c.n_heads).transpose(0, 2, 1, 3)
 
     def keys_values(x, layer, block):
-        return heads(x @ p[f"dec.{layer}.{block}.k"]), heads(x @ p[f"dec.{layer}.{block}.v"])
+        return x @ p[f"dec.{layer}.{block}.k"], x @ p[f"dec.{layer}.{block}.v"]
 
     def attend(x, keys, values, mask, layer, block):
         batch, t_q, _ = x.shape
         if keys.shape[0] != batch:
             shared = x.reshape(keys.shape[0], -1, c.d_model)
             return attend(shared, keys, values, mask, layer, block).reshape(batch, t_q, c.d_model)
-        out = attention(heads(x @ p[f"dec.{layer}.{block}.q"]), keys, values, mask)
+        q = heads(x @ p[f"dec.{layer}.{block}.q"])
+        scores = (q @ heads(keys).transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(q.shape[-1]))
+        scores = scores + Tensor(np.broadcast_to(mask, scores.shape))
+        out = scores.softmax(axis=-1) @ heads(values)
         out = out.transpose(0, 2, 1, 3).reshape(batch, t_q, c.d_model)
         return out @ p[f"dec.{layer}.{block}.o"]
 
@@ -540,7 +598,7 @@ def reference_cached_step(gen, features, feat_lengths, z, tokens, memory, cache)
         t_steps = start + t_new
         if not cache.cross:
             cache.cross = [keys_values(memory, layer, "cross") for layer in range(c.n_layers)]
-        frames = cache.cross[0][0].shape[2]
+        frames = cache.cross[0][0].shape[1]
         causal = np.triu(np.full((t_new, t_steps), -1e9, dtype=gen.dtype), k=1 + start)
         frame_alive = np.arange(frames)[None, :] < np.asarray(feat_lengths)[:, None]
         mem_mask = np.where(frame_alive, 0.0, -1e9).astype(gen.dtype)[:, None, None, :]
@@ -555,7 +613,7 @@ def reference_cached_step(gen, features, feat_lengths, z, tokens, memory, cache)
             else:
                 old_keys, old_values = cache.self_kv[layer]
                 cache.self_kv[layer] = (
-                    concat([old_keys, keys], axis=2), concat([old_values, values], axis=2)
+                    concat([old_keys, keys], axis=1), concat([old_values, values], axis=1)
                 )
             x = x + attend(xn, *cache.self_kv[layer], causal, layer, "self")
             x = x + attend(norm(x, f"dec.{layer}.n2"), *cache.cross[layer], mem_mask, layer,

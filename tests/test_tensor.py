@@ -69,15 +69,55 @@ def reference_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out + b.broadcast_to(out.shape)
 
 
-def reference_attention(q: Tensor, k: Tensor, v: Tensor, mask, drop) -> Tensor:
-    """The composed scores / mask / softmax / dropout / ``@ v`` chain the
-    attention node replaced."""
-    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(q.shape[-1]))
+def split_heads(x, n_heads):
+    """x [B, T, d], a ``Tensor`` or an array, as [B, H, T, d / H] heads."""
+    batch, t_len, d = x.shape
+    return x.reshape(batch, t_len, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def merge_heads(x):
+    """[B, H, T, w] heads, a ``Tensor`` or an array, as [B, T, H * w]."""
+    batch, n_heads, t_len, width = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(batch, t_len, n_heads * width)
+
+
+def reference_attention(q: Tensor, k: Tensor, v: Tensor, n_heads, mask, drop) -> Tensor:
+    """The head split, scores / mask / softmax / dropout / ``@ v`` chain and
+    head merge that the attention node replaced, composed of ``Tensor`` ops."""
+    qh, kh, vh = (split_heads(t, n_heads) for t in (q, k, v))
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(qh.shape[-1]))
     scores = scores + Tensor(np.broadcast_to(mask, scores.shape).astype(q.dtype))
     weights = scores.softmax(axis=-1)
     if drop is not None:
         weights = weights * Tensor(drop)
-    return weights @ v
+    return merge_heads(weights @ vh)
+
+
+def head_layout_attention(q, k, v, n_heads, mask, drop, grad):
+    """(out, dq, dk, dv) of ``attention`` for the output gradient ``grad``,
+    on arrays, by the head-layout formula the op replaced: q, k, v and grad
+    split into [B, H, T, d_head] heads, the old kernel's forward and
+    in-place d_scores backward over them, each result merged back."""
+    qh, kh, vh, gh = (split_heads(a, n_heads) for a in (q, k, v, grad))
+    scale = 1.0 / float(np.sqrt(qh.shape[-1]))
+    scores = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    scores *= scale
+    scores += mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    probs = np.exp(scores)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    weights = probs if drop is None else probs * drop
+    out = np.matmul(weights, vh)
+    dv = np.matmul(np.swapaxes(weights, -1, -2), gh)
+    d_scores = np.matmul(gh, np.swapaxes(vh, -1, -2))
+    if drop is not None:
+        d_scores *= drop
+    d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
+    d_scores *= probs
+    d_scores *= scale
+    dq = np.matmul(d_scores, kh)
+    dk = np.matmul(np.swapaxes(d_scores, -1, -2), qh)
+    return tuple(merge_heads(a) for a in (out, dq, dk, dv))
 
 
 def f32(rng, *shape):
@@ -89,11 +129,12 @@ def rows(a):
     return a.reshape(-1, a.shape[-1])
 
 
-def unfused_attention_grads(q, k, v, mask, drop, grad):
+def unfused_attention_grads(q, k, v, n_heads, mask, drop, grad):
     """(dq, dk, dv) of ``attention`` for the output gradient ``grad``, with
     d_scores built through separate temporaries, as before the backward
-    formed it in d_probs's buffer."""
-    _, probs = attention_kernel(q, k, v, mask, drop)
+    formed it in d_probs's buffer; heads split and merged as arrays."""
+    _, probs = attention_kernel(q, k, v, n_heads, mask, drop)
+    q, k, v, grad = (split_heads(a, n_heads) for a in (q, k, v, grad))
     weights = probs if drop is None else probs * drop
     dv = np.matmul(np.swapaxes(weights, -1, -2), grad)
     d_probs = np.matmul(grad, np.swapaxes(v, -1, -2))
@@ -101,7 +142,8 @@ def unfused_attention_grads(q, k, v, mask, drop, grad):
         d_probs *= drop
     d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
     d_scores *= 1.0 / float(np.sqrt(q.shape[-1]))
-    return np.matmul(d_scores, k), np.matmul(np.swapaxes(d_scores, -1, -2), q), dv
+    return tuple(merge_heads(a) for a in (
+        np.matmul(d_scores, k), np.matmul(np.swapaxes(d_scores, -1, -2), q), dv))
 
 
 def _grads_of(make_out, inputs, weight):
@@ -162,25 +204,29 @@ class TestLinear:
             linear(param(rng, 2, 5), param(rng, 5, 3), param(rng, 4))
 
 
+def _masks(name, rng, batch, n_heads, t_q, t_k, dtype):
+    """(mask, drop) of one masking case: a causal mask over the last t_q of
+    t_k positions; or a frame mask keeping the first 6, 3 and 1 keys of the
+    three rows, with dropout at keep 0.7 in the "dropout" case."""
+    if name == "causal":
+        return np.triu(np.full((t_q, t_k), -1e9, dtype=dtype), k=1 + t_k - t_q), None
+    alive = np.arange(t_k)[None, :] < np.array([6, 3, 1])[:, None]
+    mask = np.where(alive, 0.0, -1e9).astype(dtype)[:, None, None, :]
+    if name == "frame mask":
+        return mask, None
+    return mask, ((rng.random((batch, n_heads, t_q, t_k)) < 0.7) / 0.7).astype(dtype)
+
+
 def _attention_case(name, rng, dtype):
-    """(q, k, v, mask, drop) for one masking case: batch 3, 2 heads,
-    3 query and 5 key positions, head width 4."""
-    batch, heads, t_q, t_k, width = 3, 2, 3, 5, 4
+    """(q, k, v, mask, drop) for one masking case: batch 3, 3 query and 6
+    key positions, width 8 in 2 heads."""
+    batch, t_q, t_k, width = 3, 3, 6, 8
 
     def t(*shape):
         return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
 
-    q = t(batch, heads, t_q, width)
-    k, v = t(batch, heads, t_k, width), t(batch, heads, t_k, width)
-    if name == "causal":
-        mask = np.triu(np.full((t_q, t_k), -1e9, dtype=dtype), k=1 + t_k - t_q)
-    else:
-        alive = np.arange(t_k)[None, :] < np.array([5, 3, 1])[:, None]
-        mask = np.where(alive, 0.0, -1e9).astype(dtype)[:, None, None, :]
-    drop = None
-    if name == "dropout":
-        drop = ((rng.random((batch, heads, t_q, t_k)) < 0.7) / 0.7).astype(dtype)
-    return q, k, v, mask, drop
+    q, k, v = t(batch, t_q, width), t(batch, t_k, width), t(batch, t_k, width)
+    return (q, k, v, *_masks(name, rng, batch, 2, t_q, t_k, dtype))
 
 
 ATTENTION_CASES = ["causal", "frame mask", "dropout"]
@@ -191,9 +237,10 @@ class TestAttention:
     def test_gradient(self, case, rng):
         q, k, v, mask, drop = _attention_case(case, rng, np.float64)
         c = rng.standard_normal(q.shape)
-        (attention(q, k, v, mask, drop) * Tensor(c)).sum().backward()
+        (attention(q, k, v, 2, mask, drop) * Tensor(c)).sum().backward()
         fd = finite_difference(
-            lambda: float((reference_attention(q, k, v, mask, drop).data * c).sum()), [q, k, v]
+            lambda: float((reference_attention(q, k, v, 2, mask, drop).data * c).sum()),
+            [q, k, v],
         )
         assert_grads_close([q, k, v], fd)
 
@@ -201,20 +248,36 @@ class TestAttention:
     def test_matches_composed(self, case, rng):
         q, k, v, mask, drop = _attention_case(case, rng, np.float32)
         c = rng.standard_normal(q.shape).astype(np.float32)
-        out, grads = _grads_of(lambda: attention(q, k, v, mask, drop), [q, k, v], c)
+        out, grads = _grads_of(lambda: attention(q, k, v, 2, mask, drop), [q, k, v], c)
         ref_out, ref_grads = _grads_of(
-            lambda: reference_attention(q, k, v, mask, drop), [q, k, v], c
+            lambda: reference_attention(q, k, v, 2, mask, drop), [q, k, v], c
         )
         for got, want in zip([out, *grads], [ref_out, *ref_grads]):
             assert got.dtype == np.float32 and got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
+    @pytest.mark.parametrize("case", ATTENTION_CASES)
+    @pytest.mark.parametrize("t_q", [1, 5])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_bit_identical_to_the_head_layout_formula(self, n_heads, t_q, case, rng):
+        # width 12: head widths 12, 6 and 3, whose scales 1/sqrt(d_head)
+        # round, so the order of the products shows in the bits; one query
+        # position takes numpy's matrix-vector path
+        q, k, v = (f32(rng, 3, t, 12) for t in (t_q, 6, 6))
+        mask, drop = _masks(case, rng, 3, n_heads, t_q, 6, np.float32)
+        c = rng.standard_normal(q.shape).astype(np.float32)
+        out, grads = _grads_of(lambda: attention(q, k, v, n_heads, mask, drop), [q, k, v], c)
+        want = head_layout_attention(q.data, k.data, v.data, n_heads, mask, drop, c)
+        for got, ref in zip([out, *grads], want):
+            assert got.dtype == ref.dtype == np.float32 and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
     def test_masked_keys_get_no_weight(self, rng):
         q, k, v, mask, _ = _attention_case("frame mask", rng, np.float64)
-        out = attention(q, k, v, mask).data
+        out = attention(q, k, v, 2, mask).data
         v_changed = v.data.copy()
-        v_changed[2, :, 1:] += 100.0  # row 2 sees only its first key
-        out_changed = attention(q, k, Tensor(v_changed), mask).data
+        v_changed[2, 1:] += 100.0  # row 2 sees only its first key
+        out_changed = attention(q, k, Tensor(v_changed), 2, mask).data
         np.testing.assert_array_equal(out[2], out_changed[2])
 
     @pytest.mark.parametrize("dropped", [False, True], ids=["no dropout", "dropout"])
@@ -222,25 +285,30 @@ class TestAttention:
     def test_gradients_bit_identical_to_the_three_temporary_formula(self, masked, dropped, rng):
         # head width 6: a scale of 1/sqrt(6) rounds, so the order of the
         # products shows in the bits
-        q, k, v = (f32(rng, 3, 2, t, 6) for t in (3, 5, 5))
+        q, k, v = (f32(rng, 3, t, 12) for t in (3, 5, 5))
         alive = np.arange(5)[None, :] < np.array([5, 3, 1])[:, None]
         mask = np.where(alive | (not masked), 0.0, -1e9).astype(np.float32)[:, None, None, :]
         drop = None
         if dropped:
             drop = ((rng.random((3, 2, 3, 5)) < 0.7) / 0.7).astype(np.float32)
         c = rng.standard_normal(q.shape).astype(np.float32)
-        _, grads = _grads_of(lambda: attention(q, k, v, mask, drop), [q, k, v], c)
-        want = unfused_attention_grads(q.data, k.data, v.data, mask, drop, c)
+        _, grads = _grads_of(lambda: attention(q, k, v, 2, mask, drop), [q, k, v], c)
+        want = unfused_attention_grads(q.data, k.data, v.data, 2, mask, drop, c)
         for got, ref in zip(grads, want):
             assert got.dtype == ref.dtype == np.float32
             assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("kv_batch", [1, 2])
     def test_key_batch_must_match(self, kv_batch, rng):
-        q = param(rng, 3, 2, 1, 4)
-        kv = param(rng, kv_batch, 2, 5, 4)
+        q = param(rng, 3, 1, 8)
+        kv = param(rng, kv_batch, 5, 8)
         with pytest.raises(DimensionError):
-            attention(q, kv, kv, np.zeros((1, 5)))
+            attention(q, kv, kv, 2, np.zeros((1, 5)))
+
+    def test_width_must_split_into_heads(self, rng):
+        q, kv = param(rng, 3, 1, 8), param(rng, 3, 5, 8)
+        with pytest.raises(DimensionError):
+            attention(q, kv, kv, 3, np.zeros((1, 5)))
 
 
 class TestElementwise:
@@ -488,19 +556,16 @@ class TestRelease:
 
     def test_forward_frees_the_arrays_no_backward_reads(self, rng):
         # residual add, linear -> relu, attention: of the arrays below only
-        # the projection input is read by a gradient formula
+        # the inputs of the projections are read by a gradient formula
         x, w1, b1 = param(rng, 2, 3, 4), param(rng, 4, 4), param(rng, 4)
         wq, wk, wv, wo = (param(rng, 4, 4) for _ in range(4))
         mask = np.zeros((1, 1, 1, 3))
 
         def forward(refs=None):
-            def heads(t):
-                return t.reshape(2, 3, 2, 2).transpose(0, 2, 1, 3)
-
             pre = linear(x, w1, b1)
             h = pre.relu()
-            att = attention(heads(h @ wq), heads(h @ wk), heads(h @ wv), mask)
-            out = att.transpose(0, 2, 1, 3).reshape(2, 3, 4) @ wo
+            att = attention(h @ wq, h @ wk, h @ wv, 2, mask)
+            out = att @ wo
             res = x + out
             if refs is not None:
                 refs.update(pre=weakref.ref(pre.data), att=weakref.ref(att.data),
@@ -511,10 +576,10 @@ class TestRelease:
         refs = {}
         loss = forward(refs)
         assert refs["pre"]() is None, "pre-ReLU array kept"
-        assert refs["att"]() is None, "attention output kept"
         assert refs["out"]() is None, "output projection kept"
         assert refs["res"]() is None, "residual sum kept"
         assert refs["h"]() is not None, "matmul input freed before its backward"
+        assert refs["att"]() is not None, "output projection input freed before its backward"
         loss.backward()
         params = [x, w1, b1, wq, wk, wv, wo]
         fd = finite_difference(lambda: forward().item(), params)
@@ -622,18 +687,11 @@ class TestHandedGradients:
 
     @pytest.mark.parametrize("case", ATTENTION_CASES)
     def test_self_attention_on_one_input(self, case, rng):
-        x = f32(rng, 3, 2, 5, 4)
-        if case == "causal":
-            mask = np.triu(np.full((5, 5), -1e9, dtype=np.float32), k=1)
-        else:
-            alive = np.arange(5)[None, :] < np.array([5, 3, 1])[:, None]
-            mask = np.where(alive, 0.0, -1e9).astype(np.float32)[:, None, None, :]
-        drop = None
-        if case == "dropout":
-            drop = ((rng.random((3, 2, 5, 5)) < 0.7) / 0.7).astype(np.float32)
+        x = f32(rng, 3, 6, 8)
+        mask, drop = _masks(case, rng, 3, 2, 6, 6, np.float32)
         c = rng.standard_normal(x.shape).astype(np.float32)
-        (attention(x, x, x, mask, drop) * Tensor(c)).sum().backward()
-        dq, dk, dv = unfused_attention_grads(x.data, x.data, x.data, mask, drop, c)
+        (attention(x, x, x, 2, mask, drop) * Tensor(c)).sum().backward()
+        dq, dk, dv = unfused_attention_grads(x.data, x.data, x.data, 2, mask, drop, c)
         # the node passes v's gradient first, then q's, then k's
         self._assert_bits([x], [dv + dq + dk])
 
