@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from . import files
 from .corpus import (
     CorpusError,
     build_vocabulary,
@@ -121,10 +122,7 @@ def _resolve_config(args) -> dict:
 
 
 def _write_merged_config(cfg: dict, run_dir: Path) -> None:
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.yaml").write_text(
-        yaml.safe_dump(cfg, sort_keys=True), encoding="utf-8"
-    )
+    files.write_text(run_dir / "config.yaml", yaml.safe_dump(cfg, sort_keys=True))
 
 
 def _checked(make, **kwargs):
@@ -173,7 +171,6 @@ def _load_or_build_vocab(run_dir: Path, train, min_count: int) -> Vocabulary:
 def _save_vocab(vocab: Vocabulary, run_dir: Path) -> None:
     vocab_path = run_dir / "vocab.txt"
     if not vocab_path.exists():
-        run_dir.mkdir(parents=True, exist_ok=True)
         vocab.save(vocab_path)
 
 
@@ -214,14 +211,17 @@ def _restore_into(model, path) -> dict:
 
 def _start_epoch(model, stage: str, path: Path, resume: bool, epochs: int) -> int:
     """1, or with ``--resume`` one past the epoch of the checkpoint at
-    ``path``, restored into ``model``; a checkpoint already at ``epochs``
-    or past it leaves nothing to train and is refused, and so is a
-    ``stage`` log beside it that cannot be read, before anything is written."""
+    ``path``, restored into ``model``. Refused before anything is written: a
+    checkpoint that records no epoch >= 1 of ``stage``, or one at ``epochs``
+    or past it (nothing to train), and a ``stage`` log that cannot be read."""
     if not resume:
         return 1
     if not path.exists():
         raise CliError("usage", f"--resume: no checkpoint at {path}")
-    done = _restore_into(model, path)["epoch"]
+    meta = _restore_into(model, path)
+    done, recorded = meta.get("epoch"), meta.get("stage", stage)
+    if not (fits_type(done, int) and done >= 1 and recorded == stage):
+        raise CheckpointError(f"{path}: no {stage} epoch to resume (epoch {done!r} of {recorded})")
     if done >= epochs:
         raise CliError("usage", f"--resume: {path} is at epoch {done}, so --epochs {epochs} "
                                 "leaves nothing to train")
@@ -419,7 +419,6 @@ def cmd_generate(args) -> int:
             }
         )
     out_path = Path(args.out) if args.out else run_dir / f"captions_{args.mode}.jsonl"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_captions(out_path, rows)
     note = f" ({underfilled} clips underfilled)" if underfilled else ""
     print(f"wrote {len(rows)} clips x {args.n} captions to {out_path}{note}")
@@ -450,7 +449,7 @@ def cmd_evaluate(args) -> int:
         raise CliError("evaluation", str(exc))
     print(report.to_table(), end="")
     if args.out_json:
-        Path(args.out_json).write_text(report.to_json(), encoding="utf-8")
+        files.write_text(args.out_json, report.to_json())
     if args.per_clip_csv:
         report.write_per_clip_csv(args.per_clip_csv)
     return 0

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .models import pad_frames, pad_sequences
 from .seeding import substream
 from .text import EmptyCaptionError, Vocabulary, normalize_and_tokenize
@@ -76,10 +77,9 @@ class Batch:
 
 def write_features(path, features: np.ndarray) -> None:
     features = np.ascontiguousarray(features, dtype="<f4")
-    frames, feat_dim = features.shape
-    with open(path, "wb") as fh:
+    with files.replaced(path, binary=True) as fh:
         fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<II", frames, feat_dim))
+        fh.write(struct.pack("<II", *features.shape))
         fh.write(features.tobytes())
 
 
@@ -140,9 +140,6 @@ def load_dataset(manifest_path, name: str = "train") -> DatasetSplit:
 def save_dataset(split: DatasetSplit, out_dir, manifest_name: str | None = None) -> Path:
     """Write feature files plus manifest; returns the manifest path."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    feat_dir = out_dir / "features"
-    feat_dir.mkdir(exist_ok=True)
     entries = []
     for record in split.records:
         feature_file = f"features/{record.clip_id}.feat"
@@ -155,8 +152,8 @@ def save_dataset(split: DatasetSplit, out_dir, manifest_name: str | None = None)
             }
         )
     manifest = out_dir / (manifest_name or f"{split.name}.json")
-    manifest.write_text(json.dumps(entries, indent=2, sort_keys=True, allow_nan=False) + "\n",
-                        encoding="utf-8")
+    files.write_text(manifest,
+                     json.dumps(entries, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return manifest
 
 

@@ -50,6 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .models import DecodeCache
 from .tensor import Diverged, log_softmax, no_grad
 from .text import EOS, PAD, SOS
@@ -296,11 +297,9 @@ def generate_diverse_set(model, features, feat_lengths, config: DecodeConfig,
 
 
 def write_captions(path, rows: list[dict]) -> None:
-    """JSON-lines: {clip_id, captions: [str], scores: [float]}. A row
-    that is not strict JSON (a NaN score) is a ValueError, and nothing is
-    written."""
-    lines = [json.dumps(row, sort_keys=True, allow_nan=False) + "\n" for row in rows]
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    """JSON-lines: {clip_id, captions: [str], scores: [float]}. A row that
+    is not strict JSON (a NaN score) is a ValueError, and nothing is written."""
+    files.write_jsonl(path, rows)
 
 
 def read_captions(path) -> list[dict]:

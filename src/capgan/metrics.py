@@ -8,10 +8,11 @@ per-metric functions count their inputs and call the same scoring code.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, fields
+
+from . import files
 
 # n-gram counting is plain Python; the benchmark's machine block reports
 # this name
@@ -285,11 +286,8 @@ class MetricReport:
         return head + "\n" + row + "\n"
 
     def write_per_clip_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["clip_id", "cider_top1", "mbleu_4", "div_1", "div_2"])
-            for row in self.per_clip:
-                writer.writerow(row)
+        files.write_csv(path, ["clip_id", "cider_top1", "mbleu_4", "div_1", "div_2"],
+                        self.per_clip)
 
 
 def evaluate_captions(generated: dict, references: dict) -> MetricReport:

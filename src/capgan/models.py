@@ -12,7 +12,6 @@ shared space scored by cosine similarity.
 from __future__ import annotations
 
 import json
-import os
 import struct
 import typing
 from dataclasses import asdict, dataclass, fields
@@ -20,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .tensor import (
     DomainError,
     Tensor,
@@ -136,50 +136,33 @@ def dropout(x: Tensor, drawn, rate: float, rng: np.random.Generator | None) -> T
 # -- GRU ----------------------------------------------------------------------
 
 
-@dataclass
-class GRUParams:
-    w_r: Tensor
-    u_r: Tensor
-    b_r: Tensor
-    w_u: Tensor
-    u_u: Tensor
-    b_u: Tensor
-    w_h: Tensor
-    u_h: Tensor
-    b_h: Tensor
-
-    @classmethod
-    def create(cls, store: ParamStore, prefix: str, d_in: int, d_hidden: int) -> "GRUParams":
-        return cls(
-            w_r=store.add(f"{prefix}.w_r", (d_in, d_hidden)),
-            u_r=store.add(f"{prefix}.u_r", (d_hidden, d_hidden)),
-            b_r=store.zeros(f"{prefix}.b_r", (d_hidden,)),
-            w_u=store.add(f"{prefix}.w_u", (d_in, d_hidden)),
-            u_u=store.add(f"{prefix}.u_u", (d_hidden, d_hidden)),
-            b_u=store.zeros(f"{prefix}.b_u", (d_hidden,)),
-            w_h=store.add(f"{prefix}.w_h", (d_in, d_hidden)),
-            u_h=store.add(f"{prefix}.u_h", (d_hidden, d_hidden)),
-            b_h=store.zeros(f"{prefix}.b_h", (d_hidden,)),
-        )
+def add_gru(store: ParamStore, prefix: str, d_in: int, d_hidden: int) -> None:
+    """Registers a GRU under ``prefix``: per gate (reset r, update u, candidate
+    h) an input weight ``w_*``, a recurrent weight ``u_*`` and a bias ``b_*``."""
+    for gate in "ruh":
+        store.add(f"{prefix}.w_{gate}", (d_in, d_hidden))
+        store.add(f"{prefix}.u_{gate}", (d_hidden, d_hidden))
+        store.zeros(f"{prefix}.b_{gate}", (d_hidden,))
 
 
-def gru_inputs(xs: Tensor, p: GRUParams) -> Tensor:
-    """The reset, update and candidate input projections of every step,
-    [..., d_in] -> [..., 3 * d_hidden], as one GEMM."""
-    w = concat([p.w_r, p.w_u, p.w_h], axis=1)
-    b = concat([p.b_r, p.b_u, p.b_h], axis=0)
+def gru_inputs(xs: Tensor, params: dict, prefix: str) -> Tensor:
+    """The ``prefix`` GRU's reset, update and candidate input projections
+    of every step, [..., d_in] -> [..., 3 * d_hidden], as one GEMM."""
+    w = concat([params[f"{prefix}.w_{gate}"] for gate in "ruh"], axis=1)
+    b = concat([params[f"{prefix}.b_{gate}"] for gate in "ruh"], axis=0)
     return linear(xs, w, b)
 
 
-def gru_final_hidden(xs: Tensor, lengths: np.ndarray, p: GRUParams, d_hidden: int) -> Tensor:
-    """Run a batched GRU over [B, T, d_in]; return each sequence's last
-    real hidden state (updates are frozen past a sequence's length)."""
+def gru_final_hidden(xs: Tensor, lengths: np.ndarray, params: dict, prefix: str) -> Tensor:
+    """Run the ``prefix`` GRU batched over [B, T, d_in]; return each sequence's
+    last real hidden state (updates are frozen past a sequence's length)."""
     batch, t_steps, _ = xs.shape
-    x_proj = gru_inputs(xs, p)
+    u_r, u_u, u_h = (params[f"{prefix}.u_{gate}"] for gate in "ruh")
+    x_proj = gru_inputs(xs, params, prefix)
     alive = np.arange(t_steps)[None, :] < np.asarray(lengths)[:, None]
-    h = _const(np.zeros((batch, d_hidden)), xs.dtype)
+    h = _const(np.zeros((batch, u_r.shape[0])), xs.dtype)
     for t in range(t_steps):
-        h = gru_cell(x_proj, t, h, p.u_r, p.u_u, p.u_h, alive[:, t, None])
+        h = gru_cell(x_proj, t, h, u_r, u_u, u_h, alive[:, t, None])
     return h
 
 
@@ -511,7 +494,7 @@ class Discriminator:
         self.dtype = np.dtype(dtype)
         store = ParamStore(rng, dtype)
         store.add("embed", (config.vocab_size, config.embed_dim))
-        self.gru = GRUParams.create(store, "gru", config.embed_dim, config.hidden_dim)
+        add_gru(store, "gru", config.embed_dim, config.hidden_dim)
         store.add("head.w", (config.hidden_dim, 1))
         store.zeros("head.b", (1,))
         self.store = store
@@ -524,7 +507,7 @@ class Discriminator:
         if np.any(lengths < 1):
             raise ValueError("discriminator requires non-empty captions")
         xs = embedding(self.params["embed"], tokens)
-        h = gru_final_hidden(xs, lengths, self.gru, self.config.hidden_dim)
+        h = gru_final_hidden(xs, lengths, self.params, "gru")
         logit = linear(h, self.params["head.w"], self.params["head.b"])
         return logit.sigmoid().reshape(len(lengths))
 
@@ -564,7 +547,7 @@ class SemanticEvaluator:
         store.add("audio.out.w", (c.hidden_dim, c.out_dim))
         store.zeros("audio.out.b", (c.out_dim,))
         store.add("text.embed", (c.vocab_size, c.embed_dim))
-        self.gru = GRUParams.create(store, "text.gru", c.embed_dim, c.hidden_dim)
+        add_gru(store, "text.gru", c.embed_dim, c.hidden_dim)
         store.add("text.out.w", (c.hidden_dim, c.out_dim))
         store.zeros("text.out.b", (c.out_dim,))
         self.store = store
@@ -584,7 +567,7 @@ class SemanticEvaluator:
     def embed_caption(self, tokens: np.ndarray, lengths: np.ndarray) -> Tensor:
         p = self.params
         xs = embedding(p["text.embed"], np.asarray(tokens, dtype=np.int64))
-        h = gru_final_hidden(xs, np.asarray(lengths), self.gru, self.config.hidden_dim)
+        h = gru_final_hidden(xs, np.asarray(lengths), p, "text.gru")
         return l2_normalize(linear(h, p["text.out.w"], p["text.out.b"]).tanh())
 
     def scores(self, features, feat_lengths, tokens, token_lengths) -> Tensor:
@@ -608,39 +591,28 @@ class SemanticEvaluator:
 
 
 def save_checkpoint(path, model, metadata: dict | None = None) -> None:
-    """Binary checkpoint: magic, version, kind tag, metadata JSON, entries.
-
-    Written to a temporary file in the same directory and then renamed over
-    ``path``, so a write that fails part way leaves the old checkpoint whole.
-    """
+    """Binary checkpoint: magic, version, kind tag, metadata JSON, entries;
+    written whole or not at all (``files.replaced``)."""
     metadata = dict(metadata or {})
     metadata.setdefault("config", asdict(model.config))
     meta_blob = json.dumps(metadata, sort_keys=True, allow_nan=False).encode()
     kind_blob = model.kind.encode()
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<H", len(kind_blob)))
-            fh.write(kind_blob)
-            fh.write(struct.pack("<I", len(meta_blob)))
-            fh.write(meta_blob)
-            params = model.params
-            fh.write(struct.pack("<I", len(params)))
-            for name, tensor in params.items():
-                name_blob = name.encode()
-                payload = np.ascontiguousarray(tensor.data, dtype="<f4")
-                fh.write(struct.pack("<H", len(name_blob)))
-                fh.write(name_blob)
-                fh.write(struct.pack("<B", payload.ndim))
-                fh.write(struct.pack(f"<{payload.ndim}I", *payload.shape))
-                fh.write(payload.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with files.replaced(path, binary=True) as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        fh.write(struct.pack("<H", len(kind_blob)))
+        fh.write(kind_blob)
+        fh.write(struct.pack("<I", len(meta_blob)))
+        fh.write(meta_blob)
+        fh.write(struct.pack("<I", len(model.params)))
+        for name, tensor in model.params.items():
+            name_blob = name.encode()
+            payload = np.ascontiguousarray(tensor.data, dtype="<f4")
+            fh.write(struct.pack("<H", len(name_blob)))
+            fh.write(name_blob)
+            fh.write(struct.pack("<B", payload.ndim))
+            fh.write(struct.pack(f"<{payload.ndim}I", *payload.shape))
+            fh.write(payload.tobytes())
 
 
 def load_checkpoint(path, expected_kind: str | None = None) -> tuple[dict, dict]:

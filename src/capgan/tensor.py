@@ -56,7 +56,7 @@ no graph.
 
 Nodes with one or two operands come from two builders, one per arity:
 ``_unary`` (``-x``, the elementwise functions, the shape ops and
-``__getitem__``, ``sum``, the softmax family, ``embedding`` and
+``__getitem__``, which ``embedding`` is, ``sum``, the softmax family and
 ``cross_entropy``) and ``_binary`` (the four arithmetic ops). An op
 states only its forward array and the gradient of each operand. The
 multi-input kernels below write their own backward. Every gradient a node
@@ -809,14 +809,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError("token id outside embedding table")
-    own, dtype = table.shape, table.dtype
-
-    def grad_fn(grad):
-        full = np.zeros(own, dtype=dtype)
-        np.add.at(full, ids, grad)
-        return full
-
-    return table._unary(table.data[ids], grad_fn)
+    return table[ids]
 
 
 def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:

@@ -5,6 +5,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import files
+
 __all__ = ["PAD", "SOS", "EOS", "UNK", "Vocabulary", "normalize_and_tokenize"]
 
 PAD, SOS, EOS, UNK = 0, 1, 2, 3
@@ -75,7 +77,7 @@ class Vocabulary:
 
     def save(self, path) -> None:
         """One non-reserved token per line; line number = id - 4."""
-        Path(path).write_text("\n".join(self.id_to_token[4:]) + "\n", encoding="utf-8")
+        files.write_text(path, "\n".join(self.id_to_token[4:]) + "\n")
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

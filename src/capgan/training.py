@@ -11,7 +11,6 @@ their token probabilities up.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -19,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .corpus import DatasetSplit, epoch_batches
 from .decoding import rollout
 from .metrics import DocFreqTable, build_doc_freq, cider, reference_vectors
@@ -98,16 +98,11 @@ class TrainLog:
         self.records.append(record)
 
     def save_jsonl(self, path) -> None:
-        lines = [json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in self.records]
-        Path(path).write_text("".join(lines), encoding="utf-8")
+        files.write_jsonl(path, self.records)
 
     def save_reward_csv(self, path) -> None:
         keys = ["epoch", "mean_n", "mean_s", "mean_c", "mean_reward"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(keys)
-            for record in self.records:
-                writer.writerow([record.get(k, "") for k in keys])
+        files.write_csv(path, keys, ([record.get(k, "") for k in keys] for record in self.records))
 
 
 def resumed_records(stage: str, out_dir, start_epoch: int) -> list[dict]:
@@ -133,7 +128,6 @@ class StageOutput:
         self.stage, self.seed, self.log = stage, seed, TrainLog()
         self.out_dir = Path(out_dir) if out_dir is not None else None
         if self.out_dir is not None:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
             self.log.records = resumed_records(stage, self.out_dir, start_epoch)
 
     def end_epoch(self, record: dict, checkpoints) -> None:
@@ -548,8 +542,7 @@ def adversarial_train(
         }
         if eval_refs:
             record["eval_cider"] = _eval_greedy_cider(gen, eval_split, eval_refs, vocab, df_table)
-        out.end_epoch(record, [(f"generator_adv_epoch{epoch:03d}.ckpt", gen),
-                               ("generator_adv_final.ckpt", gen),
+        out.end_epoch(record, [("generator_adv_final.ckpt", gen),
                                ("discriminator_adv_final.ckpt", d)])
 
     if _digests(se) != se_before:

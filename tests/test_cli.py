@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import shutil
@@ -11,7 +12,7 @@ import pytest
 import yaml
 
 import capgan
-from capgan import cli
+from capgan import cli, files
 from capgan.cli import EXIT_CODES, main
 from capgan.corpus import generate_synthetic_corpus, save_dataset
 from capgan.decoding import read_captions
@@ -911,6 +912,80 @@ def test_refused_resume_leaves_the_run_directory_unchanged(case, full_run, data_
     assert len(lines) == 1 and lines[0].startswith("error: category=usage: "), err
     assert "--resume" in lines[0]
     assert snapshot(full_run) == before
+
+
+# an edit of the MLE generator checkpoint's metadata that --resume refuses
+UNRESUMABLE_METADATA = {
+    "saved without metadata": lambda meta: None,
+    "epoch a string": lambda meta: dict(meta, epoch="1"),
+    "another stage": lambda meta: dict(meta, stage="adversarial"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNRESUMABLE_METADATA))
+def test_resume_refuses_a_checkpoint_it_cannot_continue(case, pretrained, data_dir, config_file):
+    ckpt = pretrained / "generator_mle_final.ckpt"
+    arrays, meta = load_checkpoint(ckpt, "generator")
+    gen = Generator(GeneratorConfig(**meta["config"]), np.random.default_rng(0))
+    restore_model(gen, arrays)
+    save_checkpoint(ckpt, gen, UNRESUMABLE_METADATA[case](meta))
+    before = snapshot(pretrained)
+    code, err = run_process(["pretrain", "--data", str(data_dir), "--run", str(pretrained),
+                             "--config", str(config_file), "--epochs", "3", "--resume"])
+    assert code == EXIT_CODES["checkpoint"], err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: category=checkpoint: "), err
+    assert "generator_mle_final.ckpt" in lines[0]
+    assert snapshot(pretrained) == before
+
+
+def test_evaluate_writes_into_missing_directories(data_dir, tmp_path, capsys):
+    captions = tmp_path / "captions.jsonl"
+    captions.write_text("".join(
+        json.dumps({"clip_id": entry["clip_id"], "captions": ["a dog barks"]}) + "\n"
+        for entry in json.loads((data_dir / "evaluation.json").read_text())
+    ))
+    report, per_clip = tmp_path / "a" / "report.json", tmp_path / "b" / "c" / "per_clip.csv"
+    code, _, err = run(["evaluate", "--captions", str(captions), "--data", str(data_dir),
+                        "--out-json", str(report), "--per-clip-csv", str(per_clip)], capsys)
+    assert code == 0, err
+    assert json.loads(report.read_text())["n_clips"] == 3
+    assert per_clip.read_text().startswith("clip_id,")
+
+
+def test_every_file_the_pipeline_leaves_goes_through_replaced(tmp_path, config_file,
+                                                               monkeypatch, capsys):
+    written = []
+    real = files.replaced
+
+    @contextlib.contextmanager
+    def spy(path, binary=False):
+        written.append(Path(path))
+        with real(path, binary) as fh:
+            yield fh
+
+    monkeypatch.setattr(files, "replaced", spy)
+    data, run_dir = tmp_path / "data", tmp_path / "run"
+    train = ["--data", data, "--run", run_dir, "--config", config_file, "--epochs", "1"]
+    for argv in (
+        ["prepare-data", "--out", data, "--synthetic", "--seed", "0", "--clips", "12",
+         "--classes", "2", "--feat-dim", "5"],
+        ["pretrain", *train],
+        ["pretrain-d", *train],
+        ["pretrain-se", *train],
+        ["train-gan", *train, "--lambda-sweep", "1,0"],
+        ["generate", "--data", data, "--run", run_dir, "--n", "2", "--beam-size", "2"],
+        ["evaluate", "--captions", run_dir / "captions_gan.jsonl", "--data", data,
+         "--out-json", run_dir / "report.json", "--per-clip-csv", run_dir / "per_clip.csv"],
+    ):
+        code, _, err = run([str(arg) for arg in argv], capsys)
+        assert code == 0, err
+    left = {p for root in (data, run_dir) for p in root.rglob("*") if p.is_file()}
+    assert {p.name for p in left} >= {"train.json", "vocab.txt", "config.yaml", "rewards.csv",
+                                      "captions_gan.jsonl", "report.json", "per_clip.csv"}
+    assert left <= set(written)
+    assert not [p for p in left if p.suffix == ".tmp"]
 
 
 def test_evaluate_refuses_a_clip_listed_twice(data_dir, tmp_path):

