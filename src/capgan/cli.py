@@ -153,9 +153,12 @@ def _load_split(data_dir, name: str):
 
 def _load_splits(data_dir) -> tuple:
     """The train split, and the evaluation split or None if there is none."""
-    has_eval = (Path(data_dir) / "evaluation.json").exists()
-    return (_load_split(data_dir, "train"),
-            _load_split(data_dir, "evaluation") if has_eval else None)
+    train = _load_split(data_dir, "train")
+    if not (Path(data_dir) / "evaluation.json").exists():
+        return train, None
+    evaluation = _load_split(data_dir, "evaluation")
+    evaluation.check_feat_dim(train.feat_dim, "the train split")
+    return train, evaluation
 
 
 def _load_or_build_vocab(run_dir: Path, train, min_count: int) -> Vocabulary:
@@ -172,10 +175,6 @@ def _save_vocab(vocab: Vocabulary, run_dir: Path) -> None:
     vocab_path = run_dir / "vocab.txt"
     if not vocab_path.exists():
         vocab.save(vocab_path)
-
-
-def _data_feat_dim(train) -> int:
-    return train.records[0].features.shape[1]
 
 
 def _model_configs(vocab, cfg: dict, feat_dim: int) -> tuple:
@@ -246,7 +245,10 @@ def cmd_prepare_data(args) -> int:
         )
     if args.import_train:
         train = load_dataset(args.import_train, "train")
-        evaluation = load_dataset(args.import_eval, "evaluation") if args.import_eval else None
+        evaluation = None
+        if args.import_eval:
+            evaluation = load_dataset(args.import_eval, "evaluation")
+            evaluation.check_feat_dim(train.feat_dim, "the train split")
     else:
         train, evaluation = _checked(
             generate_synthetic_corpus,
@@ -270,7 +272,7 @@ def cmd_pretrain(args) -> int:
     run_dir = Path(args.run)
     train, evaluation = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
-    gen_config, _, _ = _model_configs(vocab, cfg, _data_feat_dim(train))
+    gen_config, _, _ = _model_configs(vocab, cfg, train.feat_dim)
     gen = _build(Generator, gen_config, cfg["seed"])
     start_epoch = _start_epoch(gen, "mle", run_dir / "generator_mle_final.ckpt", args.resume,
                                config.mle_epochs)
@@ -293,7 +295,7 @@ def cmd_pretrain_d(args) -> int:
     run_dir = Path(args.run)
     train, _ = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
-    gen_config, d_config, _ = _model_configs(vocab, cfg, _data_feat_dim(train))
+    gen_config, d_config, _ = _model_configs(vocab, cfg, train.feat_dim)
     gen_ckpt = Path(args.generator) if args.generator else run_dir / "generator_mle_final.ckpt"
     gen = _build(Generator, gen_config, None)
     _restore_into(gen, gen_ckpt)
@@ -314,7 +316,7 @@ def cmd_pretrain_se(args) -> int:
     train, _ = _load_splits(args.data)
     _checked(check_semantic_batches, train_split=train, config=config)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
-    _, _, se_config = _model_configs(vocab, cfg, _data_feat_dim(train))
+    _, _, se_config = _model_configs(vocab, cfg, train.feat_dim)
     se = _build(SemanticEvaluator, se_config, cfg["seed"])
     se_ckpt = run_dir / "semantic_evaluator.ckpt"
     start_epoch = _start_epoch(se, "se-pretrain", se_ckpt, args.resume,
@@ -352,7 +354,7 @@ def cmd_train_gan(args) -> int:
     run_dir = Path(args.run)
     train, evaluation = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
-    gen_config, d_config, se_config = _model_configs(vocab, cfg, _data_feat_dim(train))
+    gen_config, d_config, se_config = _model_configs(vocab, cfg, train.feat_dim)
     gen_ckpt = Path(args.generator) if args.generator else run_dir / "generator_mle_final.ckpt"
     d_ckpt = Path(args.discriminator) if args.discriminator else run_dir / "discriminator_pretrained.ckpt"
     se_ckpt = Path(args.semantic) if args.semantic else run_dir / "semantic_evaluator.ckpt"
@@ -400,6 +402,7 @@ def cmd_generate(args) -> int:
     gen = _build(Generator, config_from_checkpoint(GeneratorConfig, meta, ckpt), None)
     restore_model(gen, arrays)
     split = _load_split(args.data, args.split)
+    split.check_feat_dim(gen.config.feat_dim, f"checkpoint {ckpt}")
     decode = _checked(DecodeConfig, beam_size=args.beam_size, n_captions=args.n)
     rng = substream(args.seed if args.seed is not None else 0, "generate-noise")
     rows = []

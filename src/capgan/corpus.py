@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import files
-from .models import pad_frames, pad_sequences
+from .models import pad
 from .seeding import substream
 from .text import EmptyCaptionError, Vocabulary, normalize_and_tokenize
 
@@ -49,7 +49,12 @@ class ClipRecord:
 @dataclass
 class DatasetSplit:
     name: str  # train | evaluation
-    records: list[ClipRecord]
+    records: list[ClipRecord]  # at least one
+
+    @property
+    def feat_dim(self) -> int:
+        """Features per frame, the same for every clip once validated."""
+        return self.records[0].features.shape[1]
 
     def validate(self) -> None:
         ids = [r.clip_id for r in self.records]
@@ -57,6 +62,15 @@ class DatasetSplit:
             raise CorpusError(f"duplicate clip_ids in split {self.name!r}")
         for record in self.records:
             record.validate()
+        self.check_feat_dim(self.feat_dim, f"clip {self.records[0].clip_id!r}")
+
+    def check_feat_dim(self, feat_dim: int, owner: str) -> None:
+        """Refuses the split unless every clip's frames have ``feat_dim``
+        features, the width of ``owner``: a run has one feature width."""
+        for record in self.records:
+            if record.features.shape[1] != feat_dim:
+                raise CorpusError(f"clip {record.clip_id!r}: {record.features.shape[1]} features "
+                                  f"per frame, but {owner} has {feat_dim}")
 
 
 @dataclass
@@ -64,12 +78,8 @@ class Batch:
     clip_ids: list[str]
     features: np.ndarray  # [B, F_max, feat_dim]
     feature_lengths: np.ndarray  # [B]
-    targets: np.ndarray  # [B, L] token ids, sos ... eos then pad; L = longest row
-    target_lengths: np.ndarray  # [B] counting sos+content+eos
-    mask: np.ndarray  # [B, L-1] 1 where the *predicted* position is real
-
-    def __post_init__(self):
-        assert self.mask.sum() == (self.target_lengths - 1).sum()
+    captions: np.ndarray  # [B, L] token ids, sos ... eos then pad; L = longest row
+    caption_lengths: np.ndarray  # [B] counting sos+content+eos
 
 
 # -- feature files ------------------------------------------------------------
@@ -87,9 +97,10 @@ def read_features(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:8] != FEATURE_MAGIC:
         raise CorpusError(f"{path}: not a feature file (bad magic)")
+    if len(raw) < 16:
+        raise CorpusError(f"{path}: truncated feature file")
     frames, feat_dim = struct.unpack("<II", raw[8:16])
-    expected = 16 + 4 * frames * feat_dim
-    if len(raw) != expected:
+    if len(raw) != 16 + 4 * frames * feat_dim:
         raise CorpusError(f"{path}: truncated feature file")
     data = np.frombuffer(raw[16:], dtype="<f4").reshape(frames, feat_dim)
     return np.array(data, dtype=np.float32)
@@ -278,8 +289,8 @@ def epoch_batches(
     t_max: int,
 ) -> list[Batch]:
     """One epoch of batches; each clip appears once with one reference
-    chosen uniformly for this epoch. A batch's targets are padded only to
-    its longest caption (at most ``t_max`` words plus sos and eos)."""
+    chosen uniformly for this epoch. A batch's captions are padded only to
+    its longest one (at most ``t_max`` words plus sos and eos)."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     order = np.arange(len(split.records))
@@ -290,21 +301,13 @@ def epoch_batches(
     for start in range(0, len(order), batch_size):
         idx = order[start : start + batch_size]
         recs = [split.records[i] for i in idx]
-        feats, feat_lengths = pad_frames([r.features for r in recs])
-        targets, target_lengths = pad_sequences(
+        feats, feat_lengths = pad([r.features for r in recs])
+        captions, caption_lengths = pad(
             [vocab.encode(r.references[ref_choice[i]][:t_max]) for r, i in zip(recs, idx)]
         )
-        predicted = np.arange(targets.shape[1] - 1)[None, :] < (target_lengths - 1)[:, None]
-        batches.append(
-            Batch(
-                clip_ids=[r.clip_id for r in recs],
-                features=feats,
-                feature_lengths=feat_lengths,
-                targets=targets,
-                target_lengths=target_lengths,
-                mask=predicted.astype(np.float64),
-            )
-        )
+        batches.append(Batch(clip_ids=[r.clip_id for r in recs], features=feats,
+                             feature_lengths=feat_lengths, captions=captions,
+                             caption_lengths=caption_lengths))
     return batches
 
 

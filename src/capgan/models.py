@@ -85,23 +85,15 @@ def _const(array, dtype) -> Tensor:
     return Tensor(np.asarray(array, dtype=dtype))
 
 
-def pad_sequences(seqs: list[list[int]]):
-    """Token rows padded with 0 to the longest: ([B, T_max] ids, [B] lengths)."""
-    tokens = np.zeros((len(seqs), max(len(s) for s in seqs)), dtype=np.int64)
-    lengths = np.zeros(len(seqs), dtype=np.int64)
-    for i, seq in enumerate(seqs):
-        tokens[i, : len(seq)] = seq
-        lengths[i] = len(seq)
-    return tokens, lengths
-
-
-def pad_frames(arrays: list[np.ndarray]):
-    """Frame rows [F_i, d] padded with 0 to the longest:
-    ([N, F_max, d] in the rows' dtype, [N] lengths)."""
-    lengths = np.array([len(a) for a in arrays], dtype=np.int64)
-    padded = np.zeros((len(arrays), lengths.max(), arrays[0].shape[1]), dtype=arrays[0].dtype)
-    for i, a in enumerate(arrays):
-        padded[i, : len(a)] = a
+def pad(rows):
+    """Rows zero-padded to the longest: token-id lists give [N, L_max]
+    int64, [F_i, d] frame arrays [N, F_max, d] in their dtype; plus the
+    [N] int64 lengths."""
+    rows = [r if isinstance(r, np.ndarray) else np.array(r, dtype=np.int64) for r in rows]
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    padded = np.zeros((len(rows), lengths.max(), *rows[0].shape[1:]), dtype=rows[0].dtype)
+    for i, r in enumerate(rows):
+        padded[i, : len(r)] = r
     return padded, lengths
 
 
@@ -514,7 +506,7 @@ class Discriminator:
     def score(self, token_seqs: list[list[int]]) -> np.ndarray:
         """Naturalness of each caption: one padded forward, no tape."""
         with no_grad():
-            return self.forward(*pad_sequences(token_seqs)).data
+            return self.forward(*pad(token_seqs)).data
 
 
 # -- semantic evaluator -------------------------------------------------------
@@ -570,12 +562,6 @@ class SemanticEvaluator:
         h = gru_final_hidden(xs, np.asarray(lengths), p, "text.gru")
         return l2_normalize(linear(h, p["text.out.w"], p["text.out.b"]).tanh())
 
-    def scores(self, features, feat_lengths, tokens, token_lengths) -> Tensor:
-        """Cosine similarity per (audio, caption) pair, in [-1, 1]."""
-        audio = self.embed_audio(features, feat_lengths)
-        caption = self.embed_caption(tokens, token_lengths)
-        return (audio * caption).sum(axis=-1)
-
     def score(self, audio: np.ndarray, token_seqs: list[list[int]]) -> np.ndarray:
         """Cosine of each caption against its row of ``audio``, the
         [B, out_dim] ``embed_audio`` embeddings: one padded caption forward,
@@ -583,7 +569,7 @@ class SemanticEvaluator:
         if len(audio) != len(token_seqs):
             raise ValueError(f"{len(audio)} audio rows for {len(token_seqs)} captions")
         with no_grad():
-            caption = self.embed_caption(*pad_sequences(token_seqs))
+            caption = self.embed_caption(*pad(token_seqs))
         return (audio * caption.data).sum(axis=-1)
 
 

@@ -27,8 +27,7 @@ from .models import (
     Discriminator,
     Generator,
     SemanticEvaluator,
-    pad_frames,
-    pad_sequences,
+    pad,
     save_checkpoint,
 )
 from .seeding import substream
@@ -216,6 +215,15 @@ def _optimize(opt: Adam, loss: Tensor, what: str) -> float:
 # -- MLE pretraining ----------------------------------------------------------
 
 
+def teacher_forcing(tokens: np.ndarray, lengths: np.ndarray):
+    """The teacher-forced split of padded captions [B, L] (sos ... eos,
+    then padding) of ``lengths``: the decoder inputs [B, L-1], the targets
+    [B, L-1] they predict, and the float64 mask [B, L-1] of the targets
+    that are real, not padding."""
+    predicted = np.arange(tokens.shape[1] - 1)[None, :] < (lengths - 1)[:, None]
+    return tokens[:, :-1], tokens[:, 1:], predicted.astype(np.float64)
+
+
 def _eval_greedy_cider(gen, split: DatasetSplit, ref_vecs: list, vocab, df_table) -> float:
     """Mean CIDEr of the zero-noise greedy captions of a split, decoded in
     one rollout, against ``ref_vecs``, each clip's ``reference_vectors``.
@@ -223,10 +231,10 @@ def _eval_greedy_cider(gen, split: DatasetSplit, ref_vecs: list, vocab, df_table
     see the conv's padding at the clip's last frame. The decoder masks the
     zero frames padded onto the shorter memories."""
     records = split.records
-    features, lengths = pad_frames([r.features for r in records])
+    features, lengths = pad([r.features for r in records])
     z = np.zeros((len(records), gen.config.noise_dim))
     with no_grad():
-        memory, _ = pad_frames([
+        memory, _ = pad([
             gen.encode(r.features[None], lengths[i : i + 1], z[i : i + 1]).data[0]
             for i, r in enumerate(records)
         ])
@@ -254,8 +262,9 @@ def mle_pretrain(
     out_dir=None,
     start_epoch: int = 1,
 ) -> TrainLog:
-    """Teacher-forced cross-entropy training; noise held at zero. The best
-    checkpoint follows the highest eval CIDEr in the log, resumed or not."""
+    """Teacher-forced cross-entropy training; noise held at zero. With an
+    eval split, the best checkpoint follows the highest eval CIDEr in the
+    log, resumed or not; without one there is no best checkpoint."""
     opt = Adam(gen.store.tensors(), lr=config.learning_rate)
     data_rng = substream(config.seed, "mle-data")
     drop_rng = substream(config.seed, "mle-dropout")
@@ -268,19 +277,18 @@ def mle_pretrain(
         for batch in epoch_batches(train_split, vocab, config.batch_size, data_rng,
                                    t_max=gen.config.t_max):
             z = np.zeros((len(batch.clip_ids), gen.config.noise_dim))
-            logits = gen.forward(
-                batch.features, batch.feature_lengths, z,
-                batch.targets[:, :-1], drop_rng=drop_rng,
-            )
-            loss = cross_entropy(logits, batch.targets[:, 1:], batch.mask)
+            inputs, targets, mask = teacher_forcing(batch.captions, batch.caption_lengths)
+            logits = gen.forward(batch.features, batch.feature_lengths, z, inputs,
+                                 drop_rng=drop_rng)
+            loss = cross_entropy(logits, targets, mask)
             losses.append(_optimize(opt, loss, "MLE loss"))
         record = {"epoch": epoch, "mle_loss": float(np.mean(losses))}
+        checkpoints = [("generator_mle_final.ckpt", gen)]
         if eval_refs:
             record["eval_cider"] = _eval_greedy_cider(gen, eval_split, eval_refs, vocab, df_table)
-        best = max((r.get("eval_cider", 0.0) for r in out.log.records), default=-1.0)
-        checkpoints = [("generator_mle_final.ckpt", gen)]
-        if record.get("eval_cider", 0.0) >= best:
-            checkpoints.append(("generator_mle_best.ckpt", gen))
+            best = max((r.get("eval_cider", -1.0) for r in out.log.records), default=-1.0)
+            if record["eval_cider"] >= best:
+                checkpoints.append(("generator_mle_best.ckpt", gen))
         out.end_epoch(record, checkpoints)
     return out.log
 
@@ -308,8 +316,8 @@ def discriminator_step(d: Discriminator, opt: Adam, gen: Generator, batch,
         gen, batch.features, batch.feature_lengths, z, "sample",
         rng=fake_rng, max_length=gen.config.t_max,
     )
-    fake_tokens, fake_lengths = pad_sequences(fakes)
-    loss = discriminator_loss(d, batch.targets, batch.target_lengths, fake_tokens, fake_lengths)
+    fake_tokens, fake_lengths = pad(fakes)
+    loss = discriminator_loss(d, batch.captions, batch.caption_lengths, fake_tokens, fake_lengths)
     return _optimize(opt, loss, "discriminator loss")
 
 
@@ -353,7 +361,7 @@ def semantic_hinge_loss(se: SemanticEvaluator, batch, margin: float) -> Tensor:
     """Bidirectional in-batch ranking loss over the pairwise cosine matrix."""
     b = len(batch.clip_ids)
     audio = se.embed_audio(batch.features, batch.feature_lengths)
-    caption = se.embed_caption(batch.targets, batch.target_lengths)
+    caption = se.embed_caption(batch.captions, batch.caption_lengths)
     sims = audio @ caption.transpose()  # [B, B], diagonal holds the true pairs
     idx = np.arange(b)
     pos = sims[idx, idx]
@@ -404,13 +412,11 @@ def semantic_pretrain(
 
 def semantic_gap(se: SemanticEvaluator, split: DatasetSplit, vocab, t_max: int) -> float:
     """Mean paired-minus-unpaired cosine over a split (unpaired = shifted)."""
-    features, feat_lengths = pad_frames([r.features for r in split.records])
-    tokens, lengths = pad_sequences(
-        [vocab.encode(r.references[0][:t_max]) for r in split.records]
-    )
-    paired = se.scores(features, feat_lengths, tokens, lengths).data
-    rolled = np.roll(np.arange(len(split.records)), 1)
-    unpaired = se.scores(features, feat_lengths, tokens[rolled], lengths[rolled]).data
+    with no_grad():
+        audio = se.embed_audio(*pad([r.features for r in split.records])).data
+    seqs = [vocab.encode(r.references[0][:t_max]) for r in split.records]
+    paired = se.score(audio, seqs)
+    unpaired = se.score(audio, seqs[-1:] + seqs[:-1])
     return float(paired.mean() - unpaired.mean())
 
 
@@ -423,10 +429,7 @@ def scst_surrogate_loss(gen: Generator, batch, memory: Tensor,
     ``memory`` is the batch's taped encoder memory, which the loss
     backpropagates through. The samples are padded only to the longest
     of them."""
-    tokens, lengths = pad_sequences(sampled)
-    inputs = tokens[:, :-1]
-    targets = tokens[:, 1:]
-    mask = (np.arange(targets.shape[1])[None, :] < (lengths - 1)[:, None]).astype(float)
+    inputs, targets, mask = teacher_forcing(*pad(sampled))
     logits = gen.forward(batch.features, batch.feature_lengths, None, inputs, memory=memory)
     log_probs = logits.log_softmax(axis=-1)
     onehot = np.zeros(log_probs.shape, dtype=log_probs.dtype)

@@ -229,7 +229,8 @@ def test_ac01_gradient_correctness(capsys):
     s_tokens = mrng.integers(1, 11, size=(2, 4))
 
     def se_loss():
-        return se.scores(s_feats, np.array([4, 3]), s_tokens, np.array([4, 2])).sum()
+        audio = se.embed_audio(s_feats, np.array([4, 3]))
+        return (audio * se.embed_caption(s_tokens, np.array([4, 2]))).sum()
 
     _check_grad(se_loss, se.store.tensors(), rtol=1e-3)
 

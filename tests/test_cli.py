@@ -14,7 +14,7 @@ import yaml
 import capgan
 from capgan import cli, files
 from capgan.cli import EXIT_CODES, main
-from capgan.corpus import generate_synthetic_corpus, save_dataset
+from capgan.corpus import generate_synthetic_corpus, save_dataset, write_features
 from capgan.decoding import read_captions
 from capgan.models import (
     CheckpointError,
@@ -1144,3 +1144,76 @@ def test_checkpoint_with_a_config_hash_still_restores(pretrained, data_dir, tmp_
                         "--n", "2", "--beam-size", "2", "--out", str(tmp_path / "c.jsonl")],
                        capsys)
     assert code == 0, err
+
+
+def _rewidth(*clip_ids):
+    """An edit of a dataset copy: the feature files of ``clip_ids``
+    rewritten with 3 features per frame, where the dataset has 5."""
+    def edit(data):
+        for clip_id in clip_ids:
+            write_features(data / "features" / f"{clip_id}.feat", np.ones((6, 3), np.float32))
+    return edit
+
+
+def _cut_header(data):
+    """An edit of a dataset copy: a feature file cut inside its 16-byte header."""
+    path = data / "features" / "clip_0000.feat"
+    path.write_bytes(path.read_bytes()[:12])
+
+
+EVAL_CLIPS = ("clip_0009", "clip_0010", "clip_0011")
+PRETRAIN_BAD = ["pretrain", "--data", "{bad}", "--run", "{tmp}/fresh", "--config", "{config}"]
+# the edit of a dataset copy, the argv that reads it, the path it must not
+# write, and what the error line names
+BAD_FEATURES = {
+    "train clip of another width": (
+        _rewidth("clip_0003"), PRETRAIN_BAD, "{tmp}/fresh",
+        "clip 'clip_0003': 3 features per frame, but clip 'clip_0000' has 5"),
+    "evaluation split of another width": (
+        _rewidth(*EVAL_CLIPS), PRETRAIN_BAD, "{tmp}/fresh",
+        "clip 'clip_0009': 3 features per frame, but the train split has 5"),
+    "prepare-data --import-eval of another width": (
+        _rewidth(*EVAL_CLIPS),
+        ["prepare-data", "--out", "{tmp}/fresh", "--import-train", "{data}/train.json",
+         "--import-eval", "{bad}/evaluation.json"], "{tmp}/fresh",
+        "clip 'clip_0009': 3 features per frame, but the train split has 5"),
+    "generate on another width": (
+        _rewidth(*EVAL_CLIPS),
+        ["generate", "--data", "{bad}", "--run", "{run}", "--out", "{tmp}/captions.jsonl"],
+        "{tmp}/captions.jsonl",
+        "clip 'clip_0009': 3 features per frame, but checkpoint"),
+    "feature file cut inside its header": (
+        _cut_header, PRETRAIN_BAD, "{tmp}/fresh", "clip_0000.feat: truncated feature file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FEATURES))
+def test_bad_features_are_refused_before_anything_is_written(case, data_dir, config_file,
+                                                             tmp_path, request):
+    edit, argv, unwritten, named = BAD_FEATURES[case]
+    bad = tmp_path / "bad_data"
+    shutil.copytree(data_dir, bad)
+    edit(bad)
+    run_dir = request.getfixturevalue("pretrained") if case.startswith("generate") else None
+    paths = {"tmp": tmp_path, "data": data_dir, "bad": bad, "config": config_file,
+             "run": run_dir}
+    code, err = run_process([arg.format(**paths) for arg in argv])
+    assert code == EXIT_CODES["corpus"], err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: category=corpus: "), err
+    assert named in lines[0]
+    assert not Path(unwritten.format(**paths)).exists()
+
+
+def test_pretrain_without_an_eval_split_writes_no_best_checkpoint(data_dir, config_file,
+                                                                  tmp_path, capsys):
+    train_only = tmp_path / "train_only"
+    run_dir = tmp_path / "run"
+    for argv in (["prepare-data", "--out", str(train_only),
+                  "--import-train", str(data_dir / "train.json")],
+                 ["pretrain", "--data", str(train_only), "--run", str(run_dir),
+                  "--config", str(config_file), "--epochs", "2"]):
+        code, _, err = run(argv, capsys)
+        assert code == 0, err
+    assert (run_dir / "generator_mle_final.ckpt").exists()
+    assert not (run_dir / "generator_mle_best.ckpt").exists()

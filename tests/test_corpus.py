@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from capgan.corpus import (
-    Batch,
     ClipRecord,
     CorpusError,
     DatasetSplit,
@@ -17,6 +16,7 @@ from capgan.corpus import (
     write_features,
 )
 from capgan.seeding import substream
+from capgan.training import teacher_forcing
 
 
 def small_corpus(seed=7, n_clips=20, n_classes=4, feat_dim=8):
@@ -43,6 +43,15 @@ class TestFeatureFiles:
         write_features(path, np.ones((4, 4), dtype=np.float32))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CorpusError):
+            read_features(path)
+
+    @pytest.mark.parametrize("size", [8, 12, 15])
+    def test_cut_inside_the_header(self, size, tmp_path):
+        # the 16-byte header is the magic and two u32: frames, feat_dim
+        path = tmp_path / "t.feat"
+        write_features(path, np.ones((4, 4), dtype=np.float32))
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(CorpusError, match="t.feat: truncated feature file"):
             read_features(path)
 
 
@@ -117,6 +126,14 @@ class TestLoader:
         with pytest.raises(CorpusError, match="non-finite"):
             load_dataset(manifest)
 
+    def test_clip_of_another_width_names_the_clip(self, tmp_path):
+        train, _ = small_corpus(n_clips=10)
+        manifest = save_dataset(DatasetSplit("train", train.records[:3]), tmp_path)
+        write_features(tmp_path / "features" / "clip_0001.feat", np.ones((6, 3), np.float32))
+        with pytest.raises(CorpusError, match="clip 'clip_0001': 3 features per frame, "
+                                              "but clip 'clip_0000' has 8"):
+            load_dataset(manifest)
+
     def test_missing_feature_file(self, tmp_path):
         train, _ = small_corpus(n_clips=10)
         manifest = save_dataset(DatasetSplit("train", train.records[:1]), tmp_path)
@@ -181,24 +198,26 @@ class TestBatches:
         train, _ = small_corpus()
         vocab = build_vocabulary(train)
         for batch in epoch_batches(train, vocab, 4, substream(0, "batch"), t_max=22):
-            assert batch.mask.sum() == (batch.target_lengths - 1).sum()
-            # padded target positions are exactly the zeros
+            _, _, mask = teacher_forcing(batch.captions, batch.caption_lengths)
+            assert mask.sum() == (batch.caption_lengths - 1).sum()
+            # padded caption positions are exactly the zeros
             for b in range(len(batch.clip_ids)):
-                length = batch.target_lengths[b]
-                assert np.all(batch.targets[b, length:] == 0)
-                assert np.all(batch.targets[b, :length] != 0) or batch.targets[b, 0] == 1
+                length = batch.caption_lengths[b]
+                assert np.all(batch.captions[b, length:] == 0)
+                assert np.all(batch.captions[b, :length] != 0) or batch.captions[b, 0] == 1
 
     @pytest.mark.parametrize("t_max", [22, 5])
     def test_width_is_the_longest_caption(self, t_max):
         train, _ = small_corpus()
         vocab = build_vocabulary(train)
         for batch in epoch_batches(train, vocab, 4, substream(0, "batch"), t_max=t_max):
-            rows, longest = len(batch.clip_ids), batch.target_lengths.max()
+            rows, longest = len(batch.clip_ids), batch.caption_lengths.max()
             assert longest <= t_max + 2
-            assert batch.targets.shape == (rows, longest)
-            assert batch.mask.shape == (rows, longest - 1)
-            predicted = np.arange(longest - 1)[None, :] < (batch.target_lengths - 1)[:, None]
-            np.testing.assert_array_equal(batch.mask, predicted)
+            assert batch.captions.shape == (rows, longest)
+            _, _, mask = teacher_forcing(batch.captions, batch.caption_lengths)
+            assert mask.shape == (rows, longest - 1)
+            predicted = np.arange(longest - 1)[None, :] < (batch.caption_lengths - 1)[:, None]
+            np.testing.assert_array_equal(mask, predicted)
 
     def test_every_reference_used_over_epochs(self):
         train, _ = small_corpus(n_clips=10)
@@ -211,7 +230,7 @@ class TestBatches:
             for batch in epoch_batches(train, vocab, 4, rng, t_max=22):
                 if target.clip_id in batch.clip_ids:
                     i = batch.clip_ids.index(target.clip_id)
-                    length = batch.target_lengths[i]
-                    tokens = vocab.decode(batch.targets[i, :length])
+                    length = batch.caption_lengths[i]
+                    tokens = vocab.decode(batch.captions[i, :length])
                     seen.add(" ".join(tokens))
         assert seen == ref_strings

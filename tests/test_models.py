@@ -23,6 +23,7 @@ from capgan.models import (
     gru_inputs,
     l2_normalize,
     load_checkpoint,
+    pad,
     restore_model,
     save_checkpoint,
 )
@@ -818,6 +819,49 @@ class TestDecodeCache:
             gen.forward(features, feat_lengths, z, tokens[:, :1], cache=cache)
 
 
+def pad_sequences(seqs):
+    """The token padder ``pad`` replaced, kept as its reference."""
+    tokens = np.zeros((len(seqs), max(len(s) for s in seqs)), dtype=np.int64)
+    lengths = np.zeros(len(seqs), dtype=np.int64)
+    for i, seq in enumerate(seqs):
+        tokens[i, : len(seq)] = seq
+        lengths[i] = len(seq)
+    return tokens, lengths
+
+
+def pad_frames(arrays):
+    """The frame padder ``pad`` replaced, kept as its reference."""
+    lengths = np.array([len(a) for a in arrays], dtype=np.int64)
+    padded = np.zeros((len(arrays), lengths.max(), arrays[0].shape[1]), dtype=arrays[0].dtype)
+    for i, a in enumerate(arrays):
+        padded[i, : len(a)] = a
+    return padded, lengths
+
+
+class TestPad:
+    @staticmethod
+    def _assert_same(got, want):
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("seqs", [
+        [[1, 5, 6, 2], [1, 7, 2], [1, 4, 4, 8, 9, 2]],
+        [[1, 2]],
+        [[1, 3, 2], [1, 4, 2]],
+        [np.array([1, 5, 2]), [1, 2]],
+    ], ids=["ragged", "one row", "one length", "array row first"])
+    def test_token_rows_as_pad_sequences(self, seqs):
+        self._assert_same(pad(seqs), pad_sequences(seqs))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_frame_rows_as_pad_frames(self, dtype):
+        rng = np.random.default_rng(0)
+        for frames in ([5, 3, 7], [4], [6, 6]):
+            arrays = [rng.standard_normal((f, 3)).astype(dtype) for f in frames]
+            self._assert_same(pad(arrays), pad_frames(arrays))
+
+
 class TestDiscriminator:
     def _model(self, dtype=np.float64):
         return Discriminator(
@@ -896,7 +940,9 @@ class TestSemanticEvaluator:
         rng = np.random.default_rng(2)
         features = rng.standard_normal((3, 6, 5))
         tokens = rng.integers(1, 11, size=(3, 5))
-        s = se.scores(features, np.array([6, 6, 4]), tokens, np.array([5, 4, 3])).data
+        with no_grad():
+            audio = se.embed_audio(features, np.array([6, 6, 4])).data
+        s = se.score(audio, [list(row[:n]) for row, n in zip(tokens, [5, 4, 3])])
         assert np.all(s >= -1.0) and np.all(s <= 1.0)
 
     def test_full_model_gradients(self):
@@ -907,11 +953,14 @@ class TestSemanticEvaluator:
         tokens = rng.integers(1, 11, size=(2, 4))
         token_lengths = np.array([4, 2])
 
-        def loss():
-            s = se.scores(features, feat_lengths, tokens, token_lengths)
-            return float(s.data.sum())
+        def cosines():
+            audio = se.embed_audio(features, feat_lengths)
+            return (audio * se.embed_caption(tokens, token_lengths)).sum(axis=-1)
 
-        se.scores(features, feat_lengths, tokens, token_lengths).sum().backward()
+        def loss():
+            return float(cosines().data.sum())
+
+        cosines().sum().backward()
         params = se.store.tensors()
         fd = finite_difference(loss, params)
         assert_grads_close(params, fd, rtol=1e-3)

@@ -16,8 +16,7 @@ from capgan.models import (
     GeneratorConfig,
     SemanticEvaluator,
     SemanticEvaluatorConfig,
-    pad_frames,
-    pad_sequences,
+    pad,
     restore_model,
 )
 from capgan.tensor import Adam, Diverged, Tensor, cross_entropy
@@ -39,6 +38,7 @@ from capgan.training import (
     semantic_gap,
     semantic_hinge_loss,
     semantic_pretrain,
+    teacher_forcing,
 )
 
 from conftest import assert_grads_close, finite_difference
@@ -233,9 +233,9 @@ class TestBatchedRewards:
             if use_d:
                 n = float(oracles.discriminator.forward(tokens, length).data[0])
             if use_se:
-                f = record.features
-                s = float(oracles.evaluator.scores(
-                    f[None], np.array([len(f)]), tokens, length).data[0])
+                f, se = record.features, oracles.evaluator
+                audio = se.embed_audio(f[None], np.array([len(f)]))
+                s = float((audio * se.embed_caption(tokens, length)).sum().item())
             if config.lam < 1.0:
                 c = recount_cider(oracles.vocab.decode(seq), record.references,
                                   oracles.df_table)
@@ -345,14 +345,12 @@ class _MiniBatch:
 
 
 def full_width(batch, width):
-    """The batch with targets zero-padded to ``width`` columns, as every
+    """The batch with captions zero-padded to ``width`` columns, as every
     batch was before batches were trimmed to their longest caption."""
-    rows, t = batch.targets.shape
-    targets = np.zeros((rows, width), dtype=batch.targets.dtype)
-    targets[:, :t] = batch.targets
-    mask = np.zeros((rows, width - 1))
-    mask[:, : t - 1] = batch.mask
-    return dataclasses.replace(batch, targets=targets, mask=mask)
+    rows, t = batch.captions.shape
+    captions = np.zeros((rows, width), dtype=batch.captions.dtype)
+    captions[:, :t] = batch.captions
+    return dataclasses.replace(batch, captions=captions)
 
 
 def full_width_surrogate(gen, batch, z, sampled, advantages, width):
@@ -400,7 +398,7 @@ class TestTrimmedBatches:
     @staticmethod
     def _batch(vocab, train, seed=0):
         batch = epoch_batches(train, vocab, 4, np.random.default_rng(seed), t_max=22)[0]
-        assert batch.targets.shape[1] < 24
+        assert batch.captions.shape[1] < 24
         return batch, full_width(batch, 24)
 
     def test_generator_loss_and_gradients(self):
@@ -411,9 +409,10 @@ class TestTrimmedBatches:
 
         def mle_loss(batch):
             z = np.zeros((len(batch.clip_ids), gen.config.noise_dim))
-            logits = gen.forward(batch.features, batch.feature_lengths, z,
-                                 batch.targets[:, :-1], drop_rng=np.random.default_rng(7))
-            return cross_entropy(logits, batch.targets[:, 1:], batch.mask)
+            inputs, targets, mask = teacher_forcing(batch.captions, batch.caption_lengths)
+            logits = gen.forward(batch.features, batch.feature_lengths, z, inputs,
+                                 drop_rng=np.random.default_rng(7))
+            return cross_entropy(logits, targets, mask)
 
         for seed in range(3):
             trimmed, padded = self._batch(vocab, train, seed)
@@ -428,12 +427,12 @@ class TestTrimmedBatches:
     def test_discriminator_loss_and_gradients_are_equal(self):
         train, _, vocab, _, d, _ = tiny_setup()
         trimmed, padded = self._batch(vocab, train)
-        fakes = pad_sequences([[SOS, 5, 6, EOS], [SOS, 7, EOS], [SOS, 4, EOS], [SOS, 9, 9, EOS]])
+        fakes = pad([[SOS, 5, 6, EOS], [SOS, 7, EOS], [SOS, 4, EOS], [SOS, 9, 9, EOS]])
         params = d.store.tensors()
         got, got_grads = loss_and_grads(params, lambda: discriminator_loss(
-            d, trimmed.targets, trimmed.target_lengths, *fakes))
+            d, trimmed.captions, trimmed.caption_lengths, *fakes))
         want, want_grads = loss_and_grads(params, lambda: discriminator_loss(
-            d, padded.targets, padded.target_lengths, *fakes))
+            d, padded.captions, padded.caption_lengths, *fakes))
         assert got == want
         for g, w in zip(got_grads, want_grads):
             np.testing.assert_array_equal(g, w)
@@ -465,6 +464,24 @@ class TestTrimmedBatches:
             params, lambda: full_width_surrogate(gen, batch, z, sampled, advantages, 24))
         assert got == pytest.approx(want, rel=1e-6)
         assert_grads_agree(got_grads, want_grads, rtol=1e-5)
+
+
+class TestTeacherForcing:
+    @pytest.mark.parametrize("seqs", [
+        [[1, 5, 6, 2], [1, 7, 2], [1, 4, 4, 8, 9, 2]],
+        [[1, 5, 2]],
+        [[1, 3, 4, 2], [1, 5, 6, 2]],
+    ], ids=["ragged", "one row", "one length"])
+    def test_matches_the_old_rule(self, seqs):
+        tokens, lengths = pad(seqs)
+        inputs, targets, mask = teacher_forcing(tokens, lengths)
+        np.testing.assert_array_equal(inputs, tokens[:, :-1])
+        np.testing.assert_array_equal(targets, tokens[:, 1:])
+        # the rule the batches and the SCST surrogate each used to write
+        predicted = np.arange(tokens.shape[1] - 1)[None, :] < (lengths - 1)[:, None]
+        assert mask.dtype == np.float64
+        np.testing.assert_array_equal(mask, predicted.astype(np.float64))
+        assert mask.sum() == (lengths - 1).sum()
 
 
 class TestSurrogate:
@@ -581,7 +598,7 @@ class TestDiscriminatorTraining:
 
 
 def _stack_features(split):
-    return pad_frames([r.features for r in split.records])
+    return pad([r.features for r in split.records])
 
 
 class TestSemanticEvaluatorTraining:
@@ -598,8 +615,8 @@ class TestSemanticEvaluatorTraining:
             clip_ids = ["a", "b", "c"]
             features = np.zeros((3, 2, 2))
             feature_lengths = np.array([2, 2, 2])
-            targets = np.zeros((3, 4), dtype=np.int64)
-            target_lengths = np.array([3, 3, 3])
+            captions = np.zeros((3, 4), dtype=np.int64)
+            caption_lengths = np.array([3, 3, 3])
 
         loss = semantic_hinge_loss(se, B(), margin=0.2)
         assert loss.item() == 0.0  # sims = I: pos 1, negatives 0, margin met
@@ -618,8 +635,8 @@ class TestSemanticEvaluatorTraining:
             clip_ids = ["a", "b"]
             features = np.zeros((2, 2, 2))
             feature_lengths = np.array([2, 2])
-            targets = np.zeros((2, 4), dtype=np.int64)
-            target_lengths = np.array([3, 3])
+            captions = np.zeros((2, 4), dtype=np.int64)
+            caption_lengths = np.array([3, 3])
 
         # sims = [[0.8, 0.6], [0.6, 0.8]]; every violation = 0.6-0.8+0.2 = 0
         loss = semantic_hinge_loss(se, B(), margin=0.2)
@@ -654,9 +671,9 @@ class TestSemanticEvaluatorTraining:
         )
         rng = np.random.default_rng(0)
         batch = _MiniBatch(rng, n=4, frames=4, feat_dim=5)
-        batch.targets = rng.integers(1, 11, size=(4, 5))
-        batch.targets[:, 0] = 1
-        batch.target_lengths = np.array([5, 4, 5, 3])
+        batch.captions = rng.integers(1, 11, size=(4, 5))
+        batch.captions[:, 0] = 1
+        batch.caption_lengths = np.array([5, 4, 5, 3])
 
         def loss():
             return semantic_hinge_loss(se, batch, margin=0.2).item()
@@ -677,6 +694,14 @@ class TestMLEPretrain:
         assert (tmp_path / "generator_mle_final.ckpt").exists()
         assert (tmp_path / "generator_mle_best.ckpt").exists()
         assert all("eval_cider" in r for r in log.records)
+
+    def test_no_best_checkpoint_without_an_eval_split(self, tmp_path):
+        train, _, vocab, gen, _, _ = tiny_setup()
+        log = mle_pretrain(gen, train, None, vocab, tiny_train_config(mle_epochs=2),
+                           out_dir=tmp_path)
+        assert not any("eval_cider" in r for r in log.records)
+        assert (tmp_path / "generator_mle_final.ckpt").exists()
+        assert not (tmp_path / "generator_mle_best.ckpt").exists()
 
     def test_deterministic_given_seed(self):
         losses = []
