@@ -40,7 +40,7 @@ class ClipRecord:
                 f"clip {self.clip_id!r}: expected {N_REFERENCES} references, "
                 f"got {len(self.references)}"
             )
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
+        if self.features.ndim != 2 or min(self.features.shape) < 1:
             raise CorpusError(f"clip {self.clip_id!r}: bad feature shape {self.features.shape}")
         if not np.all(np.isfinite(self.features)):
             raise CorpusError(f"clip {self.clip_id!r}: non-finite feature values")

@@ -45,6 +45,10 @@ SE_MARGIN = 0.2
 LOG_FILES = {"mle": "mle_log.jsonl", "d-pretrain": "d_log.jsonl",
              "se-pretrain": "se_log.jsonl", "adversarial": "train_log.jsonl"}
 
+# each stage's substream, which orders its batches
+DATA_STREAMS = {"mle": "mle-data", "d-pretrain": "d-data",
+                "se-pretrain": "se-data", "adversarial": "adv-data"}
+
 
 @dataclass
 class TrainConfig:
@@ -118,28 +122,34 @@ def resumed_records(stage: str, out_dir, start_epoch: int) -> list[dict]:
         raise CheckpointError(f"cannot resume from log {path}: {exc!r}") from None
 
 
-class StageOutput:
-    """A training stage's log and, with an ``out_dir``, its log file and
-    checkpoints, written there after every epoch. A resumed stage keeps its
-    log file's records of the epochs before ``start_epoch``."""
-
-    def __init__(self, stage: str, out_dir, seed: int, start_epoch: int = 1):
-        self.stage, self.seed, self.log = stage, seed, TrainLog()
-        self.out_dir = Path(out_dir) if out_dir is not None else None
-        if self.out_dir is not None:
-            self.log.records = resumed_records(stage, self.out_dir, start_epoch)
-
-    def end_epoch(self, record: dict, checkpoints) -> None:
-        """Logs ``record``, then writes the log and each ``(file name, model)``
-        checkpoint, stamped with the epoch, the seed and the stage."""
-        self.log.append(**record)
-        if self.out_dir is not None:
-            self.log.save_jsonl(self.out_dir / LOG_FILES[self.stage])
-            if self.stage == "adversarial":
-                self.log.save_reward_csv(self.out_dir / "rewards.csv")
-            meta = {"epoch": record["epoch"], "seed": self.seed, "stage": self.stage}
+@quiet_numerics
+def run_stage(stage: str, split: DatasetSplit, vocab, config: TrainConfig, t_max: int,
+              epochs: int, step, end_epoch, out_dir=None, start_epoch: int = 1) -> TrainLog:
+    """Trains ``stage`` for epochs ``start_epoch``..``epochs``: ``step(batch)``
+    on each of an epoch's batches, then ``end_epoch(epoch, the steps' results,
+    log)`` gives the epoch's record and its ``(file name, model)``
+    checkpoints. The record is logged; with an ``out_dir`` the log file is
+    written there, and each checkpoint, stamped with the epoch, the seed and
+    the stage. A resumed stage keeps its log file's records of the epochs
+    before ``start_epoch``."""
+    log = TrainLog()
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        log.records = resumed_records(stage, out_dir, start_epoch)
+    data_rng = substream(config.seed, DATA_STREAMS[stage])
+    for epoch in range(start_epoch, epochs + 1):
+        results = [step(batch) for batch in
+                   epoch_batches(split, vocab, config.batch_size, data_rng, t_max=t_max)]
+        record, checkpoints = end_epoch(epoch, results, log)
+        log.append(**record)
+        if out_dir is not None:
+            log.save_jsonl(out_dir / LOG_FILES[stage])
+            if stage == "adversarial":
+                log.save_reward_csv(out_dir / "rewards.csv")
+            meta = {"epoch": epoch, "seed": config.seed, "stage": stage}
             for name, model in checkpoints:
-                save_checkpoint(self.out_dir / name, model, meta)
+                save_checkpoint(out_dir / name, model, meta)
+    return log
 
 
 class RewardOracles:
@@ -252,7 +262,6 @@ def _eval_references(split: DatasetSplit | None, df_table) -> list:
     return [reference_vectors(r.references, df_table) for r in records]
 
 
-@quiet_numerics
 def mle_pretrain(
     gen: Generator,
     train_split: DatasetSplit,
@@ -266,31 +275,28 @@ def mle_pretrain(
     eval split, the best checkpoint follows the highest eval CIDEr in the
     log, resumed or not; without one there is no best checkpoint."""
     opt = Adam(gen.store.tensors(), lr=config.learning_rate)
-    data_rng = substream(config.seed, "mle-data")
     drop_rng = substream(config.seed, "mle-dropout")
-    out = StageOutput("mle", out_dir, config.seed, start_epoch)
     df_table = build_doc_freq([r.references for r in train_split.records])
     eval_refs = _eval_references(eval_split, df_table)
 
-    for epoch in range(start_epoch, config.mle_epochs + 1):
-        losses = []
-        for batch in epoch_batches(train_split, vocab, config.batch_size, data_rng,
-                                   t_max=gen.config.t_max):
-            z = np.zeros((len(batch.clip_ids), gen.config.noise_dim))
-            inputs, targets, mask = teacher_forcing(batch.captions, batch.caption_lengths)
-            logits = gen.forward(batch.features, batch.feature_lengths, z, inputs,
-                                 drop_rng=drop_rng)
-            loss = cross_entropy(logits, targets, mask)
-            losses.append(_optimize(opt, loss, "MLE loss"))
+    def step(batch):
+        z = np.zeros((len(batch.clip_ids), gen.config.noise_dim))
+        inputs, targets, mask = teacher_forcing(batch.captions, batch.caption_lengths)
+        logits = gen.forward(batch.features, batch.feature_lengths, z, inputs, drop_rng=drop_rng)
+        return _optimize(opt, cross_entropy(logits, targets, mask), "MLE loss")
+
+    def end_epoch(epoch, losses, log):
         record = {"epoch": epoch, "mle_loss": float(np.mean(losses))}
         checkpoints = [("generator_mle_final.ckpt", gen)]
         if eval_refs:
             record["eval_cider"] = _eval_greedy_cider(gen, eval_split, eval_refs, vocab, df_table)
-            best = max((r.get("eval_cider", -1.0) for r in out.log.records), default=-1.0)
+            best = max((r.get("eval_cider", -1.0) for r in log.records), default=-1.0)
             if record["eval_cider"] >= best:
                 checkpoints.append(("generator_mle_best.ckpt", gen))
-        out.end_epoch(record, checkpoints)
-    return out.log
+        return record, checkpoints
+
+    return run_stage("mle", train_split, vocab, config, gen.config.t_max, config.mle_epochs,
+                     step, end_epoch, out_dir, start_epoch)
 
 
 # -- discriminator ------------------------------------------------------------
@@ -321,7 +327,6 @@ def discriminator_step(d: Discriminator, opt: Adam, gen: Generator, batch,
     return _optimize(opt, loss, "discriminator loss")
 
 
-@quiet_numerics
 def d_pretrain(
     d: Discriminator,
     gen: Generator,
@@ -333,18 +338,13 @@ def d_pretrain(
 ) -> TrainLog:
     """Real references vs. captions sampled from the current generator."""
     opt = Adam(d.store.tensors(), lr=config.learning_rate)
-    data_rng = substream(config.seed, "d-data")
     fake_rng = substream(config.seed, "d-fakes")
-    out = StageOutput("d-pretrain", out_dir, config.seed, start_epoch)
-    for epoch in range(start_epoch, config.d_pretrain_epochs + 1):
-        losses = [
-            discriminator_step(d, opt, gen, batch, fake_rng)
-            for batch in epoch_batches(train_split, vocab, config.batch_size, data_rng,
-                                       t_max=gen.config.t_max)
-        ]
-        out.end_epoch({"epoch": epoch, "d_loss": float(np.mean(losses))},
-                      [("discriminator_pretrained.ckpt", d)])
-    return out.log
+    return run_stage(
+        "d-pretrain", train_split, vocab, config, gen.config.t_max, config.d_pretrain_epochs,
+        lambda batch: discriminator_step(d, opt, gen, batch, fake_rng),
+        lambda epoch, losses, log: ({"epoch": epoch, "d_loss": float(np.mean(losses))},
+                                    [("discriminator_pretrained.ckpt", d)]),
+        out_dir, start_epoch)
 
 
 def discriminator_accuracy(d, real_seqs, fake_seqs) -> float:
@@ -383,7 +383,6 @@ def check_semantic_batches(train_split: DatasetSplit, config: TrainConfig) -> No
                          f"batch_size {config.batch_size} and {n_clips} train clips")
 
 
-@quiet_numerics
 def semantic_pretrain(
     se: SemanticEvaluator,
     train_split: DatasetSplit,
@@ -395,19 +394,18 @@ def semantic_pretrain(
 ) -> TrainLog:
     check_semantic_batches(train_split, config)
     opt = Adam(se.store.tensors(), lr=config.learning_rate)
-    data_rng = substream(config.seed, "se-data")
-    out = StageOutput("se-pretrain", out_dir, config.seed, start_epoch)
-    for epoch in range(start_epoch, config.se_pretrain_epochs + 1):
-        losses = []
-        for batch in epoch_batches(train_split, vocab, config.batch_size, data_rng,
-                                   t_max=t_max):
-            if len(batch.clip_ids) < 2:
-                continue  # hinge loss needs in-batch negatives
-            loss = semantic_hinge_loss(se, batch, SE_MARGIN)
-            losses.append(_optimize(opt, loss, "semantic loss"))
-        out.end_epoch({"epoch": epoch, "se_loss": float(np.mean(losses))},
-                      [("semantic_evaluator.ckpt", se)])
-    return out.log
+
+    def step(batch):
+        if len(batch.clip_ids) < 2:
+            return None  # hinge loss needs in-batch negatives
+        return _optimize(opt, semantic_hinge_loss(se, batch, SE_MARGIN), "semantic loss")
+
+    def end_epoch(epoch, losses, log):
+        se_loss = float(np.mean([loss for loss in losses if loss is not None]))
+        return {"epoch": epoch, "se_loss": se_loss}, [("semantic_evaluator.ckpt", se)]
+
+    return run_stage("se-pretrain", train_split, vocab, config, t_max,
+                     config.se_pretrain_epochs, step, end_epoch, out_dir, start_epoch)
 
 
 def semantic_gap(se: SemanticEvaluator, split: DatasetSplit, vocab, t_max: int) -> float:
@@ -486,7 +484,6 @@ def _digests(model) -> dict:
             for name, p in model.params.items()}
 
 
-@quiet_numerics
 def adversarial_train(
     gen: Generator,
     d: Discriminator,
@@ -507,31 +504,25 @@ def adversarial_train(
     train_d = config.lam > 0.0 and config.ablation != "se"
     gen_opt = Adam(gen.store.tensors(), lr=config.learning_rate)
     d_opt = Adam(d.store.tensors(), lr=config.learning_rate) if train_d else None
-    data_rng = substream(config.seed, "adv-data")
     fake_rng = substream(config.seed, "adv-fakes")
     z_rng = substream(config.seed, "adv-z")
     sample_rng = substream(config.seed, "adv-sample")
     records_by_id = {r.clip_id: r for r in train_split.records}
     se_before = _digests(se)
-    out = StageOutput("adversarial", out_dir, config.seed)
 
-    for epoch in range(1, config.adversarial_epochs + 1):
-        d_losses, g_losses, rewards, advantages = [], [], [], []
-        for batch in epoch_batches(train_split, vocab, config.batch_size, data_rng,
-                                   t_max=gen.config.t_max):
-            if train_d:
-                d_losses.append(discriminator_step(d, d_opt, gen, batch, fake_rng))
-            g_loss, breakdowns, batch_advantages = scst_generator_step(
-                gen, gen_opt, batch, records_by_id, oracles, config,
-                z_rng, sample_rng,
-            )
-            g_losses.append(g_loss)
-            rewards.extend(breakdowns)
-            advantages.extend(batch_advantages)
+    def step(batch):
+        d_loss = discriminator_step(d, d_opt, gen, batch, fake_rng) if train_d else None
+        return (d_loss, *scst_generator_step(gen, gen_opt, batch, records_by_id, oracles,
+                                             config, z_rng, sample_rng))
+
+    def end_epoch(epoch, results, log):
+        d_losses, g_losses, breakdowns, advantages = zip(*results)
+        rewards = [r for batch_rewards in breakdowns for r in batch_rewards]
+        advantages = np.concatenate(advantages)
         record = {
             "epoch": epoch,
             "g_loss": float(np.mean(g_losses)),
-            "d_loss": float(np.mean(d_losses)) if d_losses else None,
+            "d_loss": float(np.mean(d_losses)) if train_d else None,
             "mean_n": float(np.mean([r.n for r in rewards])),
             "mean_s": float(np.mean([r.s for r in rewards])),
             "mean_c": float(np.mean([r.c for r in rewards])),
@@ -539,15 +530,16 @@ def adversarial_train(
             # SCST health: sampled captions' reward over their greedy baselines
             "adv_mean": float(np.mean(advantages)),
             "adv_std": float(np.std(advantages)),
-            "adv_pos_frac": float(np.mean(np.array(advantages) > 0.0)),
+            "adv_pos_frac": float(np.mean(advantages > 0.0)),
             "d_queries": oracles.d_queries,
             "se_queries": oracles.se_queries,
         }
         if eval_refs:
             record["eval_cider"] = _eval_greedy_cider(gen, eval_split, eval_refs, vocab, df_table)
-        out.end_epoch(record, [("generator_adv_final.ckpt", gen),
-                               ("discriminator_adv_final.ckpt", d)])
+        return record, [("generator_adv_final.ckpt", gen), ("discriminator_adv_final.ckpt", d)]
 
+    log = run_stage("adversarial", train_split, vocab, config, gen.config.t_max,
+                    config.adversarial_epochs, step, end_epoch, out_dir)
     if _digests(se) != se_before:
         raise RuntimeError("semantic evaluator changed during adversarial training")
-    return out.log, oracles
+    return log, oracles

@@ -1161,6 +1161,13 @@ def _cut_header(data):
     path.write_bytes(path.read_bytes()[:12])
 
 
+def _zero_width(data):
+    """An edit of a dataset copy: every feature file rewritten with 0
+    features per frame."""
+    for path in (data / "features").glob("*.feat"):
+        write_features(path, np.ones((7, 0), np.float32))
+
+
 EVAL_CLIPS = ("clip_0009", "clip_0010", "clip_0011")
 PRETRAIN_BAD = ["pretrain", "--data", "{bad}", "--run", "{tmp}/fresh", "--config", "{config}"]
 # the edit of a dataset copy, the argv that reads it, the path it must not
@@ -1184,6 +1191,8 @@ BAD_FEATURES = {
         "clip 'clip_0009': 3 features per frame, but checkpoint"),
     "feature file cut inside its header": (
         _cut_header, PRETRAIN_BAD, "{tmp}/fresh", "clip_0000.feat: truncated feature file"),
+    "every clip 0 features wide": (
+        _zero_width, PRETRAIN_BAD, "{tmp}/fresh", "clip 'clip_0000': bad feature shape (7, 0)"),
 }
 
 

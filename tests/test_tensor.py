@@ -18,6 +18,7 @@ from capgan.tensor import (
     embedding,
     layer_norm,
     linear,
+    log_softmax,
     no_grad,
 )
 
@@ -446,6 +447,25 @@ class TestCrossEntropy:
         logits = param(rng, 3, 5)
         cross_entropy(logits, [0, 1, 2], mask=[1, 0, 1]).backward()
         np.testing.assert_array_equal(logits.grad[1], np.zeros(5))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_is_the_one_hot_formula_bit_for_bit(self, rng, dtype):
+        # the MLE layout: [B, T, V] logits, with padded positions masked off
+        logits = Tensor(rng.standard_normal((3, 5, 7)).astype(dtype), requires_grad=True)
+        targets = rng.integers(0, 7, size=(3, 5))
+        mask = (np.arange(5)[None, :] < np.array([5, 3, 1])[:, None]).astype(np.float64)
+        loss = cross_entropy(logits, targets, mask)
+        grad = np.ones_like(loss.data)
+        loss.backward()
+
+        soft = np.exp(log_softmax(logits.data))
+        onehot = np.zeros_like(soft)
+        np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
+        kept = mask.astype(dtype)
+        want = grad * (soft - onehot) * (kept / kept.sum())[..., None]
+        assert logits.grad.dtype == want.dtype
+        assert logits.grad.tobytes() == want.tobytes()
+        assert not logits.grad[2, 1:].any()
 
 
 class TestBackward:

@@ -16,6 +16,7 @@ from capgan.models import (
     GeneratorConfig,
     SemanticEvaluator,
     SemanticEvaluatorConfig,
+    load_checkpoint,
     pad,
     restore_model,
 )
@@ -1083,3 +1084,96 @@ class TestTrainLog:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,mean_n,mean_s,mean_c,mean_reward"
         assert lines[1] == "1,0.5,0.1,3.0,1.8"
+
+
+STAGES = ("mle", "d-pretrain", "se-pretrain", "adversarial")
+# what each stage leaves in its output directory
+STAGE_FILES = {
+    "mle": ["generator_mle_final.ckpt", "mle_log.jsonl"],
+    "d-pretrain": ["d_log.jsonl", "discriminator_pretrained.ckpt"],
+    "se-pretrain": ["se_log.jsonl", "semantic_evaluator.ckpt"],
+    "adversarial": ["discriminator_adv_final.ckpt", "generator_adv_final.ckpt", "rewards.csv",
+                    "train_log.jsonl"],
+}
+
+
+def run_tiny_stage(stage, epochs, out_dir=None, start_epoch=1):
+    """``stage`` on the tiny set-up for ``epochs`` epochs, without an eval
+    split; returns its log."""
+    train, _, vocab, gen, d, se = tiny_setup()
+    config = tiny_train_config(mle_epochs=epochs, d_pretrain_epochs=epochs,
+                               se_pretrain_epochs=epochs, adversarial_epochs=epochs)
+    if stage == "mle":
+        return mle_pretrain(gen, train, None, vocab, config, out_dir, start_epoch)
+    if stage == "d-pretrain":
+        return d_pretrain(d, gen, train, vocab, config, out_dir, start_epoch)
+    if stage == "se-pretrain":
+        return semantic_pretrain(se, train, vocab, config, gen.config.t_max, out_dir, start_epoch)
+    assert start_epoch == 1  # the adversarial stage does not resume
+    return adversarial_train(gen, d, se, train, None, vocab, config, out_dir)[0]
+
+
+class TestRunStage:
+    @pytest.mark.parametrize("stage, streams", [
+        ("mle", {"mle-data", "mle-dropout"}),
+        ("d-pretrain", {"d-data", "d-fakes"}),
+        ("se-pretrain", {"se-data"}),
+        ("adversarial", {"adv-data", "adv-fakes", "adv-z", "adv-sample"}),
+    ])
+    def test_each_stage_draws_its_own_substreams(self, stage, streams, monkeypatch):
+        drawn = []
+        real_substream = training.substream
+
+        def spy(seed, name):
+            drawn.append(name)
+            return real_substream(seed, name)
+
+        monkeypatch.setattr(training, "substream", spy)
+        run_tiny_stage(stage, epochs=1)
+        assert sorted(drawn) == sorted(streams)
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_logs_and_checkpoints_every_epoch(self, stage, tmp_path, monkeypatch):
+        appended = []
+        real_append = TrainLog.append
+
+        def spy(log, **record):
+            appended.append(record["epoch"])
+            real_append(log, **record)
+
+        monkeypatch.setattr(TrainLog, "append", spy)
+        log = run_tiny_stage(stage, epochs=2, out_dir=tmp_path)
+        assert appended == [1, 2]
+        assert sorted(p.name for p in tmp_path.iterdir()) == STAGE_FILES[stage]
+        lines = (tmp_path / training.LOG_FILES[stage]).read_text().splitlines()
+        assert [json.loads(line) for line in lines] == log.records
+        assert [r["epoch"] for r in log.records] == [1, 2]
+        for path in tmp_path.glob("*.ckpt"):
+            _, meta = load_checkpoint(path)
+            assert {k: meta[k] for k in ("epoch", "seed", "stage")} == {
+                "epoch": 2, "seed": 0, "stage": stage}
+
+    @pytest.mark.parametrize("stage", ["mle", "d-pretrain", "se-pretrain"])
+    def test_resumed_stage_keeps_the_earlier_records(self, stage, tmp_path):
+        first = run_tiny_stage(stage, epochs=1, out_dir=tmp_path)
+        log = run_tiny_stage(stage, epochs=2, out_dir=tmp_path, start_epoch=2)
+        assert [r["epoch"] for r in log.records] == [1, 2]
+        assert log.records[0] == first.records[0]
+        lines = (tmp_path / training.LOG_FILES[stage]).read_text().splitlines()
+        assert [json.loads(line) for line in lines] == log.records
+
+    def test_semantic_stage_skips_a_one_clip_batch(self, monkeypatch):
+        train, *_ = tiny_setup()
+        # the last batch holds 1 clip
+        assert len(train.records) % tiny_train_config().batch_size == 1
+        sizes = []
+        real_loss = training.semantic_hinge_loss
+
+        def spy(se, batch, margin):
+            sizes.append(len(batch.clip_ids))
+            return real_loss(se, batch, margin)
+
+        monkeypatch.setattr(training, "semantic_hinge_loss", spy)
+        log = run_tiny_stage("se-pretrain", epochs=1)
+        assert sizes == [4, 4]
+        assert np.isfinite(log.records[0]["se_loss"])
