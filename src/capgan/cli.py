@@ -337,16 +337,21 @@ def cmd_train_gan(args) -> int:
         raise CliError("usage", f"--ablation {args.ablation} fixes lambda at "
                                 f"{ABLATION_LAMBDA[args.ablation]:g}, not {args.lam:g}")
     if args.lambda_sweep is not None:
-        if args.ablation:
-            # the ablation pins lambda, so every sweep run would be the same
-            raise CliError("usage", f"--ablation {args.ablation} fixes lambda; "
-                                    "it cannot run with --lambda-sweep")
+        # the ablation and --lambda each pin lambda, so every sweep run would be the same
+        for flag, given in ((f"--ablation {args.ablation}", args.ablation),
+                            (f"--lambda {args.lam}", args.lam is not None)):
+            if given:
+                raise CliError("usage", f"{flag} fixes lambda; it cannot run with --lambda-sweep")
         try:
             lambdas = [float(v) for v in args.lambda_sweep.split(",") if v.strip()]
         except ValueError:
             lambdas = []
         if not lambdas:
             raise CliError("usage", f"bad --lambda-sweep value {args.lambda_sweep!r}")
+        tags = [f"{lam:g}" for lam in lambdas]
+        twice = [tag for k, tag in enumerate(tags) if tag in tags[:k]]
+        if twice:
+            raise CliError("usage", f"--lambda-sweep names lambda {twice[0]} twice")
     else:
         lambdas = [cfg["lam"]]
     # every lambda is checked before the first one trains
@@ -400,6 +405,9 @@ def cmd_generate(args) -> int:
     ckpt = Path(args.checkpoint) if args.checkpoint else run_dir / "generator_mle_final.ckpt"
     arrays, meta = load_checkpoint(ckpt, expected_kind=Generator.kind)
     gen = _build(Generator, config_from_checkpoint(GeneratorConfig, meta, ckpt), None)
+    if gen.config.vocab_size != len(vocab):
+        raise CheckpointError(f"{ckpt} has a vocabulary of {gen.config.vocab_size} ids, "
+                              f"but {vocab_path} has {len(vocab)}")
     restore_model(gen, arrays)
     split = _load_split(args.data, args.split)
     split.check_feat_dim(gen.config.feat_dim, f"checkpoint {ckpt}")

@@ -43,7 +43,7 @@ content word. Non-finite logits stop the decode with ``Diverged``.
 """
 from __future__ import annotations
 
-import heapq
+import bisect
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,9 +108,9 @@ def rollout(
     if mode == "sample" and rng is None:
         raise ValueError("sampling requires an rng")
     batch = features.shape[0]
-    prefix = np.full((batch, 1), SOS, dtype=np.int64)
+    tokens = np.full(batch, SOS, dtype=np.int64)
     alive = np.ones(batch, dtype=bool)
-    log_probs: list[list[float]] = [[] for _ in range(batch)]
+    steps = []  # per step, every row's (token, its log-prob); finished rows emit <pad>
 
     with no_grad():
         if memory is None:
@@ -120,7 +120,7 @@ def rollout(
             if not alive.any():
                 break
             logp = next_log_probs(model.step_logits(
-                features, feat_lengths, z, prefix[:, -1:], memory=memory, cache=cache
+                features, feat_lengths, z, tokens[:, None], memory=memory, cache=cache
             ), step)
             if mode == "greedy":
                 chosen = logp.argmax(axis=-1)
@@ -129,18 +129,15 @@ def rollout(
                 cumulative[:, -1] = 1.0
                 draws = rng.random((batch, 1))
                 chosen = (cumulative < draws).sum(axis=-1)
-            chosen = np.where(alive, chosen, PAD)  # finished rows are fed pad
-            for b in range(batch):
-                if alive[b]:
-                    log_probs[b].append(float(logp[b, chosen[b]]))
-            prefix = np.concatenate([prefix, chosen[:, None]], axis=1)
-            alive &= chosen != EOS
+            tokens = np.where(alive, chosen, PAD)
+            steps.append((tokens, logp[np.arange(batch), tokens]))
+            alive &= tokens != EOS
 
-    sequences = []
-    for b in range(batch):
-        row = [SOS] + [int(t) for t in prefix[b, 1:] if t != PAD]
-        sequences.append(row)
-    return sequences, log_probs
+    emitted = np.array([t for t, _ in steps]).T  # [B, steps]
+    picked = np.array([lp for _, lp in steps]).T
+    kept = emitted != PAD
+    sequences = [[SOS] + row[k].tolist() for row, k in zip(emitted, kept)]
+    return sequences, [row[k].tolist() for row, k in zip(picked, kept)]
 
 
 def beam_decode(model, features, feat_lengths, z, *, beam_size: int, max_length: int,
@@ -158,21 +155,25 @@ def beam_decode(model, features, feat_lengths, z, *, beam_size: int, max_length:
     hypothesis can exceed (see the module docstring). Settled groups stay
     in the batch, so the others see the same arithmetic as without the
     stop. A search that runs to the length cap ranks its length-capped
-    hypotheses with the finished ones.
+    hypotheses after the finished ones they tie with.
 
-    Returns one list per group of up to n_best distinct (sequence, score)
-    pairs, best first; score is mean log-probability per emitted token.
+    Returns one list per group of up to n_best (sequence, score) pairs,
+    best first; score is mean log-probability per emitted token. A group's
+    hypotheses are distinct: each (row, token) candidate is taken at most
+    once, and only the length-capped ones do not end in <eos>.
     """
     if features.shape[0] != 1:
         raise ValueError("beam_decode works on a single clip")
     groups = len(z)
     live = np.full((groups, 1), SOS, dtype=np.int64)  # `width` rows per group
     width = 1
-    finished: list[list[tuple[list[int], float]]] = [[] for _ in range(groups)]
-    # per group, a min-heap of its n_best best finished means, and the
-    # n_best-th best of them once there are n_best
-    best_means: list[list[float]] = [[] for _ in range(groups)]
-    bar = np.full(groups, -np.inf)
+    # per group, its n_best best (sequence, mean log-prob) pairs, best
+    # first, ties in the order they were filed
+    ranked: list[list[tuple[list[int], float]]] = [[] for _ in range(groups)]
+
+    def file(g, tokens, total):
+        bisect.insort(ranked[g], (tokens, total / (len(tokens) - 1)), key=lambda h: -h[1])
+        del ranked[g][n_best:]
 
     with no_grad():
         # one memory per group; each group's rows share its cross-attention
@@ -197,33 +198,26 @@ def beam_decode(model, features, feat_lengths, z, *, beam_size: int, max_length:
             # open; every ended one passed on the way is finished
             taken = np.cumsum(~ended, axis=1) - ~ended < beam_size
             for g, i in zip(*np.nonzero(taken & ended)):
-                total = candidates[g, order[g, i]]
-                finished[g].append((live[g * width + rows[g, i]].tolist() + [EOS], total))
-                mean = total / (step + 1)  # as _best_distinct computes it
-                heap = best_means[g]
-                if len(heap) < n_best:
-                    heapq.heappush(heap, mean)
-                else:
-                    heapq.heappushpop(heap, mean)
-                if len(heap) == n_best:
-                    bar[g] = heap[0]
+                file(g, live[g * width + rows[g, i]].tolist() + [EOS], candidates[g, order[g, i]])
             keep = taken & ~ended
-            parents = (np.arange(groups)[:, None] * width + rows)[keep]
+            g, i = np.nonzero(keep)
+            parents = g * width + rows[g, i]
             # each row has exactly one <eos> candidate, so every group keeps
             # the same number of open hypotheses
             width = min(beam_size, width * (vocab - 1))
             assert (keep.sum(axis=1) == width).all()
             cache.reorder(parents)
-            live = np.concatenate([live[parents], tokens[keep, None]], axis=1)
-            totals = np.take_along_axis(candidates, order, axis=1)[keep]
-            if (bar > totals.reshape(groups, width).max(axis=1) / (max_length + 1)).all():
-                return [_best_distinct(finished[g], n_best) for g in range(groups)]
-    # length-capped hypotheses count as complete
-    live = [(row.tolist(), total) for row, total in zip(live, totals)]
-    return [
-        _best_distinct(finished[g] + live[g * width : (g + 1) * width], n_best)
-        for g in range(groups)
-    ]
+            live = np.concatenate([live[parents], tokens[g, i][:, None]], axis=1)
+            totals = candidates[g, order[g, i]]
+            bounds = totals.reshape(groups, width).max(axis=1) / (max_length + 1)
+            if all(len(best) == n_best and best[-1][1] > bound
+                   for best, bound in zip(ranked, bounds)):
+                break
+        else:
+            # length-capped hypotheses count as complete
+            for r, (row, total) in enumerate(zip(live, totals)):
+                file(r // width, row.tolist(), total)
+    return ranked
 
 
 def _stable_head(keys: np.ndarray, reach: int) -> np.ndarray:
@@ -238,27 +232,12 @@ def _stable_head(keys: np.ndarray, reach: int) -> np.ndarray:
     if reach >= keys.shape[1]:
         return np.argsort(keys, axis=1, kind="stable")
     head = np.sort(np.argpartition(keys, reach - 1, axis=1)[:, :reach], axis=1)
-    head_keys = np.take_along_axis(keys, head, axis=1)
+    at = np.arange(len(keys))[:, None]
+    head_keys = keys[at, head]
     cut = head_keys.max(axis=1, keepdims=True)
     if ((keys <= cut).sum(axis=1) != reach).any():
         return np.argsort(keys, axis=1, kind="stable")[:, :reach]
-    return np.take_along_axis(head, np.argsort(head_keys, axis=1, kind="stable"), axis=1)
-
-
-def _best_distinct(hypotheses, beam_size: int):
-    """Up to beam_size distinct (sequence, mean log-prob) pairs, best first."""
-    hypotheses = sorted(hypotheses, key=lambda c: c[1] / (len(c[0]) - 1), reverse=True)
-    out = []
-    seen = set()
-    for tokens, total in hypotheses:
-        key = tuple(tokens)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((tokens, total / (len(tokens) - 1)))
-        if len(out) == beam_size:
-            break
-    return out
+    return head[at, np.argsort(head_keys, axis=1, kind="stable")]
 
 
 def generate_diverse_set(model, features, feat_lengths, config: DecodeConfig,

@@ -519,6 +519,9 @@ REJECTED_VALUES = {
         TRAIN_GAN + ["--lambda", "1", "--ablation", "le"], "{run}/gan"),
     "train-gan --lambda-sweep --ablation nd": (
         TRAIN_GAN + ["--lambda-sweep", "--ablation", "nd"], "{run}/gan"),
+    "train-gan --lambda-sweep 0.5,0.50": (TRAIN_GAN + ["--lambda-sweep", "0.5,0.50"], "{run}/gan"),
+    "train-gan --lambda 0.3 --lambda-sweep 1.0": (
+        TRAIN_GAN + ["--lambda", "0.3", "--lambda-sweep", "1.0"], "{run}/gan"),
     "generate --beam-size 0": (GENERATE + ["--beam-size", "0"], "{run}/captions_gan.jsonl"),
     "generate -n 0": (GENERATE + ["-n", "0"], "{run}/captions_gan.jsonl"),
     "generate -n -1": (GENERATE + ["-n", "-1"], "{run}/captions_gan.jsonl"),
@@ -1039,6 +1042,34 @@ def test_generate_refuses_a_bad_recorded_config(case, pretrained, data_dir, tmp_
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: category=checkpoint: "), err
     assert named in lines[0]
+    assert not out.exists()
+
+
+def test_lambda_sweep_names_the_lambda_it_repeats(full_run, data_dir, config_file, capsys):
+    argv = [arg.format(data=data_dir, run=full_run, config=config_file) for arg in TRAIN_GAN]
+    code, _, err = run(argv + ["--lambda-sweep", "0.3,0.5,0.50"], capsys)
+    assert code == 2
+    assert err == "error: category=usage: --lambda-sweep names lambda 0.5 twice\n"
+
+
+def test_generate_refuses_a_checkpoint_of_another_vocabulary_size(pretrained, data_dir,
+                                                                   tmp_path):
+    """A generator of 13 more ids than the run's vocabulary would emit ids
+    the vocabulary cannot decode; it is refused before any caption is
+    written."""
+    arrays, meta = load_checkpoint(pretrained / "generator_mle_final.ckpt", "generator")
+    size = meta["config"]["vocab_size"]
+    assert size == len(Vocabulary.load(pretrained / "vocab.txt"))
+    config = GeneratorConfig(**dict(meta["config"], vocab_size=size + 13))
+    ckpt = tmp_path / "wider.ckpt"
+    save_checkpoint(ckpt, Generator(config, np.random.default_rng(0)))
+    out = tmp_path / "captions.jsonl"
+    code, err = run_process(["generate", "--data", str(data_dir), "--run", str(pretrained),
+                             "--checkpoint", str(ckpt), "--out", str(out)])
+    assert code == EXIT_CODES["checkpoint"], err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: category=checkpoint: "), err
+    assert f"{size + 13} ids" in lines[0] and f"has {size}" in lines[0]
     assert not out.exists()
 
 

@@ -311,6 +311,27 @@ class TestSample:
             assert lp == pytest.approx(expected, abs=1e-12)
             prev = tok
 
+    def test_logprobs_of_rows_that_end_at_different_steps(self):
+        fed = []
+
+        class FedTokens(ToyModel):
+            def step_logits(self, features, feat_lengths, z, prefix, memory=None, cache=None):
+                fed.append(prefix[:, -1].copy())
+                return super().step_logits(features, feat_lengths, z, prefix)
+
+        model = FedTokens(PEAKED)
+        features, lens, z = toy_inputs(batch=16)
+        seqs, logps = rollout(model, features, lens, z, "sample",
+                              rng=np.random.default_rng(8), max_length=4)
+        assert len({len(seq) for seq in seqs}) > 2  # rows die at different steps
+        for b, (seq, row_logps) in enumerate(zip(seqs, logps)):
+            assert len(row_logps) == len(seq) - 1
+            for prev, tok, lp in zip(seq, seq[1:], row_logps):
+                assert lp == pytest.approx(log_softmax(model.tables[prev])[tok], abs=1e-12)
+            # a finished row is fed <pad> at every later step
+            assert [int(step[b]) for step in fed[len(seq):]] == [PAD] * (len(fed) - len(seq))
+        assert rollout(model, *toy_inputs(batch=0), "greedy", max_length=4) == ([], [])
+
 
 class TestBeam:
     def test_beam_one_equals_greedy_real_model(self):
@@ -345,6 +366,27 @@ class TestBeam:
         scores = [s for _, s in ranked]
         assert scores == sorted(scores, reverse=True)
         assert len({tuple(t) for t, _ in ranked}) == len(ranked)
+
+    @pytest.mark.parametrize("groups", [1, 5])
+    @pytest.mark.parametrize("model", ["tied toy", "default generator"])
+    def test_every_hypothesis_distinct_and_ranked(self, model, groups):
+        # an n_best no group can fill: the search runs to the length cap and
+        # returns every finished and length-capped hypothesis
+        if model == "tied toy":
+            model, features, lens = NoisyToyModel(TIED), *toy_inputs()[:2]
+            z = np.linspace(-1.0, 1.0, groups)[:, None] * np.array([[1.0, 0.0]])
+        else:
+            model = TestFullRecomputeReference.generator(eos_boost=3.0)  # many finish
+            rng = np.random.default_rng(29)
+            features, lens = rng.standard_normal((1, 9, model.config.feat_dim)), np.array([9])
+            z = rng.standard_normal((groups, model.config.noise_dim))
+        got = beam_decode(model, features, lens, z, beam_size=4, max_length=5, n_best=100)
+        assert len(got) == groups
+        for ranked in got:
+            assert 4 < len(ranked) < 100
+            assert len({tuple(tokens) for tokens, _ in ranked}) == len(ranked)
+            means = [mean for _, mean in ranked]
+            assert all(a >= b for a, b in zip(means, means[1:]))
 
     def test_logit_shift_invariance(self):
         model = ToyModel(PEAKED)
