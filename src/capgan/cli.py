@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -40,16 +40,15 @@ from .models import (
     GeneratorConfig,
     SemanticEvaluator,
     SemanticEvaluatorConfig,
-    config_from_checkpoint,
     fits_type,
-    load_checkpoint,
-    restore_model,
+    load_model,
 )
 from .seeding import substream
 from .tensor import Diverged, quiet_numerics
 from .text import EmptyCaptionError, Vocabulary, normalize_and_tokenize
 from .training import (
     ABLATION_LAMBDA,
+    CHECKPOINTS,
     TrainConfig,
     adversarial_train,
     check_semantic_batches,
@@ -189,43 +188,27 @@ def _model_configs(vocab, cfg: dict, feat_dim: int) -> tuple:
     )
 
 
-def _build(cls, config, seed: int | None):
-    """A fresh ``cls`` model, initialized from its kind's substream of
-    ``seed``; with no seed, all zeros, for a checkpoint to overwrite."""
-    return cls(config, None if seed is None else substream(seed, f"{cls.kind}-init"))
-
-
-def _restore_into(model, path) -> dict:
-    """Restore the checkpoint at ``path`` into ``model``, built from the run
-    config; a checkpoint recorded with other model settings is refused."""
-    arrays, meta = load_checkpoint(path, expected_kind=model.kind)
-    recorded = asdict(config_from_checkpoint(type(model.config), meta, path))
-    differ = [f"{key} {recorded[key]!r} (run: {value!r})"
-              for key, value in asdict(model.config).items() if recorded[key] != value]
-    if differ:
-        raise CheckpointError(f"{path} was trained with other settings: {', '.join(differ)}")
-    restore_model(model, arrays)
-    return meta
-
-
-def _start_epoch(model, stage: str, path: Path, resume: bool, epochs: int) -> int:
-    """1, or with ``--resume`` one past the epoch of the checkpoint at
-    ``path``, restored into ``model``. Refused before anything is written: a
-    checkpoint that records no epoch >= 1 of ``stage``, or one at ``epochs``
-    or past it (nothing to train), and a ``stage`` log that cannot be read."""
+def _trained(cls, config, seed: int, stage: str, run_dir: Path, resume: bool,
+             epochs: int) -> tuple:
+    """The ``cls`` model ``stage`` trains and its first epoch: fresh from its
+    kind's substream of ``seed`` at 1, or with ``--resume`` the stage's
+    checkpoint in ``run_dir`` at one past its epoch. Refused before anything
+    is written: a checkpoint of other settings, of no epoch >= 1 of ``stage``
+    or of one at ``epochs`` or past it, and a ``stage`` log that cannot be read."""
     if not resume:
-        return 1
+        return cls(config, substream(seed, f"{cls.kind}-init")), 1
+    path = run_dir / CHECKPOINTS[stage]
     if not path.exists():
         raise CliError("usage", f"--resume: no checkpoint at {path}")
-    meta = _restore_into(model, path)
+    model, meta = load_model(cls, path, config)
     done, recorded = meta.get("epoch"), meta.get("stage", stage)
     if not (fits_type(done, int) and done >= 1 and recorded == stage):
         raise CheckpointError(f"{path}: no {stage} epoch to resume (epoch {done!r} of {recorded})")
     if done >= epochs:
         raise CliError("usage", f"--resume: {path} is at epoch {done}, so --epochs {epochs} "
                                 "leaves nothing to train")
-    resumed_records(stage, path.parent, done + 1)
-    return done + 1
+    resumed_records(stage, run_dir, done + 1)
+    return model, done + 1
 
 
 # -- subcommands --------------------------------------------------------------
@@ -273,9 +256,8 @@ def cmd_pretrain(args) -> int:
     train, evaluation = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
     gen_config, _, _ = _model_configs(vocab, cfg, train.feat_dim)
-    gen = _build(Generator, gen_config, cfg["seed"])
-    start_epoch = _start_epoch(gen, "mle", run_dir / "generator_mle_final.ckpt", args.resume,
-                               config.mle_epochs)
+    gen, start_epoch = _trained(Generator, gen_config, cfg["seed"], "mle", run_dir, args.resume,
+                                config.mle_epochs)
     _save_vocab(vocab, run_dir)
     _write_merged_config(cfg, run_dir)
     log = mle_pretrain(
@@ -296,12 +278,10 @@ def cmd_pretrain_d(args) -> int:
     train, _ = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
     gen_config, d_config, _ = _model_configs(vocab, cfg, train.feat_dim)
-    gen_ckpt = Path(args.generator) if args.generator else run_dir / "generator_mle_final.ckpt"
-    gen = _build(Generator, gen_config, None)
-    _restore_into(gen, gen_ckpt)
-    d = _build(Discriminator, d_config, cfg["seed"])
-    d_ckpt = run_dir / "discriminator_pretrained.ckpt"
-    start_epoch = _start_epoch(d, "d-pretrain", d_ckpt, args.resume, config.d_pretrain_epochs)
+    gen_ckpt = Path(args.generator) if args.generator else run_dir / CHECKPOINTS["mle"]
+    gen, _ = load_model(Generator, gen_ckpt, gen_config)
+    d, start_epoch = _trained(Discriminator, d_config, cfg["seed"], "d-pretrain", run_dir,
+                              args.resume, config.d_pretrain_epochs)
     _save_vocab(vocab, run_dir)
     _write_merged_config(cfg, run_dir)
     log = d_pretrain(d, gen, train, vocab, config, out_dir=run_dir, start_epoch=start_epoch)
@@ -317,10 +297,8 @@ def cmd_pretrain_se(args) -> int:
     _checked(check_semantic_batches, train_split=train, config=config)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
     _, _, se_config = _model_configs(vocab, cfg, train.feat_dim)
-    se = _build(SemanticEvaluator, se_config, cfg["seed"])
-    se_ckpt = run_dir / "semantic_evaluator.ckpt"
-    start_epoch = _start_epoch(se, "se-pretrain", se_ckpt, args.resume,
-                               config.se_pretrain_epochs)
+    se, start_epoch = _trained(SemanticEvaluator, se_config, cfg["seed"], "se-pretrain", run_dir,
+                               args.resume, config.se_pretrain_epochs)
     _save_vocab(vocab, run_dir)
     _write_merged_config(cfg, run_dir)
     log = semantic_pretrain(se, train, vocab, config, cfg["t_max"], out_dir=run_dir,
@@ -348,35 +326,31 @@ def cmd_train_gan(args) -> int:
             lambdas = []
         if not lambdas:
             raise CliError("usage", f"bad --lambda-sweep value {args.lambda_sweep!r}")
-        tags = [f"{lam:g}" for lam in lambdas]
-        twice = [tag for k, tag in enumerate(tags) if tag in tags[:k]]
-        if twice:
-            raise CliError("usage", f"--lambda-sweep names lambda {twice[0]} twice")
     else:
         lambdas = [cfg["lam"]]
     # every lambda is checked before the first one trains
     configs = [_config(TrainConfig, cfg, lam=lam, ablation=args.ablation) for lam in lambdas]
+    lams = [f"{config.lam:g}" for config in configs]
+    twice = [lam for k, lam in enumerate(lams) if lam in lams[:k]]
+    if twice:
+        raise CliError("usage", f"--lambda-sweep names lambda {twice[0]} twice")
     run_dir = Path(args.run)
     train, evaluation = _load_splits(args.data)
     vocab = _load_or_build_vocab(run_dir, train, cfg["min_count"])
     gen_config, d_config, se_config = _model_configs(vocab, cfg, train.feat_dim)
-    gen_ckpt = Path(args.generator) if args.generator else run_dir / "generator_mle_final.ckpt"
-    d_ckpt = Path(args.discriminator) if args.discriminator else run_dir / "discriminator_pretrained.ckpt"
-    se_ckpt = Path(args.semantic) if args.semantic else run_dir / "semantic_evaluator.ckpt"
+    checkpoints = ((Generator, args.generator, "mle", gen_config),
+                   (Discriminator, args.discriminator, "d-pretrain", d_config),
+                   (SemanticEvaluator, args.semantic, "se-pretrain", se_config))
 
     def restored():
-        gen = _build(Generator, gen_config, None)
-        d = _build(Discriminator, d_config, None)
-        se = _build(SemanticEvaluator, se_config, None)
-        for model, path in ((gen, gen_ckpt), (d, d_ckpt), (se, se_ckpt)):
-            _restore_into(model, path)
-        return gen, d, se
+        return [load_model(cls, Path(given) if given else run_dir / CHECKPOINTS[stage], config)[0]
+                for cls, given, stage, config in checkpoints]
 
     # every checkpoint is checked before anything is written
     first = restored()
     _save_vocab(vocab, run_dir)
-    for i, (lam, config) in enumerate(zip(lambdas, configs)):
-        tag = f"ablation_{args.ablation}" if args.ablation else f"lambda_{lam:g}"
+    for i, (lam, config) in enumerate(zip(lams, configs)):
+        tag = f"ablation_{args.ablation}" if args.ablation else f"lambda_{lam}"
         out_dir = run_dir / "gan" / tag
         # fresh copies per lambda so sweep runs are independent
         gen, d, se = first if i == 0 else restored()
@@ -402,13 +376,11 @@ def cmd_generate(args) -> int:
     if not vocab_path.exists():
         raise CliError("usage", f"no vocabulary at {vocab_path}; run pretrain first")
     vocab = Vocabulary.load(vocab_path)
-    ckpt = Path(args.checkpoint) if args.checkpoint else run_dir / "generator_mle_final.ckpt"
-    arrays, meta = load_checkpoint(ckpt, expected_kind=Generator.kind)
-    gen = _build(Generator, config_from_checkpoint(GeneratorConfig, meta, ckpt), None)
+    ckpt = Path(args.checkpoint) if args.checkpoint else run_dir / CHECKPOINTS["mle"]
+    gen, _ = load_model(Generator, ckpt)
     if gen.config.vocab_size != len(vocab):
         raise CheckpointError(f"{ckpt} has a vocabulary of {gen.config.vocab_size} ids, "
                               f"but {vocab_path} has {len(vocab)}")
-    restore_model(gen, arrays)
     split = _load_split(args.data, args.split)
     split.check_feat_dim(gen.config.feat_dim, f"checkpoint {ckpt}")
     decode = _checked(DecodeConfig, beam_size=args.beam_size, n_captions=args.n)

@@ -246,6 +246,8 @@ def generate_synthetic_corpus(
         raise ValueError("n_clips must be >= 10")
     if n_classes < 2:
         raise ValueError("n_classes must be >= 2")
+    if feat_dim < 1:
+        raise ValueError(f"feat_dim must be >= 1, got {feat_dim}")
     if not 0.0 < eval_fraction < 1.0:
         raise ValueError(f"eval_fraction must be in (0, 1), got {eval_fraction}")
     n_eval = max(1, int(round(n_clips * eval_fraction)))

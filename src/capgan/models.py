@@ -252,6 +252,7 @@ class Generator:
     """Encoder + noise-conditioned causal transformer decoder."""
 
     kind = "generator"
+    config_type = GeneratorConfig
 
     def __init__(self, config: GeneratorConfig, rng: np.random.Generator, dtype=np.float32):
         self.config = config
@@ -480,6 +481,7 @@ class Discriminator:
     """Single-layer GRU over token embeddings, sigmoid naturalness head."""
 
     kind = "discriminator"
+    config_type = DiscriminatorConfig
 
     def __init__(self, config: DiscriminatorConfig, rng: np.random.Generator, dtype=np.float32):
         self.config = config
@@ -529,6 +531,7 @@ class SemanticEvaluator:
     joint embedding space."""
 
     kind = "semantic"
+    config_type = SemanticEvaluatorConfig
 
     def __init__(self, config: SemanticEvaluatorConfig, rng: np.random.Generator, dtype=np.float32):
         self.config = config
@@ -699,3 +702,19 @@ def restore_model(model, arrays: dict) -> None:
         if params[name].data.shape != array.shape:
             raise CheckpointError(f"shape mismatch for {name!r}")
         params[name].data = array.astype(model.dtype)
+
+
+def load_model(cls, path, config=None) -> tuple:
+    """The ``cls`` model the checkpoint at ``path`` holds, built from the
+    config it records, and the checkpoint's metadata. Given the run's
+    ``config``, a checkpoint recorded with other settings is refused."""
+    arrays, metadata = load_checkpoint(path, expected_kind=cls.kind)
+    recorded = config_from_checkpoint(cls.config_type, metadata, path)
+    if config is not None:
+        differ = [f"{key} {value!r} (run: {getattr(config, key)!r})"
+                  for key, value in asdict(recorded).items() if getattr(config, key) != value]
+        if differ:
+            raise CheckpointError(f"{path} was trained with other settings: {', '.join(differ)}")
+    model = cls(recorded, None)
+    restore_model(model, arrays)
+    return model, metadata

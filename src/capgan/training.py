@@ -45,6 +45,10 @@ SE_MARGIN = 0.2
 LOG_FILES = {"mle": "mle_log.jsonl", "d-pretrain": "d_log.jsonl",
              "se-pretrain": "se_log.jsonl", "adversarial": "train_log.jsonl"}
 
+# the checkpoint each pretraining stage writes in its output directory
+CHECKPOINTS = {"mle": "generator_mle_final.ckpt", "d-pretrain": "discriminator_pretrained.ckpt",
+               "se-pretrain": "semantic_evaluator.ckpt"}
+
 # each stage's substream, which orders its batches
 DATA_STREAMS = {"mle": "mle-data", "d-pretrain": "d-data",
                 "se-pretrain": "se-data", "adversarial": "adv-data"}
@@ -65,6 +69,7 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must be in [0, 1]")
+        self.lam = abs(self.lam)  # -0.0 would name its run directory lambda_-0
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         for name in ("mle_epochs", "d_pretrain_epochs", "se_pretrain_epochs",
@@ -287,7 +292,7 @@ def mle_pretrain(
 
     def end_epoch(epoch, losses, log):
         record = {"epoch": epoch, "mle_loss": float(np.mean(losses))}
-        checkpoints = [("generator_mle_final.ckpt", gen)]
+        checkpoints = [(CHECKPOINTS["mle"], gen)]
         if eval_refs:
             record["eval_cider"] = _eval_greedy_cider(gen, eval_split, eval_refs, vocab, df_table)
             best = max((r.get("eval_cider", -1.0) for r in log.records), default=-1.0)
@@ -343,7 +348,7 @@ def d_pretrain(
         "d-pretrain", train_split, vocab, config, gen.config.t_max, config.d_pretrain_epochs,
         lambda batch: discriminator_step(d, opt, gen, batch, fake_rng),
         lambda epoch, losses, log: ({"epoch": epoch, "d_loss": float(np.mean(losses))},
-                                    [("discriminator_pretrained.ckpt", d)]),
+                                    [(CHECKPOINTS["d-pretrain"], d)]),
         out_dir, start_epoch)
 
 
@@ -402,7 +407,7 @@ def semantic_pretrain(
 
     def end_epoch(epoch, losses, log):
         se_loss = float(np.mean([loss for loss in losses if loss is not None]))
-        return {"epoch": epoch, "se_loss": se_loss}, [("semantic_evaluator.ckpt", se)]
+        return {"epoch": epoch, "se_loss": se_loss}, [(CHECKPOINTS["se-pretrain"], se)]
 
     return run_stage("se-pretrain", train_split, vocab, config, t_max,
                      config.se_pretrain_epochs, step, end_epoch, out_dir, start_epoch)

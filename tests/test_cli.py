@@ -24,6 +24,7 @@ from capgan.models import (
     SemanticEvaluatorConfig,
     config_from_checkpoint,
     load_checkpoint,
+    load_model,
     restore_model,
     save_checkpoint,
 )
@@ -319,6 +320,17 @@ class TestTrainGan:
         ]
         assert log[0]["d_queries"] == 0 and log[0]["se_queries"] == 0
 
+    def test_negative_zero_lambda_is_lambda_zero(self, full_run, data_dir, config_file, capsys):
+        code, _, err = run(
+            ["train-gan", "--data", str(data_dir), "--run", str(full_run),
+             "--config", str(config_file), "--epochs", "1", "--lambda", "-0"],
+            capsys,
+        )
+        assert code == 0, err
+        assert [p.name for p in (full_run / "gan").iterdir()] == ["lambda_0"]
+        merged = yaml.safe_load((full_run / "gan" / "lambda_0" / "config.yaml").read_text())
+        assert merged["lam"] == 0.0 and str(merged["lam"]) == "0.0"
+
     def test_lambda_sweep_creates_run_dirs(self, full_run, data_dir, config_file, capsys):
         code, _, err = run(
             ["train-gan", "--data", str(data_dir), "--run", str(full_run),
@@ -520,6 +532,11 @@ REJECTED_VALUES = {
     "train-gan --lambda-sweep --ablation nd": (
         TRAIN_GAN + ["--lambda-sweep", "--ablation", "nd"], "{run}/gan"),
     "train-gan --lambda-sweep 0.5,0.50": (TRAIN_GAN + ["--lambda-sweep", "0.5,0.50"], "{run}/gan"),
+    "train-gan --lambda-sweep=-0,0": (TRAIN_GAN + ["--lambda-sweep=-0,0"], "{run}/gan"),
+    "prepare-data --feat-dim 0": (
+        ["prepare-data", "--out", "{tmp}/fresh", "--synthetic", "--feat-dim", "0"], "{tmp}/fresh"),
+    "prepare-data --feat-dim -3": (
+        ["prepare-data", "--out", "{tmp}/fresh", "--synthetic", "--feat-dim=-3"], "{tmp}/fresh"),
     "train-gan --lambda 0.3 --lambda-sweep 1.0": (
         TRAIN_GAN + ["--lambda", "0.3", "--lambda-sweep", "1.0"], "{run}/gan"),
     "generate --beam-size 0": (GENERATE + ["--beam-size", "0"], "{run}/captions_gan.jsonl"),
@@ -1167,8 +1184,8 @@ def test_checkpoint_with_a_config_hash_still_restores(pretrained, data_dir, tmp_
     gen = Generator(GeneratorConfig(**meta["config"]), np.random.default_rng(0))
     restore_model(gen, arrays)
     save_checkpoint(ckpt, gen, dict(meta, config_hash="0123456789abcdef"))
-    restored = Generator(GeneratorConfig(**meta["config"]), np.random.default_rng(1))
-    assert cli._restore_into(restored, ckpt)["config_hash"] == "0123456789abcdef"
+    restored, restored_meta = load_model(Generator, ckpt, GeneratorConfig(**meta["config"]))
+    assert restored_meta["config_hash"] == "0123456789abcdef"
     for name, tensor in restored.params.items():
         np.testing.assert_array_equal(tensor.data, arrays[name])
     code, _, err = run(["generate", "--data", str(data_dir), "--run", str(pretrained),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import warnings
 import weakref
@@ -23,6 +24,7 @@ from capgan.models import (
     gru_inputs,
     l2_normalize,
     load_checkpoint,
+    load_model,
     pad,
     restore_model,
     save_checkpoint,
@@ -1065,6 +1067,48 @@ class TestCheckpoints:
         save_checkpoint(path, d)
         with pytest.raises(CheckpointError, match="kind"):
             load_checkpoint(path, expected_kind="generator")
+
+    def test_load_model_refuses_another_kind(self, tmp_path):
+        d = Discriminator(
+            DiscriminatorConfig(vocab_size=11, embed_dim=4, hidden_dim=6),
+            np.random.default_rng(0),
+        )
+        path = tmp_path / "d.ckpt"
+        save_checkpoint(path, d)
+        with pytest.raises(CheckpointError, match="kind 'discriminator', expected 'generator'"):
+            load_model(Generator, path)
+
+    def test_load_model_refuses_other_settings_naming_each_field(self, tmp_path):
+        gen = tiny_generator(dtype=np.float32)
+        path = tmp_path / "gen.ckpt"
+        save_checkpoint(path, gen)
+        run = dataclasses.replace(gen.config, n_heads=1, t_max=9)
+        with pytest.raises(CheckpointError) as caught:
+            load_model(Generator, path, run)
+        assert str(caught.value) == (f"{path} was trained with other settings: "
+                                     "n_heads 2 (run: 1), t_max 6 (run: 9)")
+
+    @pytest.mark.parametrize(
+        ("cls", "config"),
+        [(Generator, GeneratorConfig(vocab_size=11, feat_dim=5, d_model=8, n_layers=1,
+                                     n_heads=2, d_ff=12, noise_dim=4, t_max=6)),
+         (Discriminator, DiscriminatorConfig(vocab_size=11, embed_dim=4, hidden_dim=6)),
+         (SemanticEvaluator, SemanticEvaluatorConfig(vocab_size=11, feat_dim=5, embed_dim=4,
+                                                     hidden_dim=6, out_dim=3))],
+        ids=lambda c: getattr(c, "__name__", ""),
+    )
+    def test_load_model_builds_from_the_recorded_config(self, cls, config, tmp_path):
+        model = cls(config, np.random.default_rng(0))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, {"epoch": 3})
+        for given in (None, config):
+            loaded, meta = load_model(cls, path, given)
+            assert type(loaded) is cls and loaded.config == config
+            assert meta["epoch"] == 3
+            assert loaded.params.keys() == model.params.keys()
+            for name, tensor in model.params.items():
+                assert loaded.params[name].data.dtype == np.float32
+                np.testing.assert_array_equal(loaded.params[name].data, tensor.data)
 
     def test_unknown_version_rejected(self, tmp_path):
         gen = tiny_generator(dtype=np.float32)

@@ -1087,11 +1087,12 @@ class TestTrainLog:
 
 
 STAGES = ("mle", "d-pretrain", "se-pretrain", "adversarial")
-# what each stage leaves in its output directory
+# what each stage leaves in its output directory; a pretraining stage's
+# checkpoint is the one training.CHECKPOINTS names
 STAGE_FILES = {
-    "mle": ["generator_mle_final.ckpt", "mle_log.jsonl"],
-    "d-pretrain": ["d_log.jsonl", "discriminator_pretrained.ckpt"],
-    "se-pretrain": ["se_log.jsonl", "semantic_evaluator.ckpt"],
+    "mle": [training.CHECKPOINTS["mle"], "mle_log.jsonl"],
+    "d-pretrain": ["d_log.jsonl", training.CHECKPOINTS["d-pretrain"]],
+    "se-pretrain": ["se_log.jsonl", training.CHECKPOINTS["se-pretrain"]],
     "adversarial": ["discriminator_adv_final.ckpt", "generator_adv_final.ckpt", "rewards.csv",
                     "train_log.jsonl"],
 }
@@ -1144,7 +1145,7 @@ class TestRunStage:
         monkeypatch.setattr(TrainLog, "append", spy)
         log = run_tiny_stage(stage, epochs=2, out_dir=tmp_path)
         assert appended == [1, 2]
-        assert sorted(p.name for p in tmp_path.iterdir()) == STAGE_FILES[stage]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(STAGE_FILES[stage])
         lines = (tmp_path / training.LOG_FILES[stage]).read_text().splitlines()
         assert [json.loads(line) for line in lines] == log.records
         assert [r["epoch"] for r in log.records] == [1, 2]
